@@ -1,7 +1,6 @@
-//! **Ablation A4** — bignum design choices: the two `ModRing` backends
-//! (Montgomery for odd moduli, Barrett for even) against the naive
-//! square-and-multiply reference, and Karatsuba vs schoolbook
-//! multiplication around the crossover.
+//! **Ablation A4** — bignum design choices: `ModRing` exponentiation
+//! against the naive square-and-multiply reference, and Karatsuba vs
+//! schoolbook multiplication around the crossover.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppms_bigint::{
@@ -15,22 +14,15 @@ fn bench_modpow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("ablation_modpow");
     for bits in [256usize, 512, 1024] {
-        let m_odd = random_odd_bits(&mut rng, bits);
-        let m_even = &m_odd + &BigUint::one();
+        let m = random_odd_bits(&mut rng, bits);
         let base = random_bits(&mut rng, bits - 1);
         let exp = random_bits(&mut rng, bits);
-        // Odd modulus → the ring picks the Montgomery backend.
-        let ring_mont = ModRing::new(&m_odd);
+        let ring = ModRing::new(&m);
         group.bench_with_input(BenchmarkId::new("montgomery", bits), &bits, |b, _| {
-            b.iter(|| std::hint::black_box(ring_mont.pow(&base, &exp)));
-        });
-        // Even modulus → Barrett fallback.
-        let ring_barrett = ModRing::new(&m_even);
-        group.bench_with_input(BenchmarkId::new("barrett", bits), &bits, |b, _| {
-            b.iter(|| std::hint::black_box(ring_barrett.pow(&base, &exp)));
+            b.iter(|| std::hint::black_box(ring.pow(&base, &exp)));
         });
         group.bench_with_input(BenchmarkId::new("plain", bits), &bits, |b, _| {
-            b.iter(|| std::hint::black_box(modpow_plain(&base, &exp, &m_odd)));
+            b.iter(|| std::hint::black_box(modpow_plain(&base, &exp, &m)));
         });
     }
     group.finish();

@@ -21,8 +21,8 @@ fn bench_exponentiation_paths(c: &mut Criterion) {
         let base = random_below(&mut rng, &m);
         let exp = random_below(&mut rng, &m);
 
-        // Seed behaviour: BigUint::modpow builds a fresh Montgomery
-        // context (one division for R² mod n) on every single call.
+        // Per-call path: BigUint::modpow builds a fresh ring (the
+        // Montgomery constants, two divisions) on every single call.
         group.bench_with_input(BenchmarkId::new("plain_per_call", bits), &bits, |b, _| {
             b.iter(|| std::hint::black_box(base.modpow(&exp, &m)));
         });

@@ -3,7 +3,8 @@
 //! at batch sizes 1/4/16/64, for Schnorr proofs, RSA-FDH signatures
 //! and full e-cash spend deposits, plus a Straus-vs-Pippenger
 //! crossover table for the underlying multi-exponentiation kernel.
-//! Emits `BENCH_batch.json` at the repo root (EXPERIMENTS.md A11).
+//! Emits `BENCH_batch.json` at the repo root (EXPERIMENTS.md A11); a
+//! smoke run writes under `target/bench-smoke/` instead.
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench batch_verify          # full run
@@ -17,12 +18,10 @@
 //! on the toy fixture tower (66–78-bit groups), where fixed per-item
 //! costs (hashing, screens) bound the gain — they are gated at "never
 //! slower", and the schnorr rows show the regime the gain scales to.
-//! The `rsa` rows time the dispatched entry point (whose cost model
-//! routes e = 65537 batches to sequential verification, gated at
-//! parity); the `rsa_comb` rows force the combined check to document
-//! the loss that motivates the gate.
+//! The `rsa` rows time `rsa::batch_verify`, which verifies per item
+//! (nothing beats that at e = 65537), gated at parity.
 
-use ppms_bench::cfg;
+use ppms_bench::{artifact_path, cfg};
 use ppms_bigint::{random_bits, random_odd_bits, BigUint, ModRing};
 use ppms_crypto::group::SchnorrGroup;
 use ppms_crypto::rsa;
@@ -141,20 +140,13 @@ fn bench_rsa(rows: &mut Vec<Row>, sizes: &[usize], reps: usize) {
                 assert!(rsa::verify(&key.public, m, s));
             }
         }) / n as f64;
-        // The dispatched entry point: the cost model routes e = 65537
-        // batches to the sequential path, so this row must sit at ~1x.
+        // The batch entry point verifies per item, so this row must
+        // sit at ~1x.
         let bat = time_us(reps, || {
-            let got = rsa::batch_verify(&mut rng, &key.public, &items[..n]);
+            let got = rsa::batch_verify(&key.public, &items[..n]);
             assert!(got.iter().all(|&ok| ok));
         }) / n as f64;
         push_row(rows, "rsa", n, seq, bat);
-        // The combined check forced on, documenting why it is gated
-        // out (0.18–0.70x at e = 65537 on the Vec-path kernels).
-        let comb = time_us(reps, || {
-            let got = rsa::batch_verify_combined(&mut rng, &key.public, &items[..n]);
-            assert!(got.iter().all(|&ok| ok));
-        }) / n as f64;
-        push_row(rows, "rsa_comb", n, seq, comb);
     }
 }
 
@@ -259,10 +251,9 @@ fn main() {
         batch_cells.join(",\n"),
         x_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_batch.json");
+    let path = artifact_path("BENCH_batch.json", smoke);
     match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_batch.json]"),
+        Ok(()) => println!("  [json -> {}]", path.display()),
         Err(e) => eprintln!("  [json write failed: {e}]"),
     }
 
@@ -270,12 +261,9 @@ fn main() {
         // Acceptance: at a deployment-grade group the combined check
         // must amortize ≥2× at batch 64. The deposit path runs on the
         // toy fixture tower where per-item hashing bounds the gain, so
-        // it is gated at "never slower". RSA with e = 65537 is where
-        // the combined check loses (a 17-squaring sequential verify
-        // leaves nothing for small-exponent batching to save — the
-        // rsa_comb rows document it); the dispatched rsa rows must
-        // show the cost model routing around that loss, i.e. parity
-        // with the sequential path.
+        // it is gated at "never slower". RSA with e = 65537 verifies
+        // per item (a 17-squaring verify leaves nothing for batching
+        // to save), so its rows must sit at parity.
         let row64 = |scheme: &str| {
             rows.iter()
                 .find(|r| r.scheme == scheme && r.n == 64)
@@ -296,7 +284,7 @@ fn main() {
         let r = row64("rsa");
         assert!(
             r.speedup >= 0.9,
-            "rsa: cost-model dispatch must not pick a losing strategy ({:.2}x)",
+            "rsa: batch entry point slower than per-item verify ({:.2}x)",
             r.speedup
         );
     }

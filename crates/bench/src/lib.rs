@@ -29,6 +29,20 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Where a bench writes its JSON artifact `name`: the repo root for a
+/// full run, `target/bench-smoke/` for a `--test` smoke run, so a smoke
+/// run never overwrites a committed measurement.
+pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let dir = if smoke {
+        root.join("target/bench-smoke")
+    } else {
+        root.to_path_buf()
+    };
+    std::fs::create_dir_all(&dir).ok();
+    dir.join(name)
+}
+
 /// Standard bench parameters, matching the integration tests:
 /// structurally faithful, sized for quick turnaround.
 pub mod cfg {

@@ -13,18 +13,18 @@
 //! * schoolbook and Karatsuba multiplication with an empirically chosen
 //!   crossover,
 //! * Knuth Algorithm D division,
-//! * Montgomery modular exponentiation (odd moduli) with a plain
-//!   square-and-multiply fallback,
-//! * [`FpMont`]: the allocation-free fixed-width core — the same
-//!   Montgomery kernels monomorphized over `const LIMBS` widths
-//!   (stack-resident residues, thread-local scratch arena) for the
-//!   protocol moduli, proven allocation-free by a counting-allocator
-//!   test,
-//! * [`ModRing`]: a constructed-once per-modulus context unifying
-//!   the fixed-width, Montgomery and Barrett backends behind one API,
-//!   with cached fixed-base window tables, Shamir simultaneous
-//!   multi-exponentiation, and RSA-CRT ([`RsaCrt`]) — the layer every
-//!   crate above exponentiates through,
+//! * [`FpMont`]: the one modular-arithmetic backend — Montgomery
+//!   kernels monomorphized over `const LIMBS` widths (stack-resident
+//!   residues, thread-local scratch arena), serving any odd modulus up
+//!   to the width by zero-padding, proven allocation-free by a
+//!   counting-allocator test,
+//! * [`ModRing`]: a constructed-once per-modulus context over the
+//!   smallest `FpMont` width that holds an odd modulus of at most
+//!   2048 bits, with cached fixed-base window tables, Shamir
+//!   simultaneous multi-exponentiation, and RSA-CRT ([`RsaCrt`]) — the
+//!   layer every crate above exponentiates through,
+//! * [`modpow_plain`]: square-and-multiply for every other modulus,
+//!   and the reference the equivalence tests compare against,
 //! * extended Euclid / modular inverse, Jacobi symbols,
 //! * random generation, and decimal/hex/byte conversions.
 //!
@@ -44,7 +44,6 @@
 //! ```
 
 mod arith;
-mod barrett;
 mod bigint;
 mod biguint;
 mod convert;
@@ -52,20 +51,17 @@ mod div;
 mod fixed;
 mod gcd;
 mod modular;
-mod montgomery;
 mod mul;
 mod random;
 mod ring;
 mod shift;
 
-pub use crate::barrett::Barrett;
 pub use crate::bigint::{BigInt, Sign};
 pub use crate::biguint::BigUint;
 pub use crate::convert::ParseBigUintError;
 pub use crate::fixed::FpMont;
 pub use crate::gcd::{ext_gcd, gcd, jacobi, lcm};
 pub use crate::modular::modpow_plain;
-pub use crate::montgomery::Montgomery;
 pub use crate::mul::{
     mul_karatsuba_pub, mul_karatsuba_ws_pub, mul_schoolbook_pub, sqr_karatsuba_pub,
     sqr_schoolbook_pub,

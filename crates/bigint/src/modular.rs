@@ -1,11 +1,13 @@
-//! Modular arithmetic entry points on [`BigUint`]: `modpow` (Montgomery
-//! for odd moduli, square-and-multiply otherwise), `modinv`, `modmul`,
-//! and small helpers used pervasively by the crypto crates.
+//! Modular arithmetic entry points on [`BigUint`]: `modpow` (through
+//! [`ModRing`] for odd moduli of at most 2048 bits, square-and-multiply
+//! otherwise), `modinv`, `modmul`, and small helpers used pervasively
+//! by the crypto crates.
 
-use crate::{ext_gcd, BigUint, Montgomery};
+use crate::{ext_gcd, BigUint, ModRing};
 
-/// Plain square-and-multiply, used when the modulus is even (Montgomery
-/// needs odd moduli). Exposed for the `ablation_bigint` bench.
+/// Plain square-and-multiply with a division per step: the path for
+/// moduli [`ModRing`] does not serve (even, or wider than 2048 bits),
+/// and the single reference the equivalence tests compare against.
 pub fn modpow_plain(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
     assert!(!m.is_zero(), "zero modulus");
     if m.is_one() {
@@ -25,16 +27,13 @@ pub fn modpow_plain(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
 }
 
 impl BigUint {
-    /// `self^exp mod m`. Dispatches to Montgomery for odd `m`.
+    /// `self^exp mod m`: through a [`ModRing`] when it serves `m`,
+    /// by [`modpow_plain`] otherwise.
     ///
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "zero modulus");
-        if m.is_one() {
-            return BigUint::zero();
-        }
-        if m.is_odd() {
-            Montgomery::new(m).modpow(self, exp)
+        if ModRing::supports(m) {
+            ModRing::new(m).pow(self, exp)
         } else {
             modpow_plain(self, exp, m)
         }
@@ -96,7 +95,7 @@ mod tests {
 
     #[test]
     fn modpow_odd_even_agree_with_naive() {
-        for m in [97u64, 96, 1024, 1_000_000_007, 1 << 32] {
+        for m in [97u64, 96, 1024, 1_000_000_007, 1 << 32, 3] {
             let m = b(m);
             let base = b(123456789);
             let exp = b(987654);

@@ -9,7 +9,7 @@
 //! halves the partial products of the schoolbook inner loop
 //! (cross-terms computed once and doubled by a single 1-bit shift)
 //! and keeps the all-squares recursion of Karatsuba, which is what
-//! the Montgomery pow ladder spends most of its time in.
+//! plain square-and-multiply spends most of its time in.
 
 use crate::BigUint;
 use std::ops::{Mul, MulAssign};
@@ -308,8 +308,7 @@ fn mul_karatsuba_ws(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// `a²` over raw limbs, dispatching on size; returns `2·a.len()`
-/// limbs before normalization (the fixed width Montgomery's separate
-/// reduction step expects).
+/// limbs before normalization.
 pub(crate) fn sqr_limbs(a: &[u64]) -> Vec<u64> {
     let width = 2 * a.len();
     let at = trim(a);
@@ -581,8 +580,8 @@ mod tests {
 
     #[test]
     fn sqr_limbs_keeps_double_width() {
-        // Montgomery's separate reduction step wants exactly 2k limbs
-        // even when the top limbs of the square are zero.
+        // Exactly 2k limbs even when the top limbs of the square are
+        // zero.
         let a = vec![3u64, 0, 0, 0]; // 4 limbs, value 3
         let sq = sqr_limbs(&a);
         assert_eq!(sq.len(), 8);

@@ -1,10 +1,8 @@
 //! `ModRing`: a constructed-once modular-arithmetic context that every
 //! exponentiation in the workspace goes through.
 //!
-//! Before this module each call-site rebuilt a [`Montgomery`] context
-//! (or fell back to plain square-and-multiply) on every `modpow`,
-//! re-deriving `n' = -n^{-1} mod 2^64` and `R^2 mod n` each time. A
-//! `ModRing` owns that state once per modulus and layers three
+//! A `ModRing` derives the Montgomery constants (`n' = -n^{-1} mod
+//! 2^64`, `R mod n`, `R² mod n`) once per modulus and layers three
 //! accelerations on top:
 //!
 //! * **fixed-base windows** ([`ModRing::pow_fixed`]): k-ary tables
@@ -20,24 +18,18 @@
 //!   exponentiations split over the prime factors with Garner
 //!   recombination, roughly 4× cheaper than a full-width `pow`.
 //!
-//! Odd moduli use the Montgomery backend; even moduli (not hit by the
-//! protocols, but supported so the ring is total) use Barrett. Odd
-//! moduli whose width matches a monomorphized [`FpMont`] instantiation
-//! (the 1024/2048-bit protocol moduli, their CRT halves, and the small
-//! fixture-tower widths) additionally carry a **fixed-width backend**:
-//! every hot operation — `pow`, `mul`, `multi_pow`, `multi_pow_n`, the
-//! fixed-base window tables — routes through stack-resident
-//! allocation-free kernels, and the heap-`Vec` path remains only for
-//! setup-time odd sizes (and stays reachable through
-//! [`ModRing::pow_dynamic`] / [`ModRing::multi_pow_n_dynamic`] for the
-//! equivalence tests and the ablation bench).
+//! Every operation runs on one backend: the allocation-free
+//! [`FpMont`] kernels, instantiated at 1, 2, 4, 8, 16 and 32 limbs. The
+//! ring picks the smallest width that holds the modulus and zero-pads
+//! the rest, so it serves every odd modulus `1 < n < 2^2048`; even and
+//! wider moduli are rejected at construction ([`ModRing::supports`]).
 //!
 //! Clones of a `ModRing` *share* the fixed-base table cache, so cloning
 //! parameter sets across worker threads — as the threaded market in
 //! `ppms-core` does — amortizes precomputation instead of repeating it.
 
-use crate::fixed::{digit_at, pippenger_window, FpMont, WINDOW_BITS, WINDOW_SPAN};
-use crate::{Barrett, BigUint, Montgomery};
+use crate::fixed::{pippenger_window, FpMont, WINDOW_BITS};
+use crate::BigUint;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -45,23 +37,17 @@ use std::sync::{Arc, OnceLock};
 /// Maximum number of bases `multi_pow` accepts (subset table is `2^n`).
 const MULTI_POW_MAX: usize = 6;
 
-#[derive(Clone, Debug)]
-enum Backend {
-    Mont(Montgomery),
-    Barrett(Barrett),
-}
-
-/// The monomorphized fixed-width instantiations. Widths are chosen for
-/// the moduli the protocols actually exercise: 16/32 limbs for the
-/// 1024/2048-bit RSA and group moduli, 8 for their CRT halves and the
-/// 512-bit bench modulus, 4 for 256-bit CRT halves of test keys, and
-/// 2 for the fixture-tower groups the test suite lives in. Any other
-/// width keeps the dynamic `Vec<u64>` backend.
+/// The monomorphized [`FpMont`] widths. 32 and 16 limbs hold the
+/// 2048/1024-bit RSA and group moduli, 8 and 4 their CRT halves (and
+/// the 512-bit bench modulus), 2 the fixture-tower groups and 1 the
+/// ~45-bit field of the CL pairing. Moduli between two widths are
+/// zero-padded to the wider one.
 // The enum lives once per ModRing; keeping the widest context inline
 // (rather than boxed) spares every kernel dispatch a pointer chase.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 enum Fixed {
+    L1(FpMont<1>),
     L2(FpMont<2>),
     L4(FpMont<4>),
     L8(FpMont<8>),
@@ -75,6 +61,7 @@ enum Fixed {
 macro_rules! with_fp {
     ($fixed:expr, $fp:ident => $body:expr) => {
         match $fixed {
+            Fixed::L1($fp) => $body,
             Fixed::L2($fp) => $body,
             Fixed::L4($fp) => $body,
             Fixed::L8($fp) => $body,
@@ -85,55 +72,45 @@ macro_rules! with_fp {
 }
 
 impl Fixed {
-    /// Picks the instantiation matching the modulus width, if any.
-    fn for_modulus(n: &BigUint) -> Option<Fixed> {
-        if !n.is_odd() {
-            return None;
-        }
-        match n.limbs().len() {
-            2 => FpMont::<2>::new(n).map(Fixed::L2),
-            4 => FpMont::<4>::new(n).map(Fixed::L4),
-            8 => FpMont::<8>::new(n).map(Fixed::L8),
-            16 => FpMont::<16>::new(n).map(Fixed::L16),
-            32 => FpMont::<32>::new(n).map(Fixed::L32),
-            _ => None,
-        }
+    /// The smallest instantiation that holds `n` (odd, `1 < n < 2^2048`).
+    fn for_modulus(n: &BigUint) -> Fixed {
+        let fixed = match n.limbs().len() {
+            1 => FpMont::new(n).map(Fixed::L1),
+            2 => FpMont::new(n).map(Fixed::L2),
+            3..=4 => FpMont::new(n).map(Fixed::L4),
+            5..=8 => FpMont::new(n).map(Fixed::L8),
+            9..=16 => FpMont::new(n).map(Fixed::L16),
+            _ => FpMont::new(n).map(Fixed::L32),
+        };
+        fixed.expect("ModRing::new checked the modulus")
     }
-}
 
-/// Per-base precomputation: `windows[j][d-1] = base^(d · 16^j)` for
-/// `d` in `1..16`, in backend-native residue form.
-enum FixedTable {
-    /// Montgomery-form limb vectors (width `k`) for the dynamic
-    /// backend.
-    Mont(Vec<Vec<Vec<u64>>>),
-    /// Plain residues for the Barrett backend.
-    Plain(Vec<Vec<BigUint>>),
-    /// Flat Montgomery entries for the fixed-width backend: `windows`
-    /// rows of 15 odd-digit entries, each `LIMBS` limbs, evaluated by
-    /// [`FpMont::eval_window_table`] without intermediate allocations.
-    Fp { windows: usize, flat: Vec<u64> },
-}
-
-impl FixedTable {
-    fn windows(&self) -> usize {
+    /// The instantiated width in limbs (diagnostic).
+    fn limbs(&self) -> usize {
         match self {
-            FixedTable::Mont(w) => w.len(),
-            FixedTable::Plain(w) => w.len(),
-            FixedTable::Fp { windows, .. } => *windows,
+            Fixed::L1(_) => 1,
+            Fixed::L2(_) => 2,
+            Fixed::L4(_) => 4,
+            Fixed::L8(_) => 8,
+            Fixed::L16(_) => 16,
+            Fixed::L32(_) => 32,
         }
     }
+}
+
+/// Per-base precomputation: `windows` rows of 15 odd-digit Montgomery
+/// entries (`base^(d · 16^j)` for `d` in `1..16`), each `LIMBS` limbs,
+/// evaluated by [`FpMont::eval_window_table`] without intermediate
+/// allocations.
+struct FixedTable {
+    windows: usize,
+    flat: Vec<u64>,
 }
 
 /// A reusable ring `Z/nZ` with cached exponentiation acceleration.
 pub struct ModRing {
     modulus: BigUint,
-    backend: Backend,
-    /// The allocation-free fixed-width backend, present when the
-    /// modulus width matches a monomorphized instantiation. When set,
-    /// every hot operation routes through it; `backend` remains the
-    /// dynamic fallback (and the reference for the equivalence tests).
-    fixed: Option<Fixed>,
+    fixed: Fixed,
     /// `base (mod n)` → `None` (registered, table not yet built) or
     /// `Some(table)`. Shared across clones so precomputation done by
     /// one thread benefits all holders of the same parameter set.
@@ -144,7 +121,6 @@ impl Clone for ModRing {
     fn clone(&self) -> ModRing {
         ModRing {
             modulus: self.modulus.clone(),
-            backend: self.backend.clone(),
             fixed: self.fixed.clone(),
             tables: Arc::clone(&self.tables),
         }
@@ -155,14 +131,7 @@ impl std::fmt::Debug for ModRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModRing")
             .field("modulus_bits", &self.modulus.bits())
-            .field(
-                "backend",
-                &match self.backend {
-                    Backend::Mont(_) => "montgomery",
-                    Backend::Barrett(_) => "barrett",
-                },
-            )
-            .field("fixed_width", &self.fixed.is_some())
+            .field("width_limbs", &self.fixed.limbs())
             .field("registered_bases", &self.tables.read().len())
             .finish()
     }
@@ -177,27 +146,42 @@ impl PartialEq for ModRing {
 impl Eq for ModRing {}
 
 impl ModRing {
-    /// Creates a ring for modulus `n > 1`. Odd moduli get the
-    /// Montgomery backend, even moduli fall back to Barrett.
+    /// The widest modulus a ring serves, in bits.
+    pub const MAX_BITS: usize = 2048;
+
+    /// Whether [`ModRing::new`] accepts `n`: odd, greater than 1 and at
+    /// most [`ModRing::MAX_BITS`] bits.
+    pub fn supports(n: &BigUint) -> bool {
+        n.is_odd() && !n.is_one() && n.bits() <= Self::MAX_BITS
+    }
+
+    /// Creates a ring for an odd modulus `1 < n < 2^2048`.
+    ///
+    /// Panics on an even, `1` or wider modulus; callers holding
+    /// untrusted moduli check [`ModRing::supports`] first.
     pub fn new(n: &BigUint) -> ModRing {
-        assert!(!n.is_zero() && !n.is_one(), "ModRing modulus must exceed 1");
-        let backend = if n.is_odd() {
-            Backend::Mont(Montgomery::new(n))
-        } else {
-            Backend::Barrett(Barrett::new(n))
-        };
+        assert!(
+            n.is_odd() && !n.is_one(),
+            "ModRing modulus must be odd and exceed 1"
+        );
+        assert!(
+            n.bits() <= Self::MAX_BITS,
+            "ModRing modulus must be at most {} bits, got {}",
+            Self::MAX_BITS,
+            n.bits()
+        );
         ModRing {
             modulus: n.clone(),
-            backend,
             fixed: Fixed::for_modulus(n),
             tables: Arc::new(RwLock::new(HashMap::new())),
         }
     }
 
-    /// Whether this ring runs its hot paths on the allocation-free
-    /// fixed-width backend (diagnostic / bench aid).
-    pub fn has_fixed_width(&self) -> bool {
-        self.fixed.is_some()
+    /// The [`FpMont`] width this ring runs on, in limbs (diagnostic /
+    /// bench aid): the smallest instantiated width that holds the
+    /// modulus.
+    pub fn width_limbs(&self) -> usize {
+        self.fixed.limbs()
     }
 
     /// A process-wide shared ring for `n`, memoized so repeated
@@ -235,61 +219,24 @@ impl ModRing {
     /// `x mod n`.
     pub fn reduce(&self, x: &BigUint) -> BigUint {
         if x < &self.modulus {
-            return x.clone();
-        }
-        match &self.backend {
-            Backend::Mont(m) => x % m.modulus(),
-            // Barrett reduction needs `x < n²`; `bits(x) ≤ 2·bits(n)−2`
-            // guarantees it (`x < 2^(2k−2) ≤ (2^(k−1))² ≤ n²`). Wider
-            // inputs take the plain division — a cold path, reached
-            // only when registering or reducing foreign-sized values.
-            Backend::Barrett(b) => {
-                if x.bits() + 2 <= 2 * self.modulus.bits() {
-                    b.reduce(x)
-                } else {
-                    x % &self.modulus
-                }
-            }
+            x.clone()
+        } else {
+            x % &self.modulus
         }
     }
 
     /// `a · b mod n`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        if let Some(fixed) = &self.fixed {
-            return with_fp!(fixed, fp => fp.mul(a, b));
-        }
-        match &self.backend {
-            Backend::Mont(m) => m.mul(a, b),
-            Backend::Barrett(b_) => b_.mul(a, b),
-        }
+        with_fp!(&self.fixed, fp => fp.mul(a, b))
     }
 
-    /// `base^exp mod n` — the fixed-width stack ladder when the
-    /// modulus width is monomorphized, the cached dynamic context
-    /// otherwise.
+    /// `base^exp mod n` on the fixed-width stack ladder.
     ///
     /// Span: `ring.pow_ns` (nested under `ring.pow_fixed_ns` /
     /// `ring.pow_crt_ns` when those paths fall through to here).
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let _span = ppms_obs::timed!("ring.pow_ns");
-        if let Some(fixed) = &self.fixed {
-            return with_fp!(fixed, fp => fp.pow(base, exp));
-        }
-        match &self.backend {
-            Backend::Mont(m) => m.modpow(base, exp),
-            Backend::Barrett(b) => b.modpow(base, exp),
-        }
-    }
-
-    /// `base^exp mod n` forced onto the dynamic heap-`Vec` backend,
-    /// regardless of any fixed-width instantiation — the reference
-    /// side of the fixed ≡ dynamic equivalence tests and the ablation
-    /// bench. Protocol code should call [`ModRing::pow`].
-    pub fn pow_dynamic(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        match &self.backend {
-            Backend::Mont(m) => m.modpow(base, exp),
-            Backend::Barrett(b) => b.modpow(base, exp),
-        }
+        with_fp!(&self.fixed, fp => fp.pow(base, exp))
     }
 
     /// Marks `base` as a fixed base worth precomputing for. The k-ary
@@ -363,88 +310,18 @@ impl ModRing {
                 }
             }
         };
-        if exp.bits() > table.windows() * WINDOW_BITS {
+        if exp.bits() > table.windows * WINDOW_BITS {
             return self.pow(base, exp);
         }
-        self.eval_fixed(&table, exp)
+        with_fp!(&self.fixed, fp => fp.eval_window_table(&table.flat, table.windows, exp))
     }
 
     /// Builds the per-base window table sized for exponents up to the
     /// modulus width.
     fn build_table(&self, base: &BigUint) -> FixedTable {
-        if let Some(fixed) = &self.fixed {
-            let (windows, flat) =
-                with_fp!(fixed, fp => fp.build_window_table(base, self.modulus.bits()));
-            return FixedTable::Fp { windows, flat };
-        }
-        let nwindows = self.modulus.bits().div_ceil(WINDOW_BITS).max(1);
-        match &self.backend {
-            Backend::Mont(m) => {
-                let mut cur = m.to_mont(base); // base^(16^j), advancing j
-                let mut windows = Vec::with_capacity(nwindows);
-                for _ in 0..nwindows {
-                    let mut row = Vec::with_capacity(WINDOW_SPAN - 1);
-                    row.push(cur.clone()); // d = 1
-                    for d in 2..WINDOW_SPAN {
-                        row.push(m.mont_mul(&row[d - 2], &cur));
-                    }
-                    cur = m.mont_mul(&row[WINDOW_SPAN - 2], &cur); // ^16
-                    windows.push(row);
-                }
-                FixedTable::Mont(windows)
-            }
-            Backend::Barrett(b) => {
-                let mut cur = b.reduce(base);
-                let mut windows = Vec::with_capacity(nwindows);
-                for _ in 0..nwindows {
-                    let mut row = Vec::with_capacity(WINDOW_SPAN - 1);
-                    row.push(cur.clone());
-                    for d in 2..WINDOW_SPAN {
-                        row.push(b.mul(&row[d - 2], &cur));
-                    }
-                    cur = b.mul(&row[WINDOW_SPAN - 2], &cur);
-                    windows.push(row);
-                }
-                FixedTable::Plain(windows)
-            }
-        }
-    }
-
-    /// Evaluates `base^exp` from a window table: one multiplication per
-    /// nonzero 4-bit digit of `exp`, no squarings.
-    fn eval_fixed(&self, table: &FixedTable, exp: &BigUint) -> BigUint {
-        if let FixedTable::Fp { windows, flat } = table {
-            let fixed = self
-                .fixed
-                .as_ref()
-                .expect("Fp table built by a fixed-width ring");
-            return with_fp!(fixed, fp => fp.eval_window_table(flat, *windows, exp));
-        }
-        let nwindows = exp.bits().div_ceil(WINDOW_BITS);
-        match (&self.backend, table) {
-            (Backend::Mont(m), FixedTable::Mont(windows)) => {
-                let mut acc = m.r1.limbs().to_vec();
-                acc.resize(m.k, 0);
-                for (j, row) in windows.iter().enumerate().take(nwindows) {
-                    let digit = exp_digit(exp, j);
-                    if digit != 0 {
-                        acc = m.mont_mul(&acc, &row[digit - 1]);
-                    }
-                }
-                m.from_mont(&acc)
-            }
-            (Backend::Barrett(b), FixedTable::Plain(windows)) => {
-                let mut acc = b.reduce(&BigUint::one());
-                for (j, row) in windows.iter().enumerate().take(nwindows) {
-                    let digit = exp_digit(exp, j);
-                    if digit != 0 {
-                        acc = b.mul(&acc, &row[digit - 1]);
-                    }
-                }
-                acc
-            }
-            _ => unreachable!("table built by a different backend"),
-        }
+        let (windows, flat) =
+            with_fp!(&self.fixed, fp => fp.build_window_table(base, self.modulus.bits()));
+        FixedTable { windows, flat }
     }
 
     /// Simultaneous `∏ baseᵢ^expᵢ mod n` via Shamir's trick: a
@@ -463,13 +340,7 @@ impl ModRing {
         if pairs.is_empty() {
             return self.reduce(&BigUint::one());
         }
-        if let Some(fixed) = &self.fixed {
-            return with_fp!(fixed, fp => fp.from_mont(&shamir(fp, pairs)));
-        }
-        match &self.backend {
-            Backend::Mont(m) => m.from_mont(&shamir(m, pairs)),
-            Backend::Barrett(b) => shamir(b, pairs),
-        }
+        with_fp!(&self.fixed, fp => fp.from_mont(&fp.shamir_mont(pairs)))
     }
 
     /// Unbounded simultaneous `∏ baseᵢ^expᵢ mod n` for batch
@@ -503,48 +374,11 @@ impl ModRing {
         self.multi_pow_n_impl(pairs, true)
     }
 
-    /// [`ModRing::multi_pow_n`] forced onto the dynamic heap-`Vec`
-    /// backend — the reference side of the fixed ≡ dynamic equivalence
-    /// tests and the ablation bench.
-    pub fn multi_pow_n_dynamic(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        if pairs.is_empty() {
-            return self.reduce(&BigUint::one());
-        }
-        let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-        self.multi_pow_n_dyn_impl(pairs, pick_bucketed(pairs.len(), max_bits))
-    }
-
     fn multi_pow_n_impl(&self, pairs: &[(&BigUint, &BigUint)], bucketed: bool) -> BigUint {
         if pairs.is_empty() {
             return self.reduce(&BigUint::one());
         }
-        if let Some(fixed) = &self.fixed {
-            return with_fp!(
-                fixed,
-                fp => fp.from_mont(&fp.multi_pow_n_mont(pairs, bucketed))
-            );
-        }
-        self.multi_pow_n_dyn_impl(pairs, bucketed)
-    }
-
-    fn multi_pow_n_dyn_impl(&self, pairs: &[(&BigUint, &BigUint)], bucketed: bool) -> BigUint {
-        match &self.backend {
-            Backend::Mont(m) => {
-                let acc = if bucketed {
-                    pippenger(m, pairs)
-                } else {
-                    straus(m, pairs)
-                };
-                m.from_mont(&acc)
-            }
-            Backend::Barrett(b) => {
-                if bucketed {
-                    pippenger(b, pairs)
-                } else {
-                    straus(b, pairs)
-                }
-            }
-        }
+        with_fp!(&self.fixed, fp => fp.from_mont(&fp.multi_pow_n_mont(pairs, bucketed)))
     }
 
     /// Batch modular inversion by Montgomery's trick: one real
@@ -608,10 +442,6 @@ impl ModRing {
     }
 }
 
-fn exp_digit(exp: &BigUint, window: usize) -> usize {
-    digit_at(exp, window * WINDOW_BITS, WINDOW_BITS)
-}
-
 /// Chooses between Straus and Pippenger for [`ModRing::multi_pow_n`]
 /// by predicted multiplication count. Straus pays a 14-mul odd-digit
 /// table per base plus one insertion per base per 4-bit window.
@@ -643,212 +473,6 @@ fn pick_bucketed(n: usize, max_bits: usize) -> bool {
     // walk muls over the occupied buckets.
     let pippenger = max_bits.div_ceil(w) * (n + ((1 << w) - 1) / 2 + 2);
     pippenger < straus
-}
-
-/// Backend-native residue arithmetic, so the multi-exponentiation
-/// algorithms are written once instead of per backend. Montgomery
-/// works on fixed-width limb vectors, Barrett on plain residues.
-trait MulKernel {
-    type Elem: Clone;
-    fn k_one(&self) -> Self::Elem;
-    fn k_from(&self, x: &BigUint) -> Self::Elem;
-    fn k_mul(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
-    fn k_sqr(&self, a: &Self::Elem) -> Self::Elem;
-}
-
-impl MulKernel for Montgomery {
-    type Elem = Vec<u64>;
-    fn k_one(&self) -> Vec<u64> {
-        let mut one = self.r1.limbs().to_vec();
-        one.resize(self.k, 0);
-        one
-    }
-    fn k_from(&self, x: &BigUint) -> Vec<u64> {
-        self.to_mont(x)
-    }
-    fn k_mul(&self, a: &Vec<u64>, b: &Vec<u64>) -> Vec<u64> {
-        self.mont_mul(a, b)
-    }
-    fn k_sqr(&self, a: &Vec<u64>) -> Vec<u64> {
-        self.mont_sqr(a)
-    }
-}
-
-impl MulKernel for Barrett {
-    type Elem = BigUint;
-    fn k_one(&self) -> BigUint {
-        self.reduce(&BigUint::one())
-    }
-    fn k_from(&self, x: &BigUint) -> BigUint {
-        if x < self.modulus() {
-            x.clone()
-        } else {
-            x % self.modulus()
-        }
-    }
-    fn k_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.mul(a, b)
-    }
-    fn k_sqr(&self, a: &BigUint) -> BigUint {
-        self.sqr(a)
-    }
-}
-
-impl<const LIMBS: usize> MulKernel for FpMont<LIMBS> {
-    type Elem = [u64; LIMBS];
-    fn k_one(&self) -> [u64; LIMBS] {
-        self.one_mont()
-    }
-    fn k_from(&self, x: &BigUint) -> [u64; LIMBS] {
-        self.to_mont(x)
-    }
-    fn k_mul(&self, a: &[u64; LIMBS], b: &[u64; LIMBS]) -> [u64; LIMBS] {
-        self.mont_mul(a, b)
-    }
-    fn k_sqr(&self, a: &[u64; LIMBS]) -> [u64; LIMBS] {
-        self.mont_sqr(a)
-    }
-}
-
-/// Shamir simultaneous exponentiation over any [`MulKernel`]: a
-/// `2^n − 1`-entry subset-product table (entry `mask − 1` holds
-/// `∏ baseᵢ` over the set bits of `mask`), then one shared
-/// square-per-bit chain with a single table multiplication per bit.
-/// Callers guarantee `pairs` is non-empty and small (≤ 6 bases).
-fn shamir<K: MulKernel>(k: &K, pairs: &[(&BigUint, &BigUint)]) -> K::Elem {
-    let n = pairs.len();
-    let bases: Vec<K::Elem> = pairs.iter().map(|(b, _)| k.k_from(b)).collect();
-    let mut subset: Vec<K::Elem> = Vec::with_capacity((1 << n) - 1);
-    for mask in 1usize..(1 << n) {
-        let low = mask & mask.wrapping_neg();
-        let rest = mask ^ low;
-        let base = &bases[low.trailing_zeros() as usize];
-        subset.push(if rest == 0 {
-            base.clone()
-        } else {
-            k.k_mul(&subset[rest - 1], base)
-        });
-    }
-    let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-    let mut acc = k.k_one();
-    let mut started = false;
-    for bit in (0..max_bits).rev() {
-        if started {
-            acc = k.k_sqr(&acc);
-        }
-        let mut mask = 0usize;
-        for (i, (_, e)) in pairs.iter().enumerate() {
-            if e.bit(bit) {
-                mask |= 1 << i;
-            }
-        }
-        if mask != 0 {
-            acc = if started {
-                k.k_mul(&acc, &subset[mask - 1])
-            } else {
-                subset[mask - 1].clone()
-            };
-            started = true;
-        }
-    }
-    acc
-}
-
-/// Straus interleaved multi-exponentiation: a 4-bit odd-digit table
-/// per base (15 entries), one shared squaring chain. Table setup costs
-/// `14·N` muls, so it wins for small `N`; above the crossover the
-/// per-base tables dominate and Pippenger takes over.
-fn straus<K: MulKernel>(k: &K, pairs: &[(&BigUint, &BigUint)]) -> K::Elem {
-    let tables: Vec<Vec<K::Elem>> = pairs
-        .iter()
-        .map(|(base, _)| {
-            let b1 = k.k_from(base);
-            let mut row = Vec::with_capacity(WINDOW_SPAN - 1);
-            row.push(b1.clone());
-            for d in 2..WINDOW_SPAN {
-                row.push(k.k_mul(&row[d - 2], &b1));
-            }
-            row
-        })
-        .collect();
-    let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-    let nwindows = max_bits.div_ceil(WINDOW_BITS);
-    let mut acc = k.k_one();
-    let mut started = false;
-    for w in (0..nwindows).rev() {
-        if started {
-            for _ in 0..WINDOW_BITS {
-                acc = k.k_sqr(&acc);
-            }
-        }
-        for (table, (_, e)) in tables.iter().zip(pairs) {
-            let digit = exp_digit(e, w);
-            if digit != 0 {
-                acc = k.k_mul(&acc, &table[digit - 1]);
-                started = true;
-            }
-        }
-    }
-    acc
-}
-
-/// Pippenger bucket multi-exponentiation: per window, bases fall into
-/// buckets by digit (one mul each), and `∏ bucket_d^d` is assembled
-/// with `2·(2^w−1)` muls via the suffix-running-product trick — no
-/// per-base tables at all.
-fn pippenger<K: MulKernel>(k: &K, pairs: &[(&BigUint, &BigUint)]) -> K::Elem {
-    let w = pippenger_window(pairs.len());
-    let nbuckets = (1usize << w) - 1;
-    let bases: Vec<K::Elem> = pairs.iter().map(|(b, _)| k.k_from(b)).collect();
-    let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-    let nwindows = max_bits.div_ceil(w);
-    let mut acc = k.k_one();
-    let mut started = false;
-    for win in (0..nwindows).rev() {
-        if started {
-            for _ in 0..w {
-                acc = k.k_sqr(&acc);
-            }
-        }
-        // buckets[d−1] = ∏ of bases whose digit in this window is d.
-        let mut buckets: Vec<Option<K::Elem>> = vec![None; nbuckets];
-        for (base, (_, e)) in bases.iter().zip(pairs) {
-            let d = digit_at(e, win * w, w);
-            if d != 0 {
-                buckets[d - 1] = Some(match &buckets[d - 1] {
-                    Some(cur) => k.k_mul(cur, base),
-                    None => base.clone(),
-                });
-            }
-        }
-        // windowsum = ∏ bucket_d^d: running suffix product hits
-        // bucket_d exactly d times.
-        let mut running: Option<K::Elem> = None;
-        let mut windowsum: Option<K::Elem> = None;
-        for bucket in buckets.iter().rev() {
-            if let Some(b) = bucket {
-                running = Some(match &running {
-                    Some(r) => k.k_mul(r, b),
-                    None => b.clone(),
-                });
-            }
-            if let Some(r) = &running {
-                windowsum = Some(match &windowsum {
-                    Some(ws) => k.k_mul(ws, r),
-                    None => r.clone(),
-                });
-            }
-        }
-        if let Some(ws) = windowsum {
-            acc = if started { k.k_mul(&acc, &ws) } else { ws };
-            started = true;
-        }
-    }
-    if started {
-        acc
-    } else {
-        k.k_one()
-    }
 }
 
 /// CRT decomposition of an RSA secret key: `p`, `q`, `d_p = d mod
@@ -938,14 +562,75 @@ mod tests {
         BigUint::parse_hex("f123456789abcdef0123456789abcdef0123456789abcdef").unwrap()
     }
 
+    /// Odd moduli of 1, 2, 3 (padded to 4), 4 and 5 (padded to 8)
+    /// limbs, each with a small top limb.
+    fn odd_moduli() -> Vec<BigUint> {
+        [1usize, 2, 3, 4, 5]
+            .into_iter()
+            .map(|limbs| {
+                let mut v = vec![0x9E37_79B9_7F4A_7C15u64; limbs];
+                v[0] |= 1;
+                v[limbs - 1] = 0x2B;
+                BigUint::from_limbs(v)
+            })
+            .collect()
+    }
+
     #[test]
-    fn pow_matches_plain_both_backends() {
+    fn pow_matches_plain_at_every_width() {
         let base = BigUint::parse_hex("deadbeefcafebabe1122334455667788").unwrap();
         let exp = BigUint::parse_hex("0102030405060708090a0b0c0d0e0f10").unwrap();
-        for n in [n_odd(), &n_odd() + 1u64] {
+        for n in odd_moduli() {
             let ring = ModRing::new(&n);
+            assert!(ring.width_limbs() >= n.limbs().len());
             assert_eq!(ring.pow(&base, &exp), modpow_plain(&base, &exp, &n));
         }
+    }
+
+    #[test]
+    fn picks_smallest_width() {
+        for (limbs, width) in [
+            (1, 1),
+            (2, 2),
+            (3, 4),
+            (4, 4),
+            (5, 8),
+            (9, 16),
+            (17, 32),
+            (32, 32),
+        ] {
+            let mut v = vec![1u64; limbs];
+            v[limbs - 1] = 3;
+            assert_eq!(ModRing::new(&BigUint::from_limbs(v)).width_limbs(), width);
+        }
+        assert_eq!(ModRing::new(&BigUint::from(3u64)).width_limbs(), 1);
+    }
+
+    #[test]
+    fn supports_only_odd_moduli_up_to_2048_bits() {
+        let max = &(BigUint::one() << 2048usize) - 1u64;
+        assert!(ModRing::supports(&max));
+        assert!(ModRing::supports(&BigUint::from(3u64)));
+        for n in [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from(10u64),
+            &max + 2u64, // 2049 bits
+        ] {
+            assert!(!ModRing::supports(&n), "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn new_rejects_even_modulus() {
+        ModRing::new(&(&n_odd() + 1u64));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2048 bits")]
+    fn new_rejects_2049_bit_modulus() {
+        ModRing::new(&(&(BigUint::one() << 2048usize) + 1u64));
     }
 
     #[test]
@@ -973,17 +658,6 @@ mod tests {
                 exp.to_dec()
             );
         }
-    }
-
-    #[test]
-    fn pow_fixed_even_modulus() {
-        let n = &n_odd() + 1u64;
-        assert!(n.is_even());
-        let ring = ModRing::new(&n);
-        let g = BigUint::from(3u64);
-        ring.register_base(&g);
-        let e = BigUint::parse_hex("fedcba9876543210").unwrap();
-        assert_eq!(ring.pow_fixed(&g, &e), modpow_plain(&g, &e, &n));
     }
 
     #[test]
@@ -1081,8 +755,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_pow_n_matches_products_both_backends() {
-        for n in [n_odd(), &n_odd() + 1u64] {
+    fn multi_pow_n_matches_products_at_every_width() {
+        for n in odd_moduli() {
             let ring = ModRing::new(&n);
             for count in [1usize, 2, 7, 33, 70] {
                 let owned = pseudo_pairs(&n, count, 64);
@@ -1139,15 +813,15 @@ mod tests {
 
     #[test]
     fn batch_inv_noninvertible_elements_fall_back() {
-        // Even modulus: even inputs (and zero) are non-invertible, the
-        // rest must still come back inverted.
-        let n = &n_odd() + 1u64;
+        // Odd composite n = 15·p: multiples of 3 or 5 (and zero) are
+        // non-invertible, the rest must still come back inverted.
+        let n = &n_odd() * 15u64;
         let ring = ModRing::new(&n);
         let xs = vec![
-            BigUint::from(3u64),
+            BigUint::from(7u64),
             BigUint::zero(),
             BigUint::from(10u64),
-            BigUint::from(12345u64),
+            BigUint::from(12347u64),
         ];
         let got = ring.batch_inv(&xs);
         for (x, inv) in xs.iter().zip(&got) {

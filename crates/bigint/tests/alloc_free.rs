@@ -2,10 +2,12 @@
 //! a counting global allocator wraps [`std::alloc::System`] and the
 //! tests assert a **zero** heap-allocation count inside the hot
 //! kernels — `mont_mul` / `mont_sqr` / `pow_mont` always, and the
-//! Straus/Pippenger `multi_pow_n_mont` evaluators once the
-//! thread-local scratch arena is warmed. At the `ModRing` boundary a
-//! warmed `pow` is pinned to exactly one allocation: the result
-//! `BigUint` itself.
+//! Straus/Pippenger `multi_pow_n_mont` and Shamir `shamir_mont`
+//! evaluators once the thread-local scratch arena is warmed — at the
+//! protocol widths, at one limb, and at a padded width (a 3-limb
+//! modulus on the 4-limb kernels). At the `ModRing` boundary a warmed
+//! `pow` is pinned to exactly one allocation: the result `BigUint`
+//! itself.
 //!
 //! The counter is a `const`-initialized `thread_local!` `Cell` — no
 //! lazy initialization and no drop registration, so bumping it from
@@ -77,9 +79,11 @@ fn fixture(limbs: usize) -> (BigUint, BigUint, BigUint) {
     )
 }
 
-fn assert_kernels_allocation_free<const LIMBS: usize>() {
-    let (n, base, exp) = fixture(LIMBS);
-    let fp = FpMont::<LIMBS>::new(&n).expect("exact-width odd modulus");
+/// Checks the kernels of `FpMont<LIMBS>` over a `mod_limbs`-limb
+/// modulus (`mod_limbs < LIMBS` runs them zero-padded).
+fn assert_kernels_allocation_free<const LIMBS: usize>(mod_limbs: usize) {
+    let (n, base, exp) = fixture(mod_limbs);
+    let fp = FpMont::<LIMBS>::new(&n).expect("odd modulus within the width");
     let base = &base % &n;
     let am = fp.to_mont(&base);
 
@@ -118,17 +122,27 @@ fn assert_kernels_allocation_free<const LIMBS: usize>() {
 
 #[test]
 fn kernels_allocation_free_1024() {
-    assert_kernels_allocation_free::<16>();
+    assert_kernels_allocation_free::<16>(16);
 }
 
 #[test]
 fn kernels_allocation_free_2048() {
-    assert_kernels_allocation_free::<32>();
+    assert_kernels_allocation_free::<32>(32);
 }
 
-fn assert_multi_pow_warmed_allocation_free<const LIMBS: usize>(npairs: usize) {
-    let (n, _, _) = fixture(LIMBS);
-    let fp = FpMont::<LIMBS>::new(&n).expect("exact-width odd modulus");
+#[test]
+fn kernels_allocation_free_one_limb() {
+    assert_kernels_allocation_free::<1>(1);
+}
+
+#[test]
+fn kernels_allocation_free_padded() {
+    assert_kernels_allocation_free::<4>(3);
+}
+
+fn assert_multi_pow_warmed_allocation_free<const LIMBS: usize>(mod_limbs: usize, npairs: usize) {
+    let (n, _, _) = fixture(mod_limbs);
+    let fp = FpMont::<LIMBS>::new(&n).expect("odd modulus within the width");
     let mut state = 0xdead_beef_cafe_f00du64;
     let mut next = || {
         state ^= state << 13;
@@ -147,6 +161,7 @@ fn assert_multi_pow_warmed_allocation_free<const LIMBS: usize>(npairs: usize) {
     // Warm the thread-local arena (first call may grow it).
     black_box(fp.straus_mont(&pairs));
     black_box(fp.pippenger_mont(&pairs));
+    black_box(fp.shamir_mont(&pairs[..3]));
 
     assert_eq!(
         allocs_in(|| {
@@ -162,16 +177,33 @@ fn assert_multi_pow_warmed_allocation_free<const LIMBS: usize>(npairs: usize) {
         0,
         "warmed pippenger_mont allocated"
     );
+    assert_eq!(
+        allocs_in(|| {
+            black_box(fp.shamir_mont(black_box(&pairs[..3])));
+        }),
+        0,
+        "warmed shamir_mont allocated"
+    );
 }
 
 #[test]
 fn multi_pow_n_warmed_allocation_free_1024() {
-    assert_multi_pow_warmed_allocation_free::<16>(8);
+    assert_multi_pow_warmed_allocation_free::<16>(16, 8);
 }
 
 #[test]
 fn multi_pow_n_warmed_allocation_free_2048() {
-    assert_multi_pow_warmed_allocation_free::<32>(4);
+    assert_multi_pow_warmed_allocation_free::<32>(32, 4);
+}
+
+#[test]
+fn multi_pow_n_warmed_allocation_free_one_limb() {
+    assert_multi_pow_warmed_allocation_free::<1>(1, 8);
+}
+
+#[test]
+fn multi_pow_n_warmed_allocation_free_padded() {
+    assert_multi_pow_warmed_allocation_free::<4>(3, 8);
 }
 
 /// At the `ModRing` boundary the only unavoidable allocation is the
@@ -182,10 +214,7 @@ fn multi_pow_n_warmed_allocation_free_2048() {
 fn ring_pow_allocates_only_the_result() {
     let (n, base, exp) = fixture(16);
     let ring = ModRing::new(&n);
-    assert!(
-        ring.has_fixed_width(),
-        "16-limb modulus must be fixed-width"
-    );
+    assert_eq!(ring.width_limbs(), 16, "16-limb modulus must run unpadded");
     let base = ring.reduce(&base);
     // Warm the call site: resolves the obs histogram handle once.
     black_box(ring.pow(&base, &exp));

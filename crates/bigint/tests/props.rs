@@ -1,7 +1,7 @@
 //! Property-based tests for `ppms-bigint`, cross-checked against `u128`
 //! reference arithmetic and against algebraic identities on large values.
 
-use ppms_bigint::{ext_gcd, gcd, jacobi, Barrett, BigInt, BigUint};
+use ppms_bigint::{ext_gcd, gcd, jacobi, BigInt, BigUint};
 use proptest::prelude::*;
 
 /// Strategy: a BigUint from 0..4 random limbs (up to 256 bits).
@@ -151,24 +151,6 @@ proptest! {
         let jb = jacobi(&BigUint::from(b), &n);
         let jab = jacobi(&(BigUint::from(a) * BigUint::from(b)), &n);
         prop_assert_eq!(jab, ja * jb);
-    }
-
-    #[test]
-    fn barrett_matches_dispatching_modpow(a in big(), e in any::<u64>(), mv in prop::collection::vec(any::<u64>(), 1..3)) {
-        let mut m = BigUint::from_limbs(mv);
-        if m <= BigUint::one() { m = BigUint::from(97u64); }
-        let br = Barrett::new(&m);
-        let e = BigUint::from(e);
-        prop_assert_eq!(br.modpow(&a, &e), a.modpow(&e, &m));
-    }
-
-    #[test]
-    fn barrett_reduce_matches_rem(av in prop::collection::vec(any::<u64>(), 0..3), mv in prop::collection::vec(any::<u64>(), 1..3)) {
-        let mut m = BigUint::from_limbs(mv);
-        if m <= BigUint::one() { m = BigUint::from(97u64); }
-        let a = &BigUint::from_limbs(av) % &(&m * &m); // Barrett precondition: x < m^2
-        let br = Barrett::new(&m);
-        prop_assert_eq!(br.reduce(&a), &a % &m);
     }
 
     #[test]

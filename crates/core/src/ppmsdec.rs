@@ -298,6 +298,10 @@ impl DecMarket {
         w: u64,
         strategy: CashBreak,
     ) -> Result<(Vec<u8>, usize, usize), MarketError> {
+        // The receiver's key arrives from outside; an unusable one is
+        // refused before any coin node is allocated to it.
+        let sp_pk = ppms_crypto::rsa::RsaPublicKey::from_bytes(sp_pubkey_bytes)
+            .ok_or(MarketError::BadPayload("sp public key".into()))?;
         let params = self.params().clone();
         let coin = jo
             .coin
@@ -341,8 +345,6 @@ impl DecMarket {
         payload.extend_from_slice(&(sig_bytes.len() as u32).to_be_bytes());
         payload.extend_from_slice(&sig_bytes);
 
-        let sp_pk = ppms_crypto::rsa::RsaPublicKey::from_bytes(sp_pubkey_bytes)
-            .ok_or(MarketError::BadPayload("sp public key".into()))?;
         let ciphertext = rsa::encrypt(rng, &sp_pk, &payload);
         self.metrics.count(Party::Jo, Op::Enc);
 

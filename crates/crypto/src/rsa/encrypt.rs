@@ -13,7 +13,7 @@ use rand::Rng;
 /// OAEP hash/seed length. SHA-256 output truncated to 16 bytes so the
 /// padding (`2·HLEN + 2` bytes) fits the 512-bit moduli the tests and
 /// the paper-scale benchmarks use.
-const HLEN: usize = 16;
+pub(crate) const HLEN: usize = 16;
 
 /// The (truncated) label hash.
 fn lhash() -> [u8; HLEN] {

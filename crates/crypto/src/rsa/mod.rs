@@ -16,10 +16,14 @@ use std::sync::Arc;
 pub use blind::{blind, sign_blinded, unblind, BlindingFactor};
 pub use encrypt::{decrypt, encrypt};
 pub use pbs::{pbs_blind, pbs_sign, pbs_unblind, pbs_verify, PbsBlinding};
-pub use sign::{batch_verify, batch_verify_combined, combined_profitable, sign, verify};
+pub use sign::{batch_verify, sign, verify};
 
 /// The standard public exponent.
 pub const E: u64 = 65537;
+
+/// The shortest modulus, in bytes, that holds one OAEP block of at
+/// least one byte (`2·HLEN + 2` bytes of padding).
+const MIN_MODULUS_BYTES: usize = 2 * encrypt::HLEN + 3;
 
 /// An RSA public key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,15 +61,21 @@ impl RsaPublicKey {
         out
     }
 
-    /// Decodes [`Self::to_bytes`]. Returns `None` on malformed input.
+    /// Decodes [`Self::to_bytes`]. Returns `None` on malformed input,
+    /// and on a modulus the key operations cannot serve: even, wider
+    /// than [`ModRing::MAX_BITS`], or too short for one OAEP block.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (n, rest) = read_lv(bytes)?;
         let (e, rest) = read_lv(rest)?;
         if !rest.is_empty() {
             return None;
         }
+        let n = BigUint::from_bytes_be(n);
+        if !ModRing::supports(&n) || n.bits().div_ceil(8) < MIN_MODULUS_BYTES {
+            return None;
+        }
         Some(RsaPublicKey {
-            n: BigUint::from_bytes_be(n),
+            n,
             e: BigUint::from_bytes_be(e),
         })
     }
@@ -110,11 +120,19 @@ impl RsaPrivateKey {
 
 /// Generates an RSA key pair with a modulus of (about) `bits` bits.
 ///
-/// `bits >= 128`; tests in this workspace use 512, the report harness
-/// 1024 — the paper's Java implementation also used short moduli for
-/// its timing study.
+/// `280 < bits <= 2048`; tests in this workspace use 512, the report
+/// harness 1024 — the paper's Java implementation also used short
+/// moduli for its timing study.
 pub fn keygen<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> RsaPrivateKey {
-    assert!(bits >= 128, "modulus too small to hold OAEP padding");
+    assert!(
+        bits > 8 * MIN_MODULUS_BYTES,
+        "modulus too small to hold OAEP padding"
+    );
+    assert!(
+        bits <= ModRing::MAX_BITS,
+        "modulus wider than {} bits",
+        ModRing::MAX_BITS
+    );
     let e = BigUint::from(E);
     loop {
         let p = random_prime(rng, bits / 2);
@@ -180,5 +198,36 @@ mod tests {
         assert_eq!(RsaPublicKey::from_bytes(&enc), Some(key.public));
         assert_eq!(RsaPublicKey::from_bytes(&enc[..enc.len() - 1]), None);
         assert_eq!(RsaPublicKey::from_bytes(&[]), None);
+    }
+
+    #[test]
+    fn from_bytes_rejects_unservable_moduli() {
+        let odd_bits = |bits: usize| &(BigUint::one() << (bits - 1)) + 1u64;
+        for n in [
+            BigUint::zero(),
+            BigUint::one(),
+            &test_key(5).public.n + 1u64, // even
+            odd_bits(128),
+            odd_bits(4096),
+        ] {
+            let pk = RsaPublicKey {
+                n,
+                e: BigUint::from(E),
+            };
+            assert_eq!(
+                RsaPublicKey::from_bytes(&pk.to_bytes()),
+                None,
+                "n = {}",
+                pk.n
+            );
+        }
+        // The narrowest and widest servable moduli still decode.
+        for bits in [8 * MIN_MODULUS_BYTES, ModRing::MAX_BITS] {
+            let pk = RsaPublicKey {
+                n: odd_bits(bits),
+                e: BigUint::from(E),
+            };
+            assert_eq!(RsaPublicKey::from_bytes(&pk.to_bytes()), Some(pk));
+        }
     }
 }

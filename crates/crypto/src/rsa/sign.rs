@@ -7,9 +7,7 @@
 
 use super::{RsaPrivateKey, RsaPublicKey};
 use crate::hash::hash_to_int;
-use crate::zkp::batch::bisect_verify;
 use ppms_bigint::BigUint;
-use rand::Rng;
 
 /// Full-domain hash of `msg` into `[0, n)`.
 pub(crate) fn fdh(pk: &RsaPublicKey, msg: &[u8]) -> BigUint {
@@ -29,114 +27,19 @@ pub fn verify(pk: &RsaPublicKey, msg: &[u8], sig: &BigUint) -> bool {
     pk.ring().pow(sig, &pk.e) == fdh(pk, msg)
 }
 
-/// Whether the combined small-exponent batch check beats `n` sequential
-/// verifies, by predicted multiplication count.
-///
-/// A sequential verify is one `e`-exponentiation: `e_bits` squarings
-/// plus `e_bits/4` window insertions plus the 14-mul table, per item.
-/// The combined check pays one `e`-exponentiation on the product plus
-/// two Straus multi-exponentiations over `n` bases with 64-bit
-/// multipliers (≈ `14n` table muls + `15n` insertions + 64 squarings
-/// each). For the protocol's `e = 65537` (17 bits) the sequential side
-/// is so cheap that the combined check *never* wins — measured at
-/// 0.18–0.70× in `BENCH_batch.json` before this gate existed — so the
-/// deposit path routes batches to plain per-item verification. Wide
-/// secret-exponent-sized `e` flips the verdict by `n = 2` already.
-pub fn combined_profitable(e_bits: usize, n: usize) -> bool {
-    if n < 2 {
-        return false;
-    }
-    let per_item = e_bits + e_bits.div_ceil(4) + 14;
-    let sequential = n * per_item;
-    let combined = per_item + 2 * (14 * n + 15 * n + 64);
-    combined < sequential
-}
-
-/// Verifies many `(msg, sig)` pairs under one key, picking the cheaper
-/// of two strategies by [`combined_profitable`]'s cost model:
-/// per-item [`verify`] (always the winner for the protocol's
-/// `e = 65537`), or the combined small-exponent check of
-/// [`batch_verify_combined`] when `e` is wide enough to amortize.
-/// Per-item verdicts are bit-identical either way.
+/// Verifies many `(msg, sig)` pairs under one key: per-item [`verify`],
+/// one small `e`-exponentiation each. (A combined small-exponent batch
+/// check cannot beat that at the protocol's `e = 65537`: it measured
+/// below 1× of sequential verification at every batch size,
+/// EXPERIMENTS.md A11/A12.)
 ///
 /// Span: `rsa.batch_verify_ns`.
-pub fn batch_verify<R: Rng + ?Sized>(
-    rng: &mut R,
-    pk: &RsaPublicKey,
-    items: &[(&[u8], &BigUint)],
-) -> Vec<bool> {
+pub fn batch_verify(pk: &RsaPublicKey, items: &[(&[u8], &BigUint)]) -> Vec<bool> {
     let _span = ppms_obs::timed!("rsa.batch_verify_ns");
-    if !combined_profitable(pk.e.bits(), items.len()) {
-        return items
-            .iter()
-            .map(|(msg, sig)| verify(pk, msg, sig))
-            .collect();
-    }
-    batch_verify_combined(rng, pk, items)
-}
-
-/// The combined small-exponent batch check, unconditionally:
-///
-/// ```text
-///   (∏ σᵢ^{ℓᵢ})^e  ==  ∏ H(mᵢ)^{ℓᵢ}    (ℓᵢ random nonzero 64-bit)
-/// ```
-///
-/// which costs one `e`-exponentiation plus two multi-exponentiations
-/// with 64-bit exponents for the whole batch, instead of one
-/// `e`-exponentiation per signature. A batch with an invalid signature
-/// passes with probability ≤ 2⁻⁶⁴; on combined failure the batch is
-/// bisected with sequential [`verify`] as the base case, so per-item
-/// verdicts are bit-identical to the sequential path (including the
-/// `σ ≥ n` fast-fail, applied up front).
-///
-/// Callers should normally go through [`batch_verify`], which applies
-/// the cost model; this entry point exists for the ablation bench and
-/// the equivalence tests.
-pub fn batch_verify_combined<R: Rng + ?Sized>(
-    rng: &mut R,
-    pk: &RsaPublicKey,
-    items: &[(&[u8], &BigUint)],
-) -> Vec<bool> {
-    let ring = pk.ring();
-    let mut results = vec![false; items.len()];
-    let mut pending = Vec::with_capacity(items.len());
-    let mut hashes: Vec<Option<BigUint>> = vec![None; items.len()];
-    for (i, (msg, sig)) in items.iter().enumerate() {
-        if *sig >= &pk.n {
-            continue; // sequential fast-fail: results[i] stays false
-        }
-        hashes[i] = Some(fdh(pk, msg));
-        pending.push(i);
-    }
-    let mut combined = |rng: &mut R, subset: &[usize]| {
-        // Raw 64-bit multipliers; RSA exponents are not reducible
-        // (the group order is secret), so they are used as drawn.
-        let ls: Vec<BigUint> = subset
-            .iter()
-            .map(|_| {
-                let mut l = 0u64;
-                while l == 0 {
-                    l = rng.next_u64();
-                }
-                BigUint::from(l)
-            })
-            .collect();
-        let sig_terms: Vec<(&BigUint, &BigUint)> = subset
-            .iter()
-            .zip(&ls)
-            .map(|(&i, l)| (items[i].1, l))
-            .collect();
-        let hash_terms: Vec<(&BigUint, &BigUint)> = subset
-            .iter()
-            .zip(&ls)
-            .map(|(&i, l)| (hashes[i].as_ref().unwrap(), l))
-            .collect();
-        let sig_prod = ring.multi_pow_n(&sig_terms);
-        ring.pow(&sig_prod, &pk.e) == ring.multi_pow_n(&hash_terms)
-    };
-    let mut sequential = |i: usize| verify(pk, items[i].0, items[i].1);
-    bisect_verify(rng, &pending, &mut results, &mut combined, &mut sequential);
-    results
+    items
+        .iter()
+        .map(|(msg, sig)| verify(pk, msg, sig))
+        .collect()
 }
 
 #[cfg(test)]
@@ -193,10 +96,7 @@ mod tests {
 
     #[test]
     fn batch_verify_matches_sequential() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let key = test_key(37);
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
         let msgs: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 10]).collect();
         let mut sigs: Vec<BigUint> = msgs.iter().map(|m| sign(&key, m)).collect();
         let items: Vec<(&[u8], &BigUint)> = msgs
@@ -205,14 +105,9 @@ mod tests {
             .map(|(m, s)| (m.as_slice(), s))
             .collect();
         assert_eq!(
-            batch_verify(&mut rng, &key.public, &items),
+            batch_verify(&key.public, &items),
             vec![true; 6],
             "all-valid batch must pass"
-        );
-        assert_eq!(
-            batch_verify_combined(&mut rng, &key.public, &items),
-            vec![true; 6],
-            "all-valid batch must pass the combined check"
         );
 
         // Corrupt one signature and oversize another.
@@ -223,34 +118,10 @@ mod tests {
             .zip(&sigs)
             .map(|(m, s)| (m.as_slice(), s))
             .collect();
-        let sequential: Vec<bool> = items
-            .iter()
-            .map(|(m, s)| verify(&key.public, m, s))
-            .collect();
-        // The dispatched entry point and the forced combined check must
-        // both match per-item verification exactly.
-        assert_eq!(batch_verify(&mut rng, &key.public, &items), sequential);
-        let got = batch_verify_combined(&mut rng, &key.public, &items);
-        assert_eq!(got, sequential);
-        assert_eq!(got, vec![true, false, true, true, false, true]);
-        assert!(batch_verify(&mut rng, &key.public, &[]).is_empty());
-    }
-
-    #[test]
-    fn cost_model_gates_small_exponents() {
-        // e = 65537 (17 bits): the combined check lost at every batch
-        // size measured (0.18–0.70×) — the model must never pick it.
-        for n in 0..=4096 {
-            assert!(
-                !combined_profitable(17, n),
-                "combined must stay gated for e=65537 at n={n}"
-            );
-        }
-        // Full-width exponents amortize immediately.
-        assert!(combined_profitable(1024, 2));
-        assert!(combined_profitable(2048, 2));
-        // Degenerate batches never profit.
-        assert!(!combined_profitable(2048, 0));
-        assert!(!combined_profitable(2048, 1));
+        assert_eq!(
+            batch_verify(&key.public, &items),
+            vec![true, false, true, true, false, true]
+        );
+        assert!(batch_verify(&key.public, &[]).is_empty());
     }
 }

@@ -97,12 +97,9 @@ pub fn verify_batch<R: Rng + ?Sized>(
         }
     }
 
-    // 1. Bank signatures. rsa::batch_verify applies its cost model:
-    //    with the bank's e = 65537 the combined small-exponent check
-    //    never beats per-item verification (0.18–0.70× measured), so
-    //    the batch goes down the sequential path — and either way the
-    //    verdicts are exact, so a `false` here is precisely the
-    //    sequential BadBankSignature decision.
+    // 1. Bank signatures, verified per item (with the bank's
+    //    e = 65537 nothing beats that), so a `false` here is precisely
+    //    the sequential BadBankSignature decision.
     let tokens: Vec<Vec<u8>> = alive
         .iter()
         .map(|&i| token_for(&spends[i].root_tag))
@@ -112,7 +109,7 @@ pub fn verify_batch<R: Rng + ?Sized>(
         .zip(&tokens)
         .map(|(&i, tok)| (tok.as_slice(), &spends[i].bank_sig))
         .collect();
-    let sig_ok = rsa::batch_verify(rng, bank_pk, &sig_items);
+    let sig_ok = rsa::batch_verify(bank_pk, &sig_items);
     let mut survivors = Vec::with_capacity(alive.len());
     for (&i, ok) in alive.iter().zip(&sig_ok) {
         if *ok {

@@ -15,14 +15,28 @@ pub const DEFAULT_ROUNDS: u32 = 32;
 /// One Miller–Rabin round for witness `a` against odd `n > 3`, with
 /// `n - 1 = d * 2^s` precomputed. The ring is constructed once per
 /// candidate (after trial division has had its chance to reject
-/// cheaply) and reused across all witnesses.
-fn mr_round(ring: &ModRing, n_minus_1: &BigUint, d: &BigUint, s: usize, a: &BigUint) -> bool {
-    let mut x = ring.pow(a, d);
+/// cheaply) and reused across all witnesses; candidates wider than
+/// [`ModRing::MAX_BITS`] have none and take the plain path.
+fn mr_round(
+    ring: Option<&ModRing>,
+    n: &BigUint,
+    n_minus_1: &BigUint,
+    d: &BigUint,
+    s: usize,
+    a: &BigUint,
+) -> bool {
+    let mut x = match ring {
+        Some(ring) => ring.pow(a, d),
+        None => a.modpow(d, n),
+    };
     if x.is_one() || &x == n_minus_1 {
         return true;
     }
     for _ in 1..s {
-        x = ring.mul(&x, &x);
+        x = match ring {
+            Some(ring) => ring.mul(&x, &x),
+            None => x.modmul(&x, n),
+        };
         if &x == n_minus_1 {
             return true;
         }
@@ -68,17 +82,18 @@ pub fn is_probable_prime_rounds<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: 
     let n_minus_1 = n - &BigUint::one();
     let s = n_minus_1.trailing_zeros().expect("n > 1 odd, so n-1 > 0");
     let d = &n_minus_1 >> s;
-    let ring = ModRing::new(n);
+    let ring = ModRing::supports(n).then(|| ModRing::new(n));
+    let ring = ring.as_ref();
 
     // Deterministic base 2 first — cheap and catches most composites.
-    if !mr_round(&ring, &n_minus_1, &d, s, &BigUint::two()) {
+    if !mr_round(ring, n, &n_minus_1, &d, s, &BigUint::two()) {
         return false;
     }
     // Random bases in [2, n-2].
     let upper = n - &BigUint::from(3u64);
     for _ in 0..rounds {
         let a = &random_below(rng, &upper) + &BigUint::two();
-        if !mr_round(&ring, &n_minus_1, &d, s, &a) {
+        if !mr_round(ring, n, &n_minus_1, &d, s, &a) {
             return false;
         }
     }
@@ -149,6 +164,18 @@ mod tests {
         // 2^128 + 1 is composite (= 59649589127497217 * ...).
         let f7ish = (BigUint::one() << 128usize) + BigUint::one();
         assert!(!is_probable_prime(&f7ish));
+    }
+
+    #[test]
+    fn candidates_wider_than_the_ring_take_the_plain_path() {
+        use rand::SeedableRng;
+        // 2^2203 − 1 is a Mersenne prime; its product with 2^127 − 1
+        // is a composite with no small factor for trial division.
+        let m2203 = (BigUint::one() << 2203usize) - BigUint::one();
+        let mut rng = StdRng::seed_from_u64(7);
+        assert!(is_probable_prime_rounds(&m2203, 2, &mut rng));
+        let composite = &m2203 * &((BigUint::one() << 127usize) - BigUint::one());
+        assert!(!is_probable_prime_rounds(&composite, 2, &mut rng));
     }
 
     #[test]

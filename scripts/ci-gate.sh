@@ -104,7 +104,7 @@ check_keys BENCH_load.json calibrated_capacity_per_sec knee_per_sec \
 check_keys BENCH_tcp.json requests_per_sec p50_ns p99_ns
 check_keys BENCH_recovery.json policy recover_ms replayed
 check_keys BENCH_batch.json batch_item_us seq_item_us speedup
-check_keys BENCH_fixed.json fixed_us dynamic_us
+check_keys BENCH_fixed.json straus_us pippenger_us
 check_keys BENCH_chaos.json drop_rate availability
 check_keys BENCH_obs.json overhead_pct
 
@@ -131,7 +131,7 @@ cargo test -p ppms-bigint --test ring_props -q
 cargo test -p ppms-crypto --test props -q
 cargo test -p ppms-ecash --lib -q batch::
 
-echo "==> fixed-width core: fixed = dynamic equivalence + zero-allocation proof"
+echo "==> fixed-width core: FpMont = plain-reference equivalence (exact + padded widths) + zero-allocation proof"
 # Both feature configs: the obs spans sit on the routed hot paths, so
 # the no-op config must exercise the same dispatch.
 cargo test -p ppms-bigint --test fixed_props --test alloc_free -q
@@ -141,7 +141,7 @@ echo "==> batch_verify bench smoke (correctness pass, no timing gates)"
 cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
 cargo bench -p ppms-bench --features no-op --bench batch_verify -- --test >/dev/null
 
-echo "==> fixed-width ablation bench smoke (fixed = dynamic verdicts)"
+echo "==> fixed-width ablation bench smoke (Straus = Pippenger verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
 cargo bench -p ppms-bench --features no-op --bench ablation_fixed -- --test >/dev/null
 

@@ -118,6 +118,47 @@ fn multiple_sps_one_coin() {
 }
 
 #[test]
+fn payment_to_unservable_labor_key_is_bad_payload() {
+    use ppms_bigint::BigUint;
+    use ppms_crypto::rsa::{RsaPublicKey, E};
+    let (mut market, mut rng) = dec_market(8, 3);
+    let mut jo = market.register_jo(&mut rng, 100, TEST_RSA_BITS);
+    let sp = market.register_sp(&mut rng, TEST_RSA_BITS);
+    market.register_job(&jo, "adversarial labor keys", 5);
+    market.withdraw(&mut rng, &mut jo).unwrap();
+
+    let odd_bits = |bits: usize| &(BigUint::one() << (bits - 1)) + 1u64;
+    let good = market.labor_registration(&sp);
+    let even = &RsaPublicKey::from_bytes(&good).unwrap().n + 1u64;
+    for n in [
+        BigUint::zero(),
+        BigUint::one(),
+        even,
+        odd_bits(128),
+        odd_bits(4096),
+    ] {
+        let key = RsaPublicKey {
+            n,
+            e: BigUint::from(E),
+        }
+        .to_bytes();
+        let err = market
+            .submit_payment(&mut rng, &mut jo, &key, 5, CashBreak::Pcba)
+            .unwrap_err();
+        assert!(
+            matches!(err, ppms_core::MarketError::BadPayload(_)),
+            "got {err:?}"
+        );
+    }
+    // The refusals spent nothing: the full payment still goes through.
+    let jo_pk = jo_job_pk(&market);
+    let (ct, ..) = market
+        .submit_payment(&mut rng, &mut jo, &good, 5, CashBreak::Pcba)
+        .unwrap();
+    assert_eq!(market.deposit_payment(&sp, &jo_pk, &ct).unwrap().0, 5);
+}
+
+#[test]
 fn change_redemption_returns_remainder() {
     let (mut market, mut rng) = dec_market(5, 3);
     let mut jo = market.register_jo(&mut rng, 100, TEST_RSA_BITS);
