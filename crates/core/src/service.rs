@@ -680,9 +680,9 @@ impl Shard {
                 // DEC-bank lock, as combined small-exponent batch
                 // checks over rayon sub-chunks (verdicts bit-identical
                 // to per-item verification — see ppms_ecash::batch;
-                // bank-signature checks follow rsa::batch_verify's
-                // cost model, and every exponentiation underneath runs
-                // on the ring's fixed-width kernels, DESIGN.md §12).
+                // bank signatures are verified per item, and every
+                // exponentiation underneath runs on the ring's
+                // fixed-width kernels, DESIGN.md §12).
                 // The deterministic content-derived seed keeps a
                 // retried batch on the exact same verification path.
                 // Only the cheap double-spend bookkeeping serializes
