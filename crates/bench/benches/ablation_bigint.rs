@@ -1,14 +1,18 @@
 //! **Ablation A4** — bignum design choices: `ModRing` exponentiation
 //! against the naive square-and-multiply reference, and Karatsuba vs
-//! schoolbook multiplication around the crossover.
+//! schoolbook multiplication around the crossover. **A17** — prime
+//! generation: the residue-sieve walk against the walk that
+//! trial-divides every candidate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppms_bigint::{
     modpow_plain, mul_karatsuba_pub, mul_karatsuba_ws_pub, mul_schoolbook_pub, random_bits,
     random_odd_bits, sqr_karatsuba_pub, sqr_schoolbook_pub, BigUint, ModRing,
 };
+use ppms_primes::miller_rabin::is_probable_prime_rounds;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 fn bench_modpow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
@@ -116,8 +120,71 @@ fn bench_sha_hash_to_int(c: &mut Criterion) {
     });
 }
 
+/// The walk `random_prime` ran before the residue sieve: every odd
+/// candidate from a random start goes through the full
+/// `is_probable_prime_rounds` (24 rounds, 64 steps per start). It
+/// returns the same prime for a seed as the sieved walk.
+fn reference_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
+    loop {
+        let mut cand = random_odd_bits(rng, bits);
+        for _ in 0..64 {
+            if cand.bits() != bits {
+                break;
+            }
+            if is_probable_prime_rounds(&cand, 24, rng) {
+                return cand;
+            }
+            cand = &cand + 2u64;
+        }
+    }
+}
+
+/// Mean microseconds per call of `f` over the seeds `0..SEEDS`, and
+/// the outputs so the two walks can be checked to agree.
+fn mean_us<T>(f: impl Fn(&mut StdRng) -> T) -> (f64, Vec<T>) {
+    const SEEDS: u64 = 200;
+    let t0 = Instant::now();
+    let out: Vec<T> = (0..SEEDS)
+        .map(|seed| f(&mut StdRng::seed_from_u64(seed)))
+        .collect();
+    (t0.elapsed().as_secs_f64() * 1e6 / SEEDS as f64, out)
+}
+
+/// Prints one row: the sieved walk beside the reference walk. Prime
+/// search is geometric in the number of candidates, so both sides
+/// average the same seeds; the walks return identical values, making
+/// the row a paired comparison.
+fn compare_walks(
+    name: &str,
+    sieved: impl Fn(&mut StdRng) -> BigUint,
+    reference: impl Fn(&mut StdRng) -> BigUint,
+) {
+    let (sieved_us, a) = mean_us(sieved);
+    let (reference_us, b) = mean_us(reference);
+    assert_eq!(a, b, "{name}: the walks must return the same values");
+    println!(
+        "bench {name}: sieved {sieved_us:.0} reference {reference_us:.0} ({:.2}x)",
+        reference_us / sieved_us
+    );
+}
+
+fn bench_prime_generation(_c: &mut Criterion) {
+    use ppms_crypto::rsa;
+    compare_walks(
+        "random_prime_256_us",
+        |rng| ppms_primes::random_prime(rng, 256),
+        |rng| reference_prime(rng, 256),
+    );
+    compare_walks(
+        "rsa_keygen_512_us",
+        |rng| rsa::keygen(rng, 512).public.n,
+        |rng| rsa::keygen_with(rng, 512, reference_prime).public.n,
+    );
+}
+
 criterion_group!(
     benches,
+    bench_prime_generation,
     bench_modpow,
     bench_mul,
     bench_sqr,

@@ -9,13 +9,14 @@
 //! batching stats (mean cross-client batch size, flush reasons) come
 //! from the service registry's `batch.*` counters, deltaed around each
 //! run. Emits `BENCH_load.json` at the repo root (EXPERIMENTS.md A15,
-//! A16).
+//! A16); the smoke run writes it under `target/bench-smoke/` instead.
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench load_curve            # full sweep
 //! cargo bench -p ppms-bench --bench load_curve -- --test  # CI smoke
 //! ```
 
+use ppms_bench::artifact_path;
 use ppms_core::gate::OpsRequest;
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::mint_deposit_batches;
@@ -399,7 +400,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"workload\": {{\"shards\": {SHARDS}, \"workers\": {workers}, \
+        "{{\n  \"smoke\": {smoke},\n  \"workload\": {{\"shards\": {SHARDS}, \"workers\": {workers}, \
          \"duration_ms\": {}, \"deposit_every\": {DEPOSIT_EVERY}, \
          \"calibrated_capacity_per_sec\": {capacity:.1}}},\n  \"rates\": [\n{}\n  ],\n  \
          \"knee_per_sec\": {knee:.1},\n  \"peak_achieved_per_sec\": {peak:.1},\n  \
@@ -409,12 +410,11 @@ fn main() {
         rate_cells.join(",\n"),
         metrics.len()
     );
-    // Benchmark artifacts live at the repo root, committed alongside
+    // Full-run artifacts live at the repo root, committed alongside
     // the code they measure, so a diff shows the perf delta.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_load.json");
+    let path = artifact_path("BENCH_load.json", smoke);
     match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_load.json]"),
+        Ok(()) => println!("  [json -> {}]", path.display()),
         Err(e) => eprintln!("  [json write failed: {e}]"),
     }
 

@@ -6,8 +6,13 @@
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench recovery
+//! cargo bench -p ppms-bench --bench recovery -- --test # CI smoke
 //! ```
+//!
+//! The smoke run does the same work but writes its JSON under
+//! `target/bench-smoke/`, so it never overwrites the committed file.
 
+use ppms_bench::artifact_path;
 use ppms_core::sim::{
     drive_market_keyed, recover_durable_market, spawn_durable_market, KeyedDrive,
     ServiceMarketOutcome,
@@ -125,6 +130,7 @@ fn measure_fsync(policy: &'static str, sync: SyncPolicy) -> (FsyncRow, ServiceMa
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
     println!("recovery: cold restart vs log length, {SHARDS} shards");
     println!(
         "{:>6} {:>8} {:>10} {:>9} {:>9} {:>11}",
@@ -189,14 +195,13 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"recovery\": [\n{}\n  ],\n  \"fsync\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"smoke\": {smoke},\n  \"recovery\": [\n{}\n  ],\n  \"fsync\": [\n{}\n  ]\n}}\n",
         recovery_cells.join(",\n"),
         fsync_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_recovery.json");
+    let path = artifact_path("BENCH_recovery.json", smoke);
     match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_recovery.json]"),
+        Ok(()) => println!("  [json -> {}]", path.display()),
         Err(e) => eprintln!("  [json write failed: {e}]"),
     }
 

@@ -5,8 +5,13 @@
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench tcp_front_door
+//! cargo bench -p ppms-bench --bench tcp_front_door -- --test # CI smoke
 //! ```
+//!
+//! The smoke run does the same work but writes its JSON under
+//! `target/bench-smoke/`, so it never overwrites the committed file.
 
+use ppms_bench::artifact_path;
 use ppms_core::gate::AdmissionConfig;
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{run_service_market_traffic, TcpEquivConfig, TransportKind};
@@ -56,6 +61,7 @@ fn table2_row(transport: &'static str, traffic: &TrafficLog) -> Table2Row {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
     // ---- loopback throughput/latency through the open door ----
     let mut rng = StdRng::seed_from_u64(SEED);
     let svc = MaService::spawn_with_config(
@@ -179,16 +185,15 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"loopback\": {{\"clients\": {CLIENTS}, \"requests\": {total_requests}, \
+        "{{\n  \"smoke\": {smoke},\n  \"loopback\": {{\"clients\": {CLIENTS}, \"requests\": {total_requests}, \
          \"requests_per_sec\": {rps:.1}, \"p50_ns\": {p50_ns}, \"p99_ns\": {p99_ns}, \
          \"served\": {served}}},\n  \"table2\": [\n{}\n  ],\n  \
          \"tcp_overhead_pct\": {overhead:.2}\n}}\n",
         table_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_tcp.json");
+    let path = artifact_path("BENCH_tcp.json", smoke);
     match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_tcp.json]"),
+        Ok(()) => println!("  [json -> {}]", path.display()),
         Err(e) => eprintln!("  [json write failed: {e}]"),
     }
 

@@ -141,8 +141,16 @@ impl Rem for BigUint {
 
 impl Rem<u64> for &BigUint {
     type Output = u64;
+    /// Folds the remainder limb by limb, most significant first; unlike
+    /// [`BigUint::divrem_u64`] no quotient is built, so it never
+    /// allocates (trial division calls this thousands of times).
     fn rem(self, rhs: u64) -> u64 {
-        self.divrem_u64(rhs).1
+        assert!(rhs != 0, "division by zero");
+        let d = rhs as u128;
+        self.limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &limb| ((rem << 64) | limb as u128) % d) as u64
     }
 }
 

@@ -7,7 +7,7 @@
 //! protocol widths, at one limb, and at a padded width (a 3-limb
 //! modulus on the 4-limb kernels). At the `ModRing` boundary a warmed
 //! `pow` is pinned to exactly one allocation: the result `BigUint`
-//! itself.
+//! itself. The trial-division remainder `&n % p` allocates nothing.
 //!
 //! The counter is a `const`-initialized `thread_local!` `Cell` — no
 //! lazy initialization and no drop registration, so bumping it from
@@ -225,4 +225,24 @@ fn ring_pow_allocates_only_the_result() {
         1,
         "warmed ModRing::pow must allocate exactly the result BigUint"
     );
+}
+
+/// `&n % p` — the trial-division step — folds the remainder without
+/// building a quotient, so it allocates nothing at any width.
+#[test]
+fn rem_u64_allocation_free() {
+    for limbs in [1usize, 4, 16, 32] {
+        let (n, _, _) = fixture(limbs);
+        // Warm the call site, as for the kernels above.
+        black_box(&n % 65521u64);
+        assert_eq!(
+            allocs_in(|| {
+                for p in [3u64, 65521, u64::MAX] {
+                    black_box(black_box(&n) % black_box(p));
+                }
+            }),
+            0,
+            "&BigUint % u64 must not allocate ({limbs} limbs)"
+        );
+    }
 }

@@ -60,6 +60,12 @@ proptest! {
     }
 
     #[test]
+    fn rem_u64_matches_divrem_u64(a in big(), d in any::<u64>()) {
+        let d = d.max(1);
+        prop_assert_eq!(&a % d, a.divrem_u64(d).1);
+    }
+
+    #[test]
     fn shift_roundtrip(a in big(), n in 0usize..300) {
         prop_assert_eq!(&(&a << n) >> n, a);
     }

@@ -1,12 +1,29 @@
 //! Random prime generation.
+//!
+//! [`random_prime`] draws a random odd start and walks the next 64
+//! odd numbers. Instead of trial-dividing every candidate, it
+//! reduces the start modulo each odd table prime once and marks the
+//! candidates `start + 2k` that prime divides; only unmarked candidates
+//! reach Miller–Rabin. A candidate is marked exactly when
+//! [`is_probable_prime_rounds`] would reject it by trial division, so
+//! the walk tests the same candidates in the same order with the same
+//! RNG draws, and a seed yields the same prime as testing each
+//! candidate in full (the `reference_prime` oracle in the tests pins
+//! this).
 
-use crate::miller_rabin::is_probable_prime_rounds;
+use crate::miller_rabin::{is_probable_prime_rounds, miller_rabin};
+use crate::sieve::{small_primes, SMALL_PRIME_LIMIT};
 use ppms_bigint::{random_odd_bits, BigUint};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Miller–Rabin rounds used during generation (candidates are random,
 /// so fewer rounds suffice than for adversarial inputs).
 const GEN_ROUNDS: u32 = 24;
+
+/// Odd candidates walked from one random start before a fresh start
+/// is drawn (one bit each in the composite mask).
+const WALK: u64 = 64;
 
 /// Generates a random probable prime with exactly `bits` bits
 /// (`bits >= 2`).
@@ -20,20 +37,80 @@ pub fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
             BigUint::from(3u64)
         };
     }
+    let mut residues = vec![0u32; sieve_primes().len()];
     loop {
-        let mut cand = random_odd_bits(rng, bits);
-        // Scan forward over odd numbers from the random start; restart
-        // with a fresh candidate if we drift out of the bit width.
-        for _ in 0..64 {
+        let start = random_odd_bits(rng, bits);
+        residues_into(&start, &mut residues);
+        let composite = composite_mask(&start, &residues);
+        for k in (0..WALK).filter(|k| composite >> k & 1 == 0) {
+            let cand = &start + 2 * k;
+            // Drifted out of the bit width: restart from a fresh start.
             if cand.bits() != bits {
                 break;
             }
-            if is_probable_prime_rounds(&cand, GEN_ROUNDS, rng) {
+            // Below 2³² every composite has a table factor, so a
+            // survivor is prime without Miller–Rabin.
+            if cand
+                .to_u64()
+                .is_some_and(|v| v < SMALL_PRIME_LIMIT * SMALL_PRIME_LIMIT)
+                || miller_rabin(&cand, GEN_ROUNDS, rng)
+            {
                 return cand;
             }
-            cand = &cand + &BigUint::two();
         }
     }
+}
+
+/// The odd table primes (candidates are odd, so 2 never divides one),
+/// each with its reciprocal `m = ⌊(2⁶⁴ − 1) / p⌋ + 1`. For any
+/// `a < 2³²`, `a mod p` is the high word of `(m·a mod 2⁶⁴)·p` (Lemire,
+/// Kaser & Kurz, "Faster remainder by direct computation", 2019): two
+/// multiplications in place of a division.
+fn sieve_primes() -> &'static [(u32, u64)] {
+    static TABLE: OnceLock<Vec<(u32, u64)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        small_primes()[1..]
+            .iter()
+            .map(|&p| (p as u32, u64::MAX / p + 1))
+            .collect()
+    })
+}
+
+/// Writes `n mod p` for every sieve prime `p`, folding `n` in 16-bit
+/// chunks from the top so every partial value stays below 2³².
+fn residues_into(n: &BigUint, residues: &mut [u32]) {
+    residues.fill(0);
+    for &limb in n.limbs().iter().rev() {
+        for shift in [48, 32, 16, 0] {
+            let chunk = (limb >> shift) as u32 & 0xffff;
+            for (r, &(p, m)) in residues.iter_mut().zip(sieve_primes()) {
+                let a = (*r << 16) | chunk;
+                *r = ((m.wrapping_mul(a as u64) as u128 * p as u128) >> 64) as u32;
+            }
+        }
+    }
+}
+
+/// Bit `k` is set iff some sieve prime divides `start + 2k` without
+/// being equal to it — exactly the candidates trial division rejects.
+fn composite_mask(start: &BigUint, residues: &[u32]) -> u64 {
+    let small_start = start.to_u64();
+    let mut mask = 0u64;
+    for (&(p, _), &r) in sieve_primes().iter().zip(residues) {
+        let (p, r) = (p as u64, r as u64);
+        // First k with p | start + 2k, i.e. 2k ≡ -r (mod p) for odd p.
+        let neg = if r == 0 { 0 } else { p - r };
+        let mut k = if neg % 2 == 0 { neg / 2 } else { (neg + p) / 2 };
+        // A candidate equal to p is prime; its next multiple is 3p.
+        if small_start.is_some_and(|s| s + 2 * k == p) {
+            k += p;
+        }
+        while k < WALK {
+            mask |= 1 << k;
+            k += p;
+        }
+    }
+    mask
 }
 
 /// Generates a random safe prime `p = 2q + 1` (with `q` also prime)
@@ -53,8 +130,73 @@ pub fn random_safe_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> (BigUint,
 mod tests {
     use super::*;
     use crate::is_probable_prime;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The walk `random_prime` ran before the residue sieve: every
+    /// candidate goes through the full [`is_probable_prime_rounds`].
+    /// Kept only as the oracle the sieved walk must match.
+    fn reference_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
+        if bits == 2 {
+            return if rng.next_u32() & 1 == 0 {
+                BigUint::two()
+            } else {
+                BigUint::from(3u64)
+            };
+        }
+        loop {
+            let mut cand = random_odd_bits(rng, bits);
+            for _ in 0..WALK {
+                if cand.bits() != bits {
+                    break;
+                }
+                if is_probable_prime_rounds(&cand, GEN_ROUNDS, rng) {
+                    return cand;
+                }
+                cand = &cand + &BigUint::two();
+            }
+        }
+    }
+
+    /// Widths that cover the tiny walks (candidates can equal a table
+    /// prime), the 2³² boundary where Miller–Rabin takes over, and the
+    /// widths the protocols use.
+    const WIDTHS: [usize; 28] = [
+        3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 30, 31, 32, 33, 34, 35,
+        36, 64, 256, 512,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn sieved_walk_matches_reference(seed in any::<u64>()) {
+            for bits in WIDTHS {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    random_prime(&mut a, bits),
+                    reference_prime(&mut b, bits),
+                    "seed {}, {} bits", seed, bits
+                );
+                // Same RNG draws, so the streams continue in step.
+                prop_assert_eq!(a.next_u64(), b.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn residues_match_the_remainder_operator() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut residues = vec![0u32; sieve_primes().len()];
+        for bits in [2usize, 17, 64, 65, 256, 512] {
+            let n = random_odd_bits(&mut rng, bits);
+            residues_into(&n, &mut residues);
+            for (&(p, _), &r) in sieve_primes().iter().zip(&residues) {
+                assert_eq!(r as u64, &n % p as u64, "{n} mod {p}");
+            }
+        }
+    }
 
     #[test]
     fn prime_has_requested_bits() {

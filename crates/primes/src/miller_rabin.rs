@@ -75,7 +75,14 @@ pub fn is_probable_prime_rounds<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: 
             return n.to_u64() == Some(p);
         }
     }
+    miller_rabin(n, rounds, rng)
+}
 
+/// The Miller–Rabin half of [`is_probable_prime_rounds`]: base 2, then
+/// `rounds` random bases in `[2, n-2]`. `n` must be odd and above 3;
+/// the caller has already ruled out small factors (by trial division
+/// here, by the residue sieve in [`crate::gen`]).
+pub(crate) fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
     // Only candidates that survived trial division pay for ring
     // construction (Montgomery constants need a division for
     // `R² mod n`); the one context then serves every witness round.

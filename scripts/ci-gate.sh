@@ -107,6 +107,12 @@ check_keys BENCH_batch.json batch_item_us seq_item_us speedup
 check_keys BENCH_fixed.json straus_us pippenger_us
 check_keys BENCH_chaos.json drop_rate availability
 check_keys BENCH_obs.json overhead_pct
+# Smoke runs write under target/bench-smoke/; a root artifact must come
+# from a full run.
+if grep -l '"smoke": true' BENCH_*.json; then
+    echo "root bench artifacts above were written by a smoke run"
+    exit 1
+fi
 
 echo "==> trace context + flight recorder (shard-crash and reactor-panic dumps carry the trace)"
 trace_out=$(cargo test -p ppms-integration --test trace_context -- --nocapture 2>&1) || {

@@ -351,6 +351,29 @@ mod batching_equivalence {
         }
     }
 
+    /// Pulls the shard's inter-arrival gap EWMA down with a real burst:
+    /// eight concurrent clients each read a balance eight times. The
+    /// EWMA starts at 1 s, and the schedule's own ~20 arrivals leave
+    /// it above the 1 ms a 2 ms budget needs, so without this the
+    /// Nagle wait never arms and a batch forms only if thread
+    /// scheduling happens to queue deposits behind a verify.
+    fn warm_arrival_gap(svc: &MaService, accounts: &[ppms_core::AccountId]) {
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let account = accounts[i % accounts.len()];
+                scope.spawn(move || {
+                    let client = svc.client();
+                    for _ in 0..8 {
+                        let MaResponse::Balance(_) = client.call(MaRequest::Balance { account })
+                        else {
+                            panic!("balance");
+                        };
+                    }
+                });
+            }
+        });
+    }
+
     /// Runs the logical schedule and returns the final per-client
     /// balances plus the `(batch.items, batch.drains)` deltas of the
     /// deposit phase.
@@ -376,6 +399,9 @@ mod batching_equivalence {
         );
         let plans = build_plans(&svc, seed ^ 0x5EED, leaves, cheater);
         let accounts: Vec<_> = plans.iter().map(|p| p.account).collect();
+        warm_arrival_gap(&svc, &accounts);
+        // Counted after the warm-up, so the deltas speak of the
+        // deposit phase alone.
         let items0 = svc.obs.counter("batch.items").get();
         let drains0 = svc.obs.counter("batch.drains").get();
 
