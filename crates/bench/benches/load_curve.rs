@@ -448,8 +448,8 @@ fn main() {
         deposit_face
     );
     assert!(health.contains("\"status\""), "health probe body: {health}");
-    // Counters stay real even under no-op (only timing is stubbed),
-    // so the merged metrics body always carries the gate counters.
+    // Counters stay live even with timing switched off, so the merged
+    // metrics body always carries the gate counters.
     assert!(
         metrics.contains("tcp."),
         "metrics scrape must expose the door's counters: {metrics}"

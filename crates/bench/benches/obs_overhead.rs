@@ -1,8 +1,7 @@
 //! Observability overhead: runs full PPMSdec and PPMSpbs rounds with
 //! the `ppms-obs` layer recording (the default) and with it disabled
-//! at runtime (`set_enabled(false)` — the same cheap check the `no-op`
-//! feature compiles away entirely), and reports the relative cost of
-//! instrumentation. Emits `BENCH_obs.json` at the repo root
+//! at runtime (`set_enabled(false)`), and reports the relative cost
+//! of instrumentation. Emits `BENCH_obs.json` at the repo root
 //! (EXPERIMENTS.md A10).
 //!
 //! ```text

@@ -220,7 +220,7 @@ fn main() {
         outcomes[0], outcomes[1],
         "both fsync disciplines must drive to the identical ledger"
     );
-    // Counters stay live under `no-op`; group commit must batch.
+    // Group commit must batch.
     assert!(
         fsync_rows[1].fsyncs < fsync_rows[0].fsyncs,
         "group commit must issue fewer fsyncs than fsync-always"

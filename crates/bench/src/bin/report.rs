@@ -527,7 +527,7 @@ fn obs() {
             h.p99() as f64 / 1e3,
             h.count
         ),
-        _ => println!("  wal.fsync_ns               (no samples — no-op build)"),
+        _ => println!("  wal.fsync_ns               (no samples)"),
     }
     let path = "target/report/obs.json";
     if std::fs::write(path, snap.to_json()).is_ok() {

@@ -2,7 +2,7 @@
 //!
 //! This layer turns the raw byte pipe of [`crate::stream::ByteStream`]
 //! into a sequence of whole protocol frames — the length-prefixed
-//! Envelope v3 (+ FNV-1a trailer) bytes that [`crate::wire`] encodes
+//! envelope (+ FNV-1a trailer) bytes that [`crate::wire`] encodes
 //! and decodes. It owns exactly two hard problems:
 //!
 //! * **Partial-read reassembly** ([`FrameDecoder`]): TCP delivers
@@ -24,7 +24,7 @@
 
 use crate::error::MarketError;
 use crate::stream::ByteStream;
-use crate::wire::{FRAME_TRAILER_LEN, WIRE_VERSION, WIRE_VERSION_V2, WIRE_VERSION_V3};
+use crate::wire::{FRAME_TRAILER_LEN, WIRE_VERSION};
 use crate::WireError;
 use std::io;
 use std::time::Instant;
@@ -107,7 +107,7 @@ impl FrameDecoder {
         }
         let p = &self.buf[self.start..];
         let version = u16::from_be_bytes([p[0], p[1]]);
-        if version != WIRE_VERSION && version != WIRE_VERSION_V3 && version != WIRE_VERSION_V2 {
+        if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
         let body_len = u32::from_be_bytes([p[2], p[3], p[4], p[5]]) as usize;
@@ -394,9 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn decoder_accepts_legacy_v2_version_word() {
-        // A v2 frame: the decoder only splits; envelope decode handles
-        // the version semantics.
+    fn decoder_rejects_legacy_v2_v3_version_words() {
+        // Retired versions are foreign: refused from the prefix alone,
+        // before the body is buffered.
         let env = Envelope {
             msg_id: 3,
             correlation_id: 0,
@@ -406,10 +406,16 @@ mod tests {
             party: crate::metrics::Party::Jo,
             payload: MaRequest::FetchData { job_id: 9 },
         };
-        let bytes = env.to_bytes_versioned(WIRE_VERSION_V2).unwrap();
-        let mut dec = FrameDecoder::default();
-        dec.push(&bytes);
-        assert_eq!(dec.next_frame().unwrap().unwrap(), bytes);
+        for version in [2u16, 3] {
+            let mut bytes = env.to_bytes();
+            bytes[..2].copy_from_slice(&version.to_be_bytes());
+            let mut dec = FrameDecoder::default();
+            dec.push(&bytes);
+            assert!(matches!(
+                dec.next_frame(),
+                Err(WireError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]

@@ -307,10 +307,6 @@ pub struct TcpEquivConfig {
     /// Wrap the clients in the aggressive retry layer, as the chaos
     /// arm does for simnet.
     pub retry: bool,
-    /// Pin the clients to an older wire version (`None` = current):
-    /// the mixed-version interop arm drives v3/v2 clients against the
-    /// v4 server and must still converge on the same ledger.
-    pub wire_version: Option<u16>,
 }
 
 /// The observable end state of a service market run — everything a
@@ -442,9 +438,6 @@ fn run_market(
                     seed: f.seed ^ mix,
                     ..f
                 });
-                if let Some(v) = tcfg.wire_version {
-                    cc.wire_version = v;
-                }
                 let transport = TcpTransport::new(cc);
                 transport.load_wallet(wallet);
                 let transport: Arc<dyn Transport> = Arc::new(transport);

@@ -48,7 +48,7 @@ use crate::service::{Inbound, MaRequest, MaResponse, MaService, RequestKey, Shar
 use crate::stream::{ByteStream, FlakyConfig, FlakyStream, TcpByteStream};
 use crate::transport::{next_request_id, next_trace_id, request_label, response_label};
 use crate::transport::{TrafficLog, Transport};
-use crate::wire::{Envelope, WIRE_VERSION};
+use crate::wire::Envelope;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use ppms_ecash::Spend;
@@ -921,11 +921,6 @@ pub struct TcpClientConfig {
     /// Inject seeded stream tears under the framing layer (tests the
     /// redial/re-admit path; the seed is varied per dial).
     pub flaky: Option<FlakyConfig>,
-    /// Wire version this client frames requests at — defaults to the
-    /// current [`WIRE_VERSION`]; pinning an older version exercises
-    /// mixed-version interop (a v3 client loses span ids, a v2 client
-    /// loses the trace id, and the server must serve both).
-    pub wire_version: u16,
 }
 
 impl TcpClientConfig {
@@ -936,7 +931,6 @@ impl TcpClientConfig {
             reply_timeout: Duration::from_secs(30),
             handshake_attempts: 5,
             flaky: None,
-            wire_version: WIRE_VERSION,
         }
     }
 }
@@ -1050,13 +1044,7 @@ impl TcpTransport {
             party: from,
             payload,
         }
-        .to_bytes_versioned(self.config.wire_version)
-        .map_err(|e| {
-            MarketError::Transport(format!(
-                "cannot frame at v{}: {e}",
-                self.config.wire_version
-            ))
-        })?;
+        .to_bytes();
         let conn = state.conn.as_mut().expect("connected above");
         let result = (|| {
             conn.send_frame(&frame)?;
@@ -1287,7 +1275,6 @@ mod tests {
             reply_timeout: Duration::from_millis(50),
             handshake_attempts: 1,
             flaky: None,
-            wire_version: WIRE_VERSION,
         });
         let err = t
             .round_trip(Party::Sp, MaRequest::FetchData { job_id: 1 })

@@ -15,7 +15,7 @@
 //! 1. **Byte-stream** ([`crate::stream::ByteStream`]) — anything that
 //!    moves bytes: a TCP socket, a fault-injecting decorator.
 //! 2. **Framing/session** ([`crate::frame`]) — length-prefixed
-//!    Envelope v3 + FNV-1a trailer over a stream, with partial-read
+//!    envelope + FNV-1a trailer over a stream, with partial-read
 //!    reassembly ([`crate::frame::FrameDecoder`]) and bounded write
 //!    buffering ([`crate::frame::WriteQueue`]).
 //! 3. **Typed request/response** — this module's [`Transport`] trait,
@@ -281,9 +281,9 @@ pub fn next_request_id() -> u64 {
 /// Process-wide trace-id source. A trace id is minted once at the
 /// originating client and then preserved verbatim across retransmits,
 /// shard hops and the response leg, so every event a logical request
-/// causes carries the same id. 0 is reserved for "no trace context"
-/// (v2 wire frames); the non-zero process nonce in the high bits
-/// guarantees minted ids never collide with it.
+/// causes carries the same id. 0 is reserved for "no trace context";
+/// the non-zero process nonce in the high bits guarantees minted ids
+/// never collide with it.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh trace id (never 0).

@@ -10,12 +10,11 @@
 //!
 //! ```text
 //! [version: u16 BE][body_len: u32 BE]
-//!     [msg_id: u64][correlation_id: u64][trace_id: u64][party: u8]
+//!     [msg_id: u64][correlation_id: u64]
+//!     [trace_id: u64][span_id: u64][parent_id: u64][party: u8]
 //!     [payload ...]
+//! [fnv1a(body): u64 BE]
 //! ```
-//!
-//! (v2 frames — the previous version, still decodable — omit the
-//! `trace_id` field; they decode with `trace_id = 0`.)
 //!
 //! so the transport layer ([`crate::transport::SimNetTransport`]) can
 //! ship actual bytes and the traffic log can account actual sizes.
@@ -39,26 +38,15 @@ use ppms_crypto::cl::{ClPublicKey, ClSignature};
 use ppms_crypto::pairing::Point;
 use ppms_ecash::{DecError, Spend};
 
-/// Protocol version carried by every frame. Version 2 added the
-/// FNV-1a integrity trailer (see [`FRAME_TRAILER_LEN`]) so a frame
-/// corrupted in flight is rejected instead of silently mis-decoding
-/// into a different request — which would defeat the service's
-/// idempotent request keys. Version 3 added the `trace_id` header
-/// field (trace-context propagation). Version 4 widened the trace
-/// context to the full causal triple — `trace_id`, `span_id`,
+/// Protocol version carried by every frame; a frame at any other
+/// version is refused with [`WireError::BadVersion`]. The header
+/// carries the full causal triple — `trace_id`, `span_id`,
 /// `parent_id` — so a server can parent its own spans to the
-/// client-side span that sent the frame. Both prior versions still
-/// decode: v3 frames read with `span_id = parent_id = 0`, v2 frames
-/// additionally with `trace_id = 0`.
+/// client-side span that sent the frame, and the FNV-1a trailer (see
+/// [`FRAME_TRAILER_LEN`]) rejects a frame corrupted in flight instead
+/// of letting it mis-decode into a different request — which would
+/// defeat the service's idempotent request keys.
 pub const WIRE_VERSION: u16 = 4;
-
-/// The previous protocol version (trace id only, no span context),
-/// still accepted on decode so peers mid-upgrade interoperate.
-pub const WIRE_VERSION_V3: u16 = 3;
-
-/// The oldest still-decodable protocol version. Its frames carry no
-/// trace context at all.
-pub const WIRE_VERSION_V2: u16 = 2;
 
 /// Fixed per-frame overhead: version + body length + msg id +
 /// correlation id + trace id + span id + parent id + party tag.
@@ -936,11 +924,11 @@ pub struct Envelope<T> {
     /// Trace context: minted once at the originating client and
     /// preserved verbatim across retransmits, shard hops and the
     /// response leg, so one market interaction is one correlated
-    /// event stream. 0 means "no trace context" (v2 frames).
+    /// event stream. 0 means "no trace context".
     pub trace_id: u64,
     /// The sender-side causal span that emitted this frame — what the
-    /// receiver parents its own spans to. 0 on v3/v2 frames ("no span
-    /// context": receiver spans root at the trace).
+    /// receiver parents its own spans to. 0 means "no span context":
+    /// receiver spans root at the trace.
     pub span_id: u64,
     /// The parent of `span_id` on the sender's side (0 = root there).
     pub parent_id: u64,
@@ -962,17 +950,20 @@ impl<T> Envelope<T> {
 }
 
 impl<T: WireEncode> Envelope<T> {
-    /// Encodes the full frame (header + payload) at [`WIRE_VERSION`].
+    /// Encodes the full frame (header + payload + trailer) into a
+    /// fresh buffer — the same bytes [`Envelope::encode_append`]
+    /// writes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(WIRE_VERSION)
-            .expect("current version always encodes")
+        let mut out = Vec::new();
+        self.encode_append(&mut out);
+        out
     }
 
-    /// Appends the full current-version frame to `out` with no
-    /// intermediate buffers: the length prefix is patched in place
-    /// after the body is written, so a hot reply path can reuse one
-    /// scratch `Vec` across frames and stay allocation-free at steady
-    /// state.
+    /// Appends the full frame to `out` with no intermediate buffers:
+    /// the length prefix is patched in place after the body is
+    /// written, so a hot reply path can reuse one scratch `Vec` across
+    /// frames and stay allocation-free at steady state. This is the
+    /// one place the frame layout is written.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         let start = out.len();
         let mut w = WireWriter::appending(std::mem::take(out));
@@ -993,47 +984,15 @@ impl<T: WireEncode> Envelope<T> {
         buf.extend_from_slice(&sum);
         *out = buf;
     }
-
-    /// Encodes the frame at an explicit protocol version — the
-    /// downgrade path for talking to (and testing against) v3/v2
-    /// peers, whose frames carry a bare trace id / no trace context.
-    pub fn to_bytes_versioned(&self, version: u16) -> Result<Vec<u8>, WireError> {
-        let mut body = WireWriter::new();
-        body.u64(self.msg_id);
-        body.u64(self.correlation_id);
-        match version {
-            WIRE_VERSION => {
-                body.u64(self.trace_id);
-                body.u64(self.span_id);
-                body.u64(self.parent_id);
-            }
-            WIRE_VERSION_V3 => body.u64(self.trace_id),
-            WIRE_VERSION_V2 => {}
-            v => return Err(WireError::BadVersion(v)),
-        }
-        self.party.encode(&mut body);
-        self.payload.encode(&mut body);
-        let body = body.finish();
-
-        let mut w = WireWriter::new();
-        w.u16(version);
-        w.u32(body.len() as u32);
-        let mut out = w.finish();
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a(&body).to_be_bytes());
-        Ok(out)
-    }
 }
 
 impl<T: WireDecode> Envelope<T> {
-    /// Decodes a frame, rejecting foreign versions, truncation and
-    /// trailing bytes. Accepts the current version,
-    /// [`WIRE_VERSION_V3`] (decodes with `span_id = parent_id = 0`)
-    /// and [`WIRE_VERSION_V2`] (additionally `trace_id = 0`).
+    /// Decodes a frame, rejecting any version but [`WIRE_VERSION`],
+    /// truncation, corruption and trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Envelope<T>, WireError> {
         let mut r = WireReader::new(bytes);
         let version = r.u16()?;
-        if version != WIRE_VERSION && version != WIRE_VERSION_V3 && version != WIRE_VERSION_V2 {
+        if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
         let body_len = r.u32()? as usize;
@@ -1054,13 +1013,9 @@ impl<T: WireDecode> Envelope<T> {
         let env = Envelope {
             msg_id: r.u64()?,
             correlation_id: r.u64()?,
-            trace_id: if version >= WIRE_VERSION_V3 {
-                r.u64()?
-            } else {
-                0
-            },
-            span_id: if version >= WIRE_VERSION { r.u64()? } else { 0 },
-            parent_id: if version >= WIRE_VERSION { r.u64()? } else { 0 },
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+            parent_id: r.u64()?,
             party: Party::decode(&mut r)?,
             payload: T::decode(&mut r)?,
         };

@@ -330,16 +330,15 @@ proptest! {
 
     #[test]
     fn foreign_versions_rejected(
-        version in 0u16..u16::MAX,
+        version in (0u16..u16::MAX, 0u16..8, any::<bool>())
+            .prop_map(|(wide, low, pick_low)| if pick_low { low } else { wide }),
         variant in 0u64..12,
         a in any::<u64>(),
     ) {
-        // The current version and the still-decodable v3/v2 are
-        // legitimate; everything else must be rejected.
-        let version = if version == ppms_core::wire::WIRE_VERSION
-            || version == ppms_core::wire::WIRE_VERSION_V3
-            || version == ppms_core::wire::WIRE_VERSION_V2
-        {
+        // Only the current version is legitimate; everything else —
+        // the retired v2/v3 included, which the low half of the
+        // strategy hits often — must be rejected.
+        let version = if version == ppms_core::wire::WIRE_VERSION {
             ppms_core::wire::WIRE_VERSION + 1
         } else {
             version
@@ -351,82 +350,6 @@ proptest! {
             Envelope::<MaResponse>::from_bytes(&bytes),
             Err(WireError::BadVersion(v)) if v == version
         ));
-    }
-
-    #[test]
-    fn v2_frames_decode_without_trace(
-        variant in 0u64..12,
-        a in any::<u64>(),
-        ids in any::<u64>(),
-    ) {
-        // A pre-trace (v2) frame still decodes; its whole span context
-        // reads as 0 (untraced) and re-encoding as v2 reproduces the
-        // bytes.
-        let resp = build_response(variant, a, a, &[3, 1], "y");
-        let v2 = Envelope {
-            msg_id: ids,
-            correlation_id: ids ^ 1,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: 0,
-            party: Party::Ma,
-            payload: resp,
-        }
-        .to_bytes_versioned(ppms_core::wire::WIRE_VERSION_V2)
-        .expect("v2 must encode");
-        let back: Envelope<MaResponse> =
-            Envelope::from_bytes(&v2).expect("v2 frame must decode");
-        prop_assert_eq!(back.msg_id, ids);
-        prop_assert_eq!(back.trace_id, 0);
-        prop_assert_eq!(back.span_id, 0);
-        prop_assert_eq!(back.parent_id, 0);
-        let re = back
-            .to_bytes_versioned(ppms_core::wire::WIRE_VERSION_V2)
-            .expect("v2 must re-encode");
-        prop_assert_eq!(re, v2);
-        // The v4 encoding of the same envelope is exactly 24 bytes
-        // (trace id + span id + parent id) longer.
-        prop_assert_eq!(v2.len() + 24, {
-            let back2: Envelope<MaResponse> = Envelope::from_bytes(&v2).unwrap();
-            back2.to_bytes().len()
-        });
-    }
-
-    #[test]
-    fn v3_frames_decode_with_zero_span_ids(
-        variant in 0u64..12,
-        a in any::<u64>(),
-        ids in any::<u64>(),
-    ) {
-        // A trace-only (v3) frame keeps its trace id but reads span
-        // and parent ids as 0 — a v3 peer joins the trace without
-        // contributing tree structure. Re-encoding at v3 reproduces
-        // the bytes; upgrading to v4 costs exactly the two new ids.
-        let trace = a | 1;
-        let resp = build_response(variant, a, a, &[9, 9], "z");
-        let v3 = Envelope {
-            msg_id: ids,
-            correlation_id: ids ^ 2,
-            trace_id: trace,
-            span_id: ids | 1, // dropped by the v3 encoding
-            parent_id: ids | 2,
-            party: Party::Ma,
-            payload: resp,
-        }
-        .to_bytes_versioned(ppms_core::wire::WIRE_VERSION_V3)
-        .expect("v3 must encode");
-        let back: Envelope<MaResponse> =
-            Envelope::from_bytes(&v3).expect("v3 frame must decode");
-        prop_assert_eq!(back.msg_id, ids);
-        prop_assert_eq!(back.trace_id, trace);
-        prop_assert_eq!(back.span_id, 0);
-        prop_assert_eq!(back.parent_id, 0);
-        let re = back
-            .to_bytes_versioned(ppms_core::wire::WIRE_VERSION_V3)
-            .expect("v3 must re-encode");
-        prop_assert_eq!(re, v3);
-        let v4 = Envelope::<MaResponse>::from_bytes(&v3).unwrap().to_bytes();
-        prop_assert_eq!(v3.len() + 16, v4.len());
     }
 
     // The framing layer's reassembly law: a concatenation of frames
@@ -566,5 +489,71 @@ proptest! {
         let bytes = ppms_ecash::encode_payment(&items);
         let back = ppms_ecash::decode_payment(&bytes).expect("bundle decodes");
         prop_assert_eq!(ppms_ecash::encode_payment(&back), bytes);
+    }
+}
+
+/// A frame the framing layer accepts whole — current version, honest
+/// length prefix, matching FNV-1a trailer — around `body`.
+fn checksummed_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(6 + body.len() + 8);
+    frame.extend_from_slice(&ppms_core::wire::WIRE_VERSION.to_be_bytes());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&ppms_core::wire::fnv1a(body).to_be_bytes());
+    frame
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // Adversarial bytes that pass every frame-level check (version,
+    // length, checksum) reach the payload decoders; each must answer
+    // `Ok` or `Err`, never panic. `bare` drops the envelope header so
+    // the header decode itself sees garbage; `steer` folds the first
+    // payload byte into the tag range so most cases get past the
+    // variant tag; a nonzero `zeros` mask clears bytes so embedded
+    // length prefixes often read as plausible sizes (≤ 16 MiB, yet
+    // past the buffer's end) instead of tripping the size cap.
+    #[test]
+    fn decoders_never_panic_on_checksummed_garbage(
+        ids in any::<[u64; 5]>(),
+        party_tag in 0u8..4,
+        payload in prop::collection::vec(any::<u8>(), 0..=64),
+        steer in any::<bool>(),
+        bare in 0u8..8,
+        zeros in (any::<u64>(), any::<bool>()).prop_map(|(m, on)| if on { m } else { 0 }),
+    ) {
+        use ppms_core::{FrameDecoder, GateRequest, GateResponse};
+
+        let mut payload = payload;
+        for (i, b) in payload.iter_mut().enumerate() {
+            if zeros >> i & 1 == 1 {
+                *b = 0;
+            }
+        }
+
+        let mut body = Vec::with_capacity(41 + payload.len());
+        for id in ids {
+            body.extend_from_slice(&id.to_be_bytes());
+        }
+        body.push(party_tag);
+        body.extend_from_slice(&payload);
+        if steer && !payload.is_empty() {
+            body[41] %= 24;
+        }
+        if bare == 0 {
+            body = payload;
+        }
+        let frame = checksummed_frame(&body);
+
+        let mut dec = FrameDecoder::default();
+        dec.push(&frame);
+        let got = dec.next_frame().expect("prefix is valid").expect("frame is whole");
+        prop_assert_eq!(got, &frame[..]);
+        let _ = Envelope::<GateRequest>::from_bytes(got);
+        let _ = Envelope::<GateResponse>::from_bytes(got);
+        let _ = Envelope::<MaRequest>::from_bytes(got);
+        let _ = Envelope::<MaResponse>::from_bytes(got);
+        let _ = Envelope::<RelayPayload>::from_bytes(got);
     }
 }

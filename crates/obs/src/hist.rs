@@ -61,19 +61,13 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one sample. Under the `no-op` feature this compiles to
-    /// nothing: the paper-figure benches must not pay even the atomics.
+    /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        #[cfg(not(feature = "no-op"))]
-        {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(feature = "no-op")]
-        let _ = value;
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Samples recorded so far.
@@ -219,7 +213,7 @@ impl HistSnapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "no-op")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

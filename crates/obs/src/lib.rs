@@ -23,18 +23,14 @@
 //!   snapshot to a JSON artifact when a worker panics or the chaos
 //!   harness detects divergence.
 //!
-//! # The `no-op` feature and the runtime switch
+//! # The runtime switch
 //!
-//! With the `no-op` cargo feature, the *timing* surface — clock reads
-//! in [`Timed`], histogram recording, flight-recorder events —
-//! compiles to inert stubs, so the paper-figure benches run
-//! uncontaminated. Counters and gauges stay real in both
-//! configurations: Table I / Table II correctness depends on them,
+//! [`set_enabled`]`(false)` turns the *timing* surface — clock reads
+//! in [`Timed`] and causal spans — off at runtime (one relaxed bool
+//! load per span). The `obs_overhead` bench uses it to measure
+//! instrumented-vs-dark inside one binary. Counters and gauges stay
+//! live either way: Table I / Table II correctness depends on them,
 //! and a relaxed `fetch_add` costs a few nanoseconds.
-//!
-//! Orthogonally, [`set_enabled`]`(false)` turns timing off at runtime
-//! (one relaxed bool load per span). The `obs_overhead` bench uses it
-//! to measure instrumented-vs-dark inside one binary.
 
 #![forbid(unsafe_code)]
 
@@ -331,26 +327,18 @@ pub fn global() -> &'static Registry {
 }
 
 /// Runtime switch for the timing surface (spans and the [`timed!`]
-/// paths). On by default; compiled permanently off under `no-op`.
+/// paths). On by default.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns span timing on or off at runtime. A no-op under the `no-op`
-/// feature (timing is compiled out there).
+/// Turns span timing on or off at runtime.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether span timing is live (always `false` under `no-op`).
+/// Whether span timing is live.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "no-op")]
-    {
-        false
-    }
-    #[cfg(not(feature = "no-op"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,32 +347,19 @@ pub fn enabled() -> bool {
 
 /// RAII span guard: measures the nanoseconds between construction and
 /// drop on the monotonic clock and records them into a histogram.
-/// Under `no-op` (or with [`set_enabled`]`(false)`) construction reads
-/// no clock and drop records nothing.
+/// With [`set_enabled`]`(false)` construction reads no clock and drop
+/// records nothing.
 #[derive(Debug)]
 pub struct Timed<'a> {
-    #[cfg(not(feature = "no-op"))]
     live: Option<(&'a Histogram, std::time::Instant)>,
-    #[cfg(feature = "no-op")]
-    _marker: std::marker::PhantomData<&'a Histogram>,
 }
 
 impl<'a> Timed<'a> {
     /// Starts a span recording into `hist` on drop.
     #[inline]
     pub fn new(hist: &'a Histogram) -> Timed<'a> {
-        #[cfg(not(feature = "no-op"))]
-        {
-            Timed {
-                live: enabled().then(|| (hist, std::time::Instant::now())),
-            }
-        }
-        #[cfg(feature = "no-op")]
-        {
-            let _ = hist;
-            Timed {
-                _marker: std::marker::PhantomData,
-            }
+        Timed {
+            live: enabled().then(|| (hist, std::time::Instant::now())),
         }
     }
 }
@@ -392,7 +367,6 @@ impl<'a> Timed<'a> {
 impl Drop for Timed<'_> {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(not(feature = "no-op"))]
         if let Some((hist, start)) = self.live.take() {
             hist.record(start.elapsed().as_nanos() as u64);
         }
@@ -404,28 +378,15 @@ impl Drop for Timed<'_> {
 /// histograms named at runtime) rather than borrowed from a cache.
 #[derive(Debug)]
 pub struct TimedOwned {
-    #[cfg(not(feature = "no-op"))]
     live: Option<(Arc<Histogram>, std::time::Instant)>,
-    #[cfg(feature = "no-op")]
-    _marker: std::marker::PhantomData<()>,
 }
 
 impl TimedOwned {
     /// Starts a span recording into `hist` on drop.
     #[inline]
     pub fn new(hist: Arc<Histogram>) -> TimedOwned {
-        #[cfg(not(feature = "no-op"))]
-        {
-            TimedOwned {
-                live: enabled().then(|| (hist, std::time::Instant::now())),
-            }
-        }
-        #[cfg(feature = "no-op")]
-        {
-            let _ = hist;
-            TimedOwned {
-                _marker: std::marker::PhantomData,
-            }
+        TimedOwned {
+            live: enabled().then(|| (hist, std::time::Instant::now())),
         }
     }
 }
@@ -433,7 +394,6 @@ impl TimedOwned {
 impl Drop for TimedOwned {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(not(feature = "no-op"))]
         if let Some((hist, start)) = self.live.take() {
             hist.record(start.elapsed().as_nanos() as u64);
         }
@@ -459,7 +419,7 @@ macro_rules! timed {
 }
 
 /// Bumps a global-registry counter, resolving (and caching) the
-/// handle once per call site. Counters stay live under `no-op`.
+/// handle once per call site. Counters stay live with timing off.
 #[macro_export]
 macro_rules! count {
     ($name:expr) => {
@@ -480,7 +440,6 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_always_count() {
-        // Live in both feature configurations by design.
         let r = Registry::new();
         let c = r.counter("c");
         c.inc();
@@ -503,7 +462,6 @@ mod tests {
         assert_eq!(r.snapshot().counter("x"), 2);
     }
 
-    #[cfg(not(feature = "no-op"))]
     #[test]
     fn spans_follow_runtime_switch() {
         // One test owns the global ENABLED toggle (parallel tests
@@ -523,22 +481,6 @@ mod tests {
         assert_eq!(h.snapshot().count, 1, "dark span records nothing");
     }
 
-    #[cfg(feature = "no-op")]
-    #[test]
-    fn noop_build_records_nothing_timed() {
-        let r = Registry::new();
-        let h = r.histogram("span");
-        {
-            let _t = Timed::new(&h);
-        }
-        h.record(42);
-        assert!(!enabled());
-        assert_eq!(h.snapshot().count, 0);
-        // Counters still count (Table I/II correctness).
-        r.counter("c").inc();
-        assert_eq!(r.snapshot().counter("c"), 1);
-    }
-
     #[test]
     fn snapshot_json_shape() {
         let r = Registry::new();
@@ -548,7 +490,6 @@ mod tests {
         let json = r.snapshot().to_json();
         assert!(json.contains("\"a\":3"));
         assert!(json.contains("\"g\":-1"));
-        #[cfg(not(feature = "no-op"))]
         assert!(json.contains("\"count\":1"));
     }
 
@@ -567,11 +508,8 @@ mod tests {
         assert_eq!(m.counter("c"), 7);
         assert_eq!(m.counter("only-b"), 1);
         assert_eq!(m.gauge("g"), 7);
-        #[cfg(not(feature = "no-op"))]
-        {
-            let h = m.histogram("h").expect("merged");
-            assert_eq!(h.count, 2);
-            assert_eq!(h.max, 1 << 30);
-        }
+        let h = m.histogram("h").expect("merged");
+        assert_eq!(h.count, 2);
+        assert_eq!(h.max, 1 << 30);
     }
 }

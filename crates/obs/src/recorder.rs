@@ -35,9 +35,8 @@ static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A bounded ring buffer of [`Event`]s. Recording is a short
 /// mutex-guarded push (the ring is per-shard, so there is no
-/// cross-worker contention); under the `no-op` feature it is inert.
+/// cross-worker contention).
 #[derive(Debug)]
-#[cfg_attr(feature = "no-op", allow(dead_code))]
 pub struct FlightRecorder {
     name: String,
     capacity: usize,
@@ -63,28 +62,21 @@ impl FlightRecorder {
         &self.name
     }
 
-    /// Records one event. `detail` is a closure so that call sites pay
-    /// its formatting cost only when the recorder is live (under
-    /// `no-op` the closure is never invoked).
+    /// Records one event, evicting the oldest once the ring is full.
     #[inline]
     pub fn record(&self, trace_id: u64, label: &'static str, detail: impl FnOnce() -> String) {
-        #[cfg(not(feature = "no-op"))]
-        {
-            let event = Event {
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                at_micros: self.epoch.elapsed().as_micros() as u64,
-                trace_id,
-                label,
-                detail: detail(),
-            };
-            let mut ring = self.ring.lock();
-            if ring.len() == self.capacity {
-                ring.pop_front();
-            }
-            ring.push_back(event);
+        let event = Event {
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            at_micros: self.epoch.elapsed().as_micros() as u64,
+            trace_id,
+            label,
+            detail: detail(),
+        };
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
         }
-        #[cfg(feature = "no-op")]
-        let _ = (trace_id, label, detail);
+        ring.push_back(event);
     }
 
     /// Events currently held (≤ capacity).
@@ -159,7 +151,7 @@ impl FlightRecorder {
     }
 }
 
-#[cfg(all(test, not(feature = "no-op")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

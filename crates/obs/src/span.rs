@@ -34,15 +34,13 @@
 //! ring as a begin without a matching complete, which is exactly what
 //! the flight-recorder crash dump wants to show.
 //!
-//! # `no-op` and the runtime switch
+//! # The runtime switch
 //!
-//! [`SpanContext`] is plain data and stays live in every
-//! configuration. The [`Span`] guard compiles to a context
-//! passthrough under the `no-op` feature (no clock, no ring, no
-//! allocation — the alloc-counter test pins this), and obeys
-//! [`crate::set_enabled`] at runtime in the live build.
+//! [`SpanContext`] is plain data and always propagates. The [`Span`]
+//! guard obeys [`crate::set_enabled`]: switched off, it is a context
+//! passthrough (no clock, no ring, no allocation — the alloc-counter
+//! test pins this).
 
-#[cfg(not(feature = "no-op"))]
 use crate::json::escape;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,8 +75,8 @@ impl SpanContext {
         self.trace_id == 0 && self.span_id == 0
     }
 
-    /// A context carrying a trace id alone (legacy v3/v2 peers: the
-    /// trace propagates, span parentage starts fresh on this side).
+    /// A context carrying a trace id alone (a caller with no span of
+    /// its own: the trace propagates, span parentage starts fresh).
     pub fn from_trace(trace_id: u64) -> SpanContext {
         SpanContext {
             trace_id,
@@ -115,10 +113,9 @@ pub struct SpanEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Live implementation
+// The span ring
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "no-op"))]
 mod live {
     use super::*;
     use parking_lot::RwLock;
@@ -286,14 +283,13 @@ mod live {
 
 /// RAII causal-span guard. Construction mints a child [`SpanContext`]
 /// and writes a begin record into the ring; drop writes the complete
-/// record with the measured duration. With spans disabled (the
-/// `no-op` feature, or [`crate::set_enabled`]`(false)`) the guard is a
-/// pure context passthrough: the trace id still propagates, nothing
+/// record with the measured duration. With spans disabled
+/// ([`crate::set_enabled`]`(false)`) the guard is a pure context
+/// passthrough: the trace id still propagates, nothing
 /// is minted or recorded and nothing allocates.
 #[derive(Debug)]
 pub struct Span {
     ctx: SpanContext,
-    #[cfg(not(feature = "no-op"))]
     live: Option<(u32, u64, std::time::Instant)>,
 }
 
@@ -308,7 +304,6 @@ impl Span {
         Span::start(name, parent)
     }
 
-    #[cfg(not(feature = "no-op"))]
     fn start(name: &'static str, parent: SpanContext) -> Span {
         if !crate::enabled() {
             return Span {
@@ -330,12 +325,6 @@ impl Span {
         }
     }
 
-    #[cfg(feature = "no-op")]
-    fn start(name: &'static str, parent: SpanContext) -> Span {
-        let _ = name;
-        Span { ctx: parent }
-    }
-
     /// This span's context — what children and wire envelopes carry.
     pub fn ctx(&self) -> SpanContext {
         self.ctx
@@ -345,7 +334,6 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(not(feature = "no-op"))]
         if let Some((name_id, ts, started)) = self.live.take() {
             live::ring_record(
                 self.ctx,
@@ -363,16 +351,8 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 
 /// Every decodable span record currently in the ring, oldest first.
-/// Empty under the `no-op` feature.
 pub fn span_events() -> Vec<SpanEvent> {
-    #[cfg(not(feature = "no-op"))]
-    {
-        live::decode_ring()
-    }
-    #[cfg(feature = "no-op")]
-    {
-        Vec::new()
-    }
+    live::decode_ring()
 }
 
 /// The ring's records for one trace, oldest first.
@@ -386,7 +366,6 @@ pub fn trace_events(trace_id: u64) -> Vec<SpanEvent> {
 /// spans are `ph:"X"` complete events; in-flight spans are `ph:"B"`
 /// begins. Load the concatenated lines (wrapped in `[...]` or as-is —
 /// the viewer accepts both) into `chrome://tracing` / Perfetto.
-#[cfg(not(feature = "no-op"))]
 fn event_json(e: &SpanEvent) -> String {
     let args = format!(
         "\"args\":{{\"trace_id\":\"{:#018x}\",\"span_id\":{},\"parent_id\":{}}}",
@@ -412,58 +391,31 @@ fn event_json(e: &SpanEvent) -> String {
 }
 
 /// Exports one trace's causal tree as Chrome `trace_event` JSONL —
-/// one event object per line. Empty string under `no-op`.
+/// one event object per line.
 pub fn export_trace_jsonl(trace_id: u64) -> String {
-    #[cfg(not(feature = "no-op"))]
-    {
-        let mut out = String::new();
-        for e in trace_events(trace_id) {
-            out.push_str(&event_json(&e));
-            out.push('\n');
-        }
-        out
+    let mut out = String::new();
+    for e in trace_events(trace_id) {
+        out.push_str(&event_json(&e));
+        out.push('\n');
     }
-    #[cfg(feature = "no-op")]
-    {
-        let _ = trace_id;
-        String::new()
-    }
+    out
 }
 
 /// A compact JSON array of the ring's most recent `limit` records —
 /// what the flight-recorder crash dump embeds so a post-mortem shows
-/// the spans (including in-flight ones) around the failure. `[]`
-/// under `no-op`.
+/// the spans (including in-flight ones) around the failure.
 pub fn spans_dump_json(limit: usize) -> String {
-    #[cfg(not(feature = "no-op"))]
-    {
-        let events = span_events();
-        let skip = events.len().saturating_sub(limit);
-        dump_cells(events.iter().skip(skip))
-    }
-    #[cfg(feature = "no-op")]
-    {
-        let _ = limit;
-        "[]".to_string()
-    }
+    let events = span_events();
+    let skip = events.len().saturating_sub(limit);
+    dump_cells(events.iter().skip(skip))
 }
 
 /// Like [`spans_dump_json`] but restricted to one trace — what a
-/// slow-request log entry embeds as the request's causal tree. `[]`
-/// under `no-op`.
+/// slow-request log entry embeds as the request's causal tree.
 pub fn trace_dump_json(trace_id: u64) -> String {
-    #[cfg(not(feature = "no-op"))]
-    {
-        dump_cells(trace_events(trace_id).iter())
-    }
-    #[cfg(feature = "no-op")]
-    {
-        let _ = trace_id;
-        "[]".to_string()
-    }
+    dump_cells(trace_events(trace_id).iter())
 }
 
-#[cfg(not(feature = "no-op"))]
 fn dump_cells<'a>(events: impl Iterator<Item = &'a SpanEvent>) -> String {
     let cells: Vec<String> = events
         .map(|e| {
@@ -500,7 +452,6 @@ mod tests {
         assert_ne!(next_span_id(), next_span_id());
     }
 
-    #[cfg(not(feature = "no-op"))]
     #[test]
     fn spans_form_a_tree_in_the_ring() {
         let trace = 0xABCD_0000_0000_0001;
@@ -537,7 +488,6 @@ mod tests {
         assert!(jsonl.contains("test.grandchild"));
     }
 
-    #[cfg(not(feature = "no-op"))]
     #[test]
     fn in_flight_span_appears_in_dump() {
         let trace = 0xABCD_0000_0000_0002;
@@ -551,31 +501,18 @@ mod tests {
 
     #[test]
     fn disabled_spans_pass_context_through() {
-        // Under no-op this is the only behavior; under the live build
-        // it must hold whenever the runtime switch is off. Exercised
-        // here via an explicit parent, not the global toggle (other
-        // tests own that).
+        // The trace id and the parent link always pass through. With
+        // the runtime switch off the child *is* the parent context;
+        // `tests/span_alloc.rs` pins that in its own binary, since
+        // flipping the global toggle here would race the ring tests.
         let parent = SpanContext {
             trace_id: 42,
             span_id: 9,
             parent_id: 3,
         };
-        #[cfg(feature = "no-op")]
-        {
-            let child = Span::child("x", parent);
-            assert_eq!(child.ctx(), parent, "no-op passes the context through");
-            let root = Span::root("y", 42);
-            assert_eq!(root.ctx(), SpanContext::from_trace(42));
-            assert!(span_events().is_empty());
-            assert_eq!(export_trace_jsonl(42), "");
-            assert_eq!(spans_dump_json(10), "[]");
-        }
-        #[cfg(not(feature = "no-op"))]
-        {
-            let child = Span::child("test.live", parent);
-            assert_eq!(child.ctx().trace_id, 42);
-            assert_eq!(child.ctx().parent_id, 9);
-            assert_ne!(child.ctx().span_id, 0);
-        }
+        let child = Span::child("test.live", parent);
+        assert_eq!(child.ctx().trace_id, 42);
+        assert_eq!(child.ctx().parent_id, 9);
+        assert_ne!(child.ctx().span_id, 0);
     }
 }

@@ -3,8 +3,6 @@
 //! stream across any number of shard registries merges back to
 //! exactly the single-registry run.
 
-#![cfg(not(feature = "no-op"))]
-
 use ppms_obs::{bucket_index, Histogram, Registry, Snapshot};
 use proptest::prelude::*;
 

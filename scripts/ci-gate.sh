@@ -14,61 +14,38 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> no-op observability config still compiles"
-# The virtual workspace root forbids --features; gate each crate that
-# forwards the flag so a cfg-gated stub can never rot unbuilt.
-for crate in ppms-obs ppms-bigint ppms-crypto ppms-ecash ppms-core ppms-bench ppms-integration; do
-    cargo build -p "$crate" --features no-op --quiet
-done
-# Also proves the no-op feature compiles the span machinery down to
-# zero-cost stubs (span_alloc's allocation-counter tests run here).
-cargo test -p ppms-obs --features no-op -q
-
 echo "==> observability layer (registry, histograms, percentile accuracy, merge laws)"
 cargo test -p ppms-obs -q
 
-echo "==> wire protocol property tests (v3 + legacy v2 frames, split reassembly)"
+echo "==> wire protocol property tests (v4 frames, foreign versions refused, split reassembly)"
 cargo test -p ppms-core --test wire_props -q
-cargo test -p ppms-core --features no-op --test wire_props -q
 
 echo "==> tcp front door (admission gate, eviction, shedding) + transport equivalence"
-# Both feature configs: the reactor leans on obs counters for its
-# shed/evict decisions' observability, so the no-op build must drive
-# the same loopback sockets. transport_equivalence includes the
-# batching-equivalence harness: batched concurrent interleavings
+# transport_equivalence includes the batching-equivalence harness: batched concurrent interleavings
 # (cheater + same-key retransmit in-batch) ≡ sequential ledgers.
 cargo test -p ppms-integration --test tcp_front_door --test transport_equivalence -q
-cargo test -p ppms-integration --features no-op --test tcp_front_door --test transport_equivalence -q
 
 echo "==> zero-copy hot path: warmed frame decode+dispatch+reply allocates nothing"
-# Counting-allocator proof for the reactor's per-frame path, in both
-# feature configs (the no-op build must not hide an obs allocation).
+# Counting-allocator proof for the reactor's per-frame path.
 cargo test -p ppms-core --test frame_alloc -q
-cargo test -p ppms-core --features no-op --test frame_alloc -q
 
 echo "==> loopback TCP smoke (throughput bench correctness gates + simnet/tcp ledger equality)"
 cargo bench -p ppms-bench --bench tcp_front_door -- --test >/dev/null
-cargo bench -p ppms-bench --features no-op --bench tcp_front_door -- --test >/dev/null
 
 echo "==> chaos harness (fault injection + shard-crash supervision)"
 cargo test -p ppms-integration --test chaos -q
 cargo test -p ppms-core --lib -q service::tests::crashed_shard_is_respawned_and_retry_succeeds
 
 echo "==> durable storage tier (crash matrix, compaction bound, disk-backed restart)"
-# Both feature configs: the WAL leans on obs counters/gauges for its
-# instruments, so the no-op build must drive the same recovery paths.
 # The disk-backed smoke inside the suite is tempdir-hermetic (it
 # creates and removes its own directory under the system tempdir).
 cargo test -p ppms-integration --test recovery -q
-cargo test -p ppms-integration --features no-op --test recovery -q
 
 echo "==> recovery bench smoke (replay-length + fsync-discipline gates)"
 cargo bench -p ppms-bench --bench recovery -- --test >/dev/null
-cargo bench -p ppms-bench --features no-op --bench recovery -- --test >/dev/null
 
 echo "==> open-loop load harness smoke (latency accounting + batching + ledger gates)"
-# Both feature configs; the default-config output is additionally
-# grepped: cross-client batching must actually engage (mean batch
+# The output is grepped: cross-client batching must actually engage (mean batch
 # size > 1 under load) and the ledger-conservation line must hold.
 load_out=$(cargo bench -p ppms-bench --bench load_curve -- --test 2>&1) || {
     echo "$load_out"
@@ -85,7 +62,6 @@ awk -v m="${mean_batch:-0}" 'BEGIN { exit !(m > 1.0) }' || {
     echo "$load_out"
     exit 1
 }
-cargo bench -p ppms-bench --features no-op --bench load_curve -- --test >/dev/null
 
 echo "==> committed bench artifacts carry their schema (BENCH_*.json at the repo root)"
 check_keys() {
@@ -101,7 +77,7 @@ check_keys() {
 check_keys BENCH_load.json calibrated_capacity_per_sec knee_per_sec \
     peak_achieved_per_sec mean_batch_size mean_batch_size_under_load \
     p50_ns p99_ns p999_ns ops_scrape
-check_keys BENCH_tcp.json requests_per_sec p50_ns p99_ns
+check_keys BENCH_tcp.json requests_per_sec p50_ns p99_ns smoke served
 check_keys BENCH_recovery.json policy recover_ms replayed
 check_keys BENCH_batch.json batch_item_us seq_item_us speedup
 check_keys BENCH_fixed.json straus_us pippenger_us
@@ -138,18 +114,13 @@ cargo test -p ppms-crypto --test props -q
 cargo test -p ppms-ecash --lib -q batch::
 
 echo "==> fixed-width core: FpMont = plain-reference equivalence (exact + padded widths) + zero-allocation proof"
-# Both feature configs: the obs spans sit on the routed hot paths, so
-# the no-op config must exercise the same dispatch.
 cargo test -p ppms-bigint --test fixed_props --test alloc_free -q
-cargo test -p ppms-bigint --features no-op --test fixed_props --test alloc_free -q
 
 echo "==> batch_verify bench smoke (correctness pass, no timing gates)"
 cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
-cargo bench -p ppms-bench --features no-op --bench batch_verify -- --test >/dev/null
 
 echo "==> fixed-width ablation bench smoke (Straus = Pippenger verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
-cargo bench -p ppms-bench --features no-op --bench ablation_fixed -- --test >/dev/null
 
 echo "==> cargo test"
 cargo test --workspace -q

@@ -373,7 +373,6 @@ fn disk_backed_front_door_survives_restart() {
 /// each `WalRecord::Begin` survives the crash, so recovery replay
 /// re-attributes every replayed entry to the *originating* trace id —
 /// a post-crash flight recorder reads like the pre-crash one.
-#[cfg(not(feature = "no-op"))]
 #[test]
 fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     use ppms_core::next_request_id;

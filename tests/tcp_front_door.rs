@@ -17,6 +17,7 @@ use ppms_core::{
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,6 +140,76 @@ fn unadmitted_requests_never_reach_a_shard() {
         after.counter("ma.dedup.hits")
     );
     assert!(after.counter("gate.challenges") >= 2);
+
+    drop(door);
+    svc.shutdown();
+}
+
+/// A frame at a retired wire version (v3: trace id but no span ids),
+/// built by hand from a current frame so its length prefix and FNV
+/// trailer are honest — only the version is wrong.
+fn v3_frame(party: Party, msg_id: u64, payload: &GateRequest) -> Vec<u8> {
+    let v4 = gate_frame(party, msg_id, payload);
+    // v4 body: msg_id, correlation_id, trace_id, span_id, parent_id
+    // (8 bytes each), party, payload. v3 omits span_id and parent_id.
+    let v4_body = &v4[6..v4.len() - 8];
+    let mut body = v4_body[..24].to_vec();
+    body.extend_from_slice(&v4_body[40..]);
+    let mut frame = 3u16.to_be_bytes().to_vec();
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&ppms_core::wire::fnv1a(&body).to_be_bytes());
+    frame
+}
+
+#[test]
+fn retired_frame_versions_are_refused_at_the_door() {
+    let svc = spawn_service(0xD00B, 1, 64);
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let before = door.obs_snapshot();
+
+    // The v3 peer gets no reply: the door drops the connection.
+    let mut raw = TcpStream::connect(door.addr()).expect("loopback connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(&v3_frame(Party::Sp, next_request_id(), &GateRequest::Hello))
+        .expect("send v3 frame");
+    let mut reply = Vec::new();
+    match raw.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("the door must close a v3 connection, not leave it open: {e}"),
+    }
+    assert!(reply.is_empty(), "a v3 frame was answered: {reply:?}");
+    let after = door.obs_snapshot();
+    assert_eq!(
+        after.counter("tcp.bad_frames") - before.counter("tcp.bad_frames"),
+        1,
+        "the v3 frame counts as one bad frame"
+    );
+
+    // A current client on another connection is still served.
+    let mut conn = gate_conn(door.addr());
+    let token = match ask(&mut conn, Party::Sp, &GateRequest::Hello) {
+        GateResponse::Admitted { token, .. } => token,
+        other => panic!("open door must admit, got {other:?}"),
+    };
+    assert!(matches!(
+        ask(
+            &mut conn,
+            Party::Sp,
+            &GateRequest::App {
+                token,
+                request: MaRequest::RegisterSpAccount,
+            },
+        ),
+        GateResponse::App(MaResponse::Account(_))
+    ));
+    assert_eq!(door.obs_snapshot().counter("tcp.reactor_panics"), 0);
 
     drop(door);
     svc.shutdown();
@@ -568,9 +639,8 @@ fn slow_requests_land_in_the_slow_log_with_their_span_tree() {
     assert!(body.contains("\"trace_id\""), "{body}");
     assert!(body.contains("\"elapsed_ns\""), "{body}");
     assert!(body.contains("\"spans\""), "{body}");
-    // In the live build the logged tree includes the server-side spans
-    // of the slow request (the no-op build logs an empty tree).
-    #[cfg(not(feature = "no-op"))]
+    // The logged tree includes the server-side spans of the slow
+    // request.
     assert!(
         body.contains("shard.handle"),
         "slow-log entries must carry the request's span tree: {body}"
@@ -586,7 +656,7 @@ fn slow_requests_land_in_the_slow_log_with_their_span_tree() {
     let snap = door.obs_snapshot();
     assert!(snap.counter("tcp.slow_requests") >= 7);
     assert!(
-        snap.histogram("tcp.request_ns").is_some() || cfg!(feature = "no-op"),
+        snap.histogram("tcp.request_ns").is_some(),
         "request latencies recorded"
     );
 

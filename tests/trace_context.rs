@@ -151,7 +151,6 @@ fn one_trace_survives_lossy_retransmission() {
 /// One decoded `(name, span_id, parent_id)` triple per exported
 /// trace-event line. The exporter's format is fixed (hand-rolled JSON
 /// in `ppms-obs`), so positional parsing is stable.
-#[cfg(not(feature = "no-op"))]
 fn parse_jsonl(jsonl: &str) -> Vec<(String, u64, u64)> {
     fn field_u64(line: &str, key: &str) -> u64 {
         let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
@@ -187,7 +186,6 @@ fn parse_jsonl(jsonl: &str) -> Vec<(String, u64, u64)> {
 /// read/reply → gate → shard handler → WAL append → fsync. The first
 /// attempt dies because the reactor itself panics on the trace (the
 /// chaos hook), which also proves the reactor's dump-and-resume path.
-#[cfg(not(feature = "no-op"))]
 #[test]
 fn exported_jsonl_trace_shows_the_causal_tree_of_a_retried_deposit() {
     const TRACE: u64 = 0x7C0F_FEE0_0000_0001;

@@ -87,33 +87,10 @@ fn tcp_over_flaky_loopback_behind_retry_converges() {
                 seed: 0xF1AC,
             }),
             retry: true,
-            ..TcpEquivConfig::default()
         }),
         2,
     );
     assert_eq!(expected, flaky);
-}
-
-// Mixed-version interop at the market level: a fleet of clients
-// pinned to the previous wire versions (v3 carries the trace id but
-// no span ids; legacy v2 not even the trace id) drives the same
-// market through the v4 front door. Degraded observability must be
-// the *only* difference — the audited ledger stays identical.
-#[test]
-fn older_wire_version_clients_produce_identical_ledgers() {
-    use ppms_core::wire::{WIRE_VERSION_V2, WIRE_VERSION_V3};
-
-    let expected = run(TransportKind::InProc, 2);
-    for version in [WIRE_VERSION_V3, WIRE_VERSION_V2] {
-        let outcome = run(
-            TransportKind::Tcp(TcpEquivConfig {
-                wire_version: Some(version),
-                ..TcpEquivConfig::default()
-            }),
-            2,
-        );
-        assert_eq!(expected, outcome, "v{version} clients vs v4 server");
-    }
 }
 
 #[test]
