@@ -26,8 +26,9 @@
 //! non-blocking TCP front door and its client transport) and [`gate`]
 //! (402-style admission control priced in the market's own e-cash) —
 //! [`retry`] (idempotent retransmission with backoff and a circuit
-//! breaker), [`wal`] (the per-shard write-ahead journal behind crash
-//! recovery), [`storage`] (the durable tier: on-disk segment WAL,
+//! breaker), [`wal`] (the write-ahead journal's records and replay
+//! rules behind crash recovery), [`storage`] (the storage tier: the
+//! segment WAL every service journals to, on disk or in memory,
 //! checkpoints, compaction and the crash-matrix fault models behind
 //! cold-start recovery), [`metrics`] (operation counts → paper Table I;
 //! fault-tolerance counters — both thin views over the `ppms-obs`
@@ -83,5 +84,5 @@ pub use transport::{
     next_request_id, next_trace_id, FaultPlan, InProcTransport, SimNetConfig, SimNetTransport,
     TrafficLog, Transport,
 };
-pub use wal::{ShardWal, WalRecord};
+pub use wal::WalRecord;
 pub use wire::{Envelope, RelayPayload, WireDecode, WireEncode, WireError};

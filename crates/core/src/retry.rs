@@ -33,7 +33,7 @@
 use crate::error::MarketError;
 use crate::metrics::{FaultMetrics, Party};
 use crate::service::{MaRequest, MaResponse};
-use crate::transport::{next_trace_id, Transport};
+use crate::transport::Transport;
 use parking_lot::Mutex;
 use ppms_obs::{Counter, Gauge, Histogram, Span, SpanContext};
 use rand::rngs::StdRng;
@@ -223,27 +223,6 @@ impl RetryingTransport {
 }
 
 impl Transport for RetryingTransport {
-    fn round_trip_keyed(
-        &self,
-        from: Party,
-        request_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        // One trace id per *logical* call, minted here so every
-        // attempt below shares it.
-        self.round_trip_traced(from, request_id, next_trace_id(), request)
-    }
-
-    fn round_trip_traced(
-        &self,
-        from: Party,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_spanned(from, request_id, SpanContext::from_trace(trace_id), request)
-    }
-
     fn round_trip_spanned(
         &self,
         from: Party,
@@ -326,10 +305,11 @@ mod tests {
     }
 
     impl Transport for FlakyTransport {
-        fn round_trip_keyed(
+        fn round_trip_spanned(
             &self,
             _from: Party,
             request_id: u64,
+            _ctx: SpanContext,
             _request: MaRequest,
         ) -> Result<MaResponse, MarketError> {
             self.seen_ids.lock().push(request_id);
@@ -346,10 +326,11 @@ mod tests {
     struct FixedErrTransport(fn() -> MarketError);
 
     impl Transport for FixedErrTransport {
-        fn round_trip_keyed(
+        fn round_trip_spanned(
             &self,
             _from: Party,
             _request_id: u64,
+            _ctx: SpanContext,
             _request: MaRequest,
         ) -> Result<MaResponse, MarketError> {
             Err((self.0)())

@@ -28,9 +28,13 @@
 //!   (same coin leaf under a *fresh* key) is still caught by the DEC
 //!   bank.
 //! * **Write-ahead journaling.** A shard appends a
-//!   [`WalRecord::Begin`] before executing and a `Commit` after, so
-//!   its private state (nonce high-water marks, labor, data reports,
-//!   the idempotency cache) can be rebuilt after a crash.
+//!   [`WalRecord::Begin`] to the service's [`DurableLog`] before
+//!   executing and a `Commit` after, so its private state (nonce
+//!   high-water marks, labor, data reports, the idempotency cache) can
+//!   be rebuilt after a crash. The log sits on the caller's storage
+//!   ([`MaService::spawn_durable`]) or on an in-process
+//!   [`SimStorage`] ([`MaService::spawn_with_config`]), whose bytes
+//!   outlive any worker thread.
 //! * **Supervision.** The dispatcher doubles as supervisor: when a
 //!   send to a shard fails (the worker panicked or was
 //!   crash-injected), it joins the corpse, respawns the worker over
@@ -47,13 +51,13 @@ use crate::gate::GateCheckpoint;
 use crate::metrics::{FaultMetrics, Party};
 use crate::retry::{RetryPolicy, RetryingTransport};
 use crate::storage::{
-    load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SnapshotState,
-    StorageError,
+    load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SimStorage,
+    SnapshotState, StorageError,
 };
 use crate::transport::{
     request_label, FaultPlan, InProcTransport, SimNetConfig, SimNetTransport, TrafficLog, Transport,
 };
-use crate::wal::{CommittedEntry, ShardWal, WalRecord, WalReplay};
+use crate::wal::{CommittedEntry, WalRecord};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use ppms_bigint::BigUint;
@@ -353,6 +357,9 @@ pub struct MaService {
     /// The live shard inboxes (shared with the dispatcher, which
     /// refreshes them on respawn) — what a [`ShardRouter`] sends into.
     shard_txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
+    /// Set by the dispatcher while a checkpoint runs (see
+    /// [`ShardRouter`]).
+    routes_paused: Arc<AtomicBool>,
     /// Queue-depth gauges, one per shard, for direct routers.
     queue_gauges: Vec<Arc<ppms_obs::Gauge>>,
     n_shards: usize,
@@ -366,9 +373,12 @@ pub struct MaService {
 /// disconnected shard queue, a `Shutdown`, a not-yet-spawned shard —
 /// is handed back for the supervised inbox path, where the dispatcher
 /// still owns respawn and backpressure. Sharing `shard_txs` with the
-/// dispatcher keeps direct routes valid across worker respawns.
+/// dispatcher keeps direct routes valid across worker respawns. While
+/// a checkpoint runs the router places nothing: a request reaching a
+/// shard behind the checkpoint's barrier would fall outside the cut.
 pub struct ShardRouter {
     txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
+    paused: Arc<AtomicBool>,
     gauges: Vec<Arc<ppms_obs::Gauge>>,
     n_shards: usize,
     rr: usize,
@@ -388,9 +398,12 @@ impl ShardRouter {
             return Err(inbound);
         }
         let idx = route(inbound.key, &inbound.request, self.n_shards, &mut self.rr);
-        let tx = match self.txs.lock().get(idx) {
-            Some(tx) => tx.clone(),
-            None => return Err(inbound), // still spawning
+        // Send under the lock: the dispatcher raises `paused` under
+        // it too, so once a checkpoint starts no send is mid-flight.
+        let txs = self.txs.lock();
+        let tx = match txs.get(idx) {
+            Some(tx) if !self.paused.load(Ordering::SeqCst) => tx,
+            _ => return Err(inbound), // still spawning, or checkpointing
         };
         match tx.try_send(ShardMsg::Req(Box::new(inbound))) {
             Ok(()) => {
@@ -449,24 +462,13 @@ impl MaClient {
             .round_trip_keyed(self.party, request_id, request)
     }
 
-    /// Sends a request under explicit idempotency *and* trace ids.
-    /// Reusing both marks a retransmit that stays on the original
-    /// trace: the serving shard's flight recorder and any crash dump
-    /// show the same `trace_id` for every attempt.
-    pub fn try_call_traced(
-        &self,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.transport
-            .round_trip_traced(self.party, request_id, trace_id, request)
-    }
-
     /// Sends a request under a full causal span context: the serving
     /// side parents its own spans (reactor read, shard handle, WAL
     /// append) under `ctx`, so an exported trace shows the request's
-    /// complete tree across process boundaries.
+    /// complete tree across process boundaries. Reusing the request id
+    /// and `SpanContext::from_trace(id)` marks a retransmit that stays
+    /// on the original trace: the serving shard's flight recorder and
+    /// any crash dump show the same `trace_id` for every attempt.
     pub fn try_call_spanned(
         &self,
         request_id: u64,
@@ -832,61 +834,6 @@ impl Shard {
     }
 }
 
-/// Where a shard journals its Begin/Commit records: the in-memory
-/// per-shard [`ShardWal`] (the default), or the shared on-disk
-/// [`DurableLog`] with this shard's tag on every record. Either way
-/// the records, replay semantics and torn-tail discipline are
-/// identical — the durable tier is the same journal on media that
-/// survives the process.
-#[derive(Clone)]
-enum ShardJournal {
-    Memory(Arc<ShardWal>),
-    Durable { shard: u32, log: Arc<DurableLog> },
-}
-
-impl ShardJournal {
-    fn append(&self, record: &WalRecord, ctx: SpanContext) {
-        match self {
-            ShardJournal::Memory(wal) => wal.append(record),
-            ShardJournal::Durable { shard, log } => {
-                // An append failure here means the storage device is
-                // gone mid-flight; there is no meaningful degraded
-                // mode for a write-ahead log, so fail the worker (the
-                // supervisor respawns it, and if storage stays dead
-                // the respawn loop surfaces the error to callers).
-                log.append_spanned(*shard, record, ctx)
-                    .expect("durable journal append failed");
-            }
-        }
-    }
-
-    fn replay(&self) -> WalReplay {
-        match self {
-            ShardJournal::Memory(wal) => wal.replay().expect("shard journal must replay cleanly"),
-            ShardJournal::Durable { shard, log } => log
-                .replay_shard(*shard)
-                .expect("durable journal must replay cleanly"),
-        }
-    }
-
-    /// Group commit: after a multi-item batch, force everything the
-    /// sync policy deferred to media in **one** fsync, so one
-    /// verification batch costs one fsync (`SyncPolicy::Batch`
-    /// coordination, DESIGN.md §16). Replies are held until this
-    /// returns, which makes batched acknowledgements *durable-before-
-    /// ack* even under a deferring policy. Under `SyncPolicy::Always`
-    /// everything already synced per append and this is free; the
-    /// in-memory journal has nothing to sync at all.
-    fn group_commit(&self) {
-        match self {
-            ShardJournal::Memory(_) => {}
-            ShardJournal::Durable { log, .. } => {
-                log.flush().expect("durable journal group commit failed");
-            }
-        }
-    }
-}
-
 /// What the dispatcher sends a shard worker: a routed request, or a
 /// checkpoint barrier asking for the shard's state projection. FIFO
 /// channel order is the correctness argument: by the time the worker
@@ -930,12 +877,13 @@ fn route(key: Option<RequestKey>, request: &MaRequest, shards: usize, rr: &mut u
 /// same journal and crash bookkeeping.
 struct ShardWorker {
     shared: Arc<SharedState>,
-    journal: ShardJournal,
+    /// The service's journal, shared by every shard; this worker's
+    /// records carry `shard_idx` as their tag.
+    log: Arc<DurableLog>,
     /// Checkpointed base state: the worker starts from this
-    /// projection and replays only the journal tail on top. In memory
-    /// mode it stays empty (the journal is the whole history); in
-    /// durable mode the dispatcher swaps in each checkpoint's
-    /// projection, which is what makes log compaction sound.
+    /// projection and replays only the journal tail on top. The
+    /// dispatcher swaps in each checkpoint's projection, which is what
+    /// makes log compaction sound.
     base: Arc<Mutex<ShardSection>>,
     faults: FaultMetrics,
     /// The service registry: per-op latency, dedup hit/miss, WAL
@@ -978,11 +926,22 @@ impl ShardWorker {
         }
     }
 
+    /// Appends one of this shard's records to the journal. An append
+    /// failure means the storage device is gone mid-flight; there is
+    /// no meaningful degraded mode for a write-ahead log, so fail the
+    /// worker (the supervisor respawns it, and if storage stays dead
+    /// the respawn loop surfaces the error to callers).
+    fn journal(&self, record: &WalRecord, ctx: SpanContext) {
+        self.log
+            .append_spanned(self.shard_idx as u32, record, ctx)
+            .expect("journal append failed");
+    }
+
     fn run(self, srx: Receiver<ShardMsg>) {
-        // Recover: load the checkpointed base (durable mode; empty in
-        // memory mode), then rebuild private state and the
-        // idempotency cache from the journal tail. An undecodable
-        // journal is a bug, not a recoverable fault — fail loudly.
+        // Recover: load the checkpointed base, then rebuild private
+        // state and the idempotency cache from the journal tail. An
+        // undecodable journal is a bug, not a recoverable fault —
+        // fail loudly.
         let wal_replay_ns = self.obs.histogram("wal.replay_ns");
         let wal_append_ns = self.obs.histogram("wal.append_ns");
         let dedup_hits = self.obs.counter("ma.dedup.hits");
@@ -1001,7 +960,9 @@ impl ShardWorker {
         shard.load_base(&self.base.lock(), &mut dedup);
         let replay = {
             let _span = Timed::new(&wal_replay_ns);
-            self.journal.replay()
+            self.log
+                .replay_shard(self.shard_idx as u32)
+                .expect("shard journal must replay cleanly")
         };
         self.faults.wal_discard(replay.discarded);
         for entry in &replay.committed {
@@ -1241,7 +1202,7 @@ impl ShardWorker {
                     let _span = Timed::new(&wal_append_ns);
                     let wal_span = Span::child("wal.append", handle_span.ctx());
                     let record = WalRecord::Begin { key, span, request };
-                    self.journal.append(&record, wal_span.ctx());
+                    self.journal(&record, wal_span.ctx());
                     record
                 };
                 let WalRecord::Begin { request, .. } = record else {
@@ -1300,7 +1261,7 @@ impl ShardWorker {
                         response,
                         effects,
                     };
-                    self.journal.append(&record, wal_span.ctx());
+                    self.journal(&record, wal_span.ctx());
                     record
                 };
                 let WalRecord::Commit { response, .. } = record else {
@@ -1338,13 +1299,17 @@ impl ShardWorker {
             }
 
             // Phase 4 — group commit, then release the held replies.
-            // One fsync covers the whole batch under a deferring sync
-            // policy; a batch of one keeps the per-append policy
+            // One fsync forces everything the sync policy deferred to
+            // media (DESIGN.md §16), so one verification batch costs
+            // one fsync, and replies held until it returns make
+            // batched acknowledgements durable-before-ack even under a
+            // deferring policy (under `SyncPolicy::Always` it is
+            // free). A batch of one keeps the per-append policy
             // untouched (no forced fsync), so sequential drivers see
             // byte-identical fsync behavior to the unbatched pipeline.
             if committed > 1 {
                 let gc_span = Span::child("wal.group_commit", lead_ctx);
-                self.journal.group_commit();
+                self.log.flush().expect("journal group commit failed");
                 group_commits.inc();
                 drop(gc_span);
             }
@@ -1394,7 +1359,7 @@ pub struct RecoveryReport {
     pub segments_read: usize,
 }
 
-/// Durable-tier state owned by the dispatcher.
+/// Journal and checkpoint state owned by the dispatcher.
 struct DurableCtx {
     log: Arc<DurableLog>,
     config: DurabilityConfig,
@@ -1496,7 +1461,7 @@ fn apply_shared_effects(
 }
 
 /// The supervisor thread's state: routes requests to shards, respawns
-/// dead workers, and (in durable mode) runs the checkpoint protocol.
+/// dead workers, and runs the checkpoint protocol.
 struct Dispatcher {
     shared: Arc<SharedState>,
     faults: FaultMetrics,
@@ -1506,9 +1471,6 @@ struct Dispatcher {
     dedup_capacity: usize,
     depth: usize,
     n_shards: usize,
-    /// One journal per shard; outlives any worker incarnation so a
-    /// respawn resumes from it.
-    journals: Vec<ShardJournal>,
     /// One checkpointed base per shard, swapped at each checkpoint.
     bases: Vec<Arc<Mutex<ShardSection>>>,
     /// One crash latch per shard, shared across incarnations.
@@ -1521,8 +1483,14 @@ struct Dispatcher {
     /// routes keep working across worker respawns.
     shard_txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
     shard_handles: Vec<Option<JoinHandle<()>>>,
+    /// Shared with every [`ShardRouter`]: set while a checkpoint cuts
+    /// the market, so direct routes fall back to the inbox the
+    /// dispatcher is not draining.
+    routes_paused: Arc<AtomicBool>,
     rr: usize,
-    durable: Option<DurableCtx>,
+    /// The journal outlives any worker incarnation, so a respawn
+    /// resumes from it.
+    durable: DurableCtx,
 }
 
 impl Dispatcher {
@@ -1530,7 +1498,7 @@ impl Dispatcher {
         let (stx, srx): (Sender<ShardMsg>, Receiver<ShardMsg>) = channel::bounded(self.depth);
         let worker = ShardWorker {
             shared: self.shared.clone(),
-            journal: self.journals[idx].clone(),
+            log: self.durable.log.clone(),
             base: self.bases[idx].clone(),
             faults: self.faults.clone(),
             obs: self.obs.clone(),
@@ -1594,15 +1562,21 @@ impl Dispatcher {
                 self.queue_gauges[idx].add(1);
             }
         }
-        if let Some(d) = &self.durable {
-            let pending = d.log.next_lsn().saturating_sub(d.covered);
-            d.since_snapshot.set(pending as i64);
-            if d.config.checkpoint_every > 0 && pending >= d.config.checkpoint_every {
-                // Scheduled checkpoint. A failure (e.g. an injected
-                // torn snapshot write) is not fatal: the log still
-                // holds everything, only compaction is deferred.
-                let _ = self.checkpoint();
-            }
+    }
+
+    /// Publishes how far the log has grown past the last snapshot and
+    /// takes the scheduled checkpoint once `checkpoint_every` records
+    /// have accumulated. Reads the log's LSN, so records written by
+    /// direct-routed requests count as much as dispatched ones.
+    fn checkpoint_if_due(&mut self) {
+        let d = &self.durable;
+        let pending = d.log.next_lsn().saturating_sub(d.covered);
+        d.since_snapshot.set(pending as i64);
+        if d.config.checkpoint_every > 0 && pending >= d.config.checkpoint_every {
+            // A failure (e.g. an injected torn snapshot write) is not
+            // fatal: the log still holds everything, only compaction
+            // is deferred.
+            let _ = self.checkpoint();
         }
     }
 
@@ -1612,11 +1586,20 @@ impl Dispatcher {
     /// projections as the workers' respawn bases. Returns the covered
     /// LSN — the point recovery will replay from.
     fn checkpoint(&mut self) -> Result<u64, StorageError> {
-        if self.durable.is_none() {
-            return Err(StorageError::Io(
-                "service has no durable storage tier".into(),
-            ));
+        // Pause direct routes for the whole protocol. Taking the
+        // inbox lock orders the flag after any send a router already
+        // started (routers send under that lock), so no request
+        // reaches a shard behind its barrier until the cut is done.
+        {
+            let _txs = self.shard_txs.lock();
+            self.routes_paused.store(true, Ordering::SeqCst);
         }
+        let result = self.checkpoint_paused();
+        self.routes_paused.store(false, Ordering::SeqCst);
+        result
+    }
+
+    fn checkpoint_paused(&mut self) -> Result<u64, StorageError> {
         // Projection barrier. The dispatcher is not routing while
         // this runs and channels are FIFO, so each shard's answer
         // reflects exactly the requests delivered before the barrier
@@ -1642,7 +1625,7 @@ impl Dispatcher {
             }
         }
         let (log, storage, keep) = {
-            let d = self.durable.as_ref().expect("durable ctx");
+            let d = &self.durable;
             (
                 d.log.clone(),
                 d.config.storage.clone(),
@@ -1689,18 +1672,14 @@ impl Dispatcher {
             // The snapshot never became durable: keep the old covered
             // point, skip compaction, leave the old bases in place.
             // The log still holds the full tail, so nothing is lost.
-            self.durable
-                .as_ref()
-                .expect("durable ctx")
-                .snapshot_failures
-                .inc();
+            self.durable.snapshot_failures.inc();
             return Err(e);
         }
         log.compact(covered)?;
         for (base, section) in self.bases.iter().zip(sections) {
             *base.lock() = section;
         }
-        let d = self.durable.as_mut().expect("durable ctx");
+        let d = &mut self.durable;
         d.covered = covered;
         d.snapshots.inc();
         d.last_snapshot_lsn.set(covered as i64);
@@ -1713,8 +1692,7 @@ impl Dispatcher {
     /// answer. `None` — no front door, or a stopped reactor — just
     /// omits the gate section from the snapshot.
     fn request_gate_blob(&self) -> Option<Vec<u8>> {
-        let d = self.durable.as_ref()?;
-        let hook = d.gate_hook.lock().clone()?;
+        let hook = self.durable.gate_hook.lock().clone()?;
         hook.request();
         for _ in 0..500 {
             if let Some(blob) = hook.take_blob() {
@@ -1731,7 +1709,9 @@ impl Dispatcher {
         // between deliveries. The control channel is polled (the
         // vendored channel stand-in has no `select!`), so an idle
         // dispatcher notices a checkpoint request within the recv
-        // timeout.
+        // timeout. The checkpoint schedule is evaluated on every pass,
+        // idle ones included: requests the TCP door routes straight
+        // into the shard queues never pass through `deliver`.
         let idle = std::time::Duration::from_millis(2);
         let shutdown_reply = loop {
             if let Ok(Control::Checkpoint(reply)) = ctrl_rx.try_recv() {
@@ -1743,9 +1723,10 @@ impl Dispatcher {
                     break Some(inbound.reply);
                 }
                 Ok(inbound) => self.deliver(inbound),
-                Err(channel::RecvTimeoutError::Timeout) => continue,
+                Err(channel::RecvTimeoutError::Timeout) => {}
                 Err(channel::RecvTimeoutError::Disconnected) => break None,
             }
+            self.checkpoint_if_due();
         };
 
         // Graceful drain: close the shard queues, let every queued
@@ -1757,11 +1738,9 @@ impl Dispatcher {
         {
             let _ = h.join();
         }
-        if let Some(d) = &self.durable {
-            // Shutdown barrier: whatever the sync policy deferred
-            // reaches media before the process exits.
-            let _ = d.log.flush();
-        }
+        // Shutdown barrier: whatever the sync policy deferred reaches
+        // media before the process exits.
+        let _ = self.durable.log.flush();
         let undelivered = self.shared.held.lock().pending.len();
         if let Some(reply) = shutdown_reply {
             let _ = reply.send(MaResponse::Drained {
@@ -1790,9 +1769,10 @@ impl MaService {
     }
 
     /// Spawns the MA service: one supervising dispatcher thread plus
-    /// `config.shards` shard workers behind bounded channels. Journals
-    /// are in-memory — state survives *worker* crashes but not the
-    /// process; see [`MaService::spawn_durable`] for the disk tier.
+    /// `config.shards` shard workers behind bounded channels, over a
+    /// fresh in-process [`SimStorage`] with [`DurabilityConfig::new`]
+    /// defaults. State survives *worker* crashes but not the process;
+    /// see [`MaService::spawn_durable`] for storage that does.
     pub fn spawn_with_config<R: rand::Rng + ?Sized>(
         rng: &mut R,
         params: DecParams,
@@ -1800,9 +1780,15 @@ impl MaService {
         pairing_bits: usize,
         config: ServiceConfig,
     ) -> MaService {
-        let (svc, _report) = Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, None)
-            .expect("in-memory spawn touches no storage and cannot fail");
-        svc
+        Self::spawn_durable(
+            rng,
+            params,
+            rsa_bits,
+            pairing_bits,
+            config,
+            DurabilityConfig::new(Arc::new(SimStorage::new())),
+        )
+        .expect("a fresh in-memory storage cannot fail to open")
     }
 
     /// Spawns the MA service over a durable storage tier: every
@@ -1820,15 +1806,8 @@ impl MaService {
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<MaService, StorageError> {
-        Self::spawn_inner(
-            rng,
-            params,
-            rsa_bits,
-            pairing_bits,
-            config,
-            Some(durability),
-        )
-        .map(|(svc, _report)| svc)
+        Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, durability)
+            .map(|(svc, _report)| svc)
     }
 
     /// Cold-start recovery: rebuilds a full service from the newest
@@ -1845,14 +1824,7 @@ impl MaService {
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<(MaService, RecoveryReport), StorageError> {
-        Self::spawn_inner(
-            rng,
-            params,
-            rsa_bits,
-            pairing_bits,
-            config,
-            Some(durability),
-        )
+        Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, durability)
     }
 
     fn spawn_inner<R: rand::Rng + ?Sized>(
@@ -1861,7 +1833,7 @@ impl MaService {
         rsa_bits: usize,
         pairing_bits: usize,
         config: ServiceConfig,
-        durability: Option<DurabilityConfig>,
+        durability: DurabilityConfig,
     ) -> Result<(MaService, RecoveryReport), StorageError> {
         // Build the fixed-base window tables once, up front: every
         // shard and every client clone of `params` share the per-ring
@@ -1894,112 +1866,120 @@ impl MaService {
         let gate_hook: Arc<Mutex<Option<Arc<GateCheckpoint>>>> = Arc::new(Mutex::new(None));
         let mut recovered_gate = None;
 
-        // Durable mode: open the log, restore the newest readable
-        // snapshot into the shared structures, then replay the log
-        // tail's shared effects. (Workers replay the same tail for
-        // their private state when they start.)
-        let durable = match &durability {
-            None => None,
-            Some(cfg) => {
-                let (log, log_rec) =
-                    DurableLog::open(cfg.storage.clone(), cfg.sync, cfg.segment_bytes, &obs)?;
-                let log = Arc::new(log);
-                let snap = load_latest(&cfg.storage)?;
-                report.snapshots_skipped = snap.skipped.len();
-                let mut covered = 0u64;
-                if let Some(state) = snap.state {
-                    if state.shards.len() != n_shards {
-                        return Err(StorageError::ShardMismatch {
-                            snapshot: state.shards.len(),
-                            config: n_shards,
-                        });
+        // Open the log, restore the newest readable snapshot into the
+        // shared structures, then replay the log tail's shared
+        // effects. (Workers replay the same tail for their private
+        // state when they start.)
+        let (log, log_rec) = DurableLog::open(
+            durability.storage.clone(),
+            durability.sync,
+            durability.segment_bytes,
+            &obs,
+        )?;
+        let log = Arc::new(log);
+        let snap = load_latest(&durability.storage)?;
+        report.snapshots_skipped = snap.skipped.len();
+        let mut covered = 0u64;
+        if let Some(state) = snap.state {
+            if state.shards.len() != n_shards {
+                return Err(StorageError::ShardMismatch {
+                    snapshot: state.shards.len(),
+                    config: n_shards,
+                });
+            }
+            covered = state.covered;
+            for &(id, balance) in &state.bank.accounts {
+                bank.restore_account(AccountId(id), balance);
+            }
+            for job in state.jobs {
+                bulletin.restore_job(job);
+            }
+            for (account, pk) in state.cl_bindings {
+                cl_map.insert(AccountId(account), pk);
+            }
+            dec_bank.restore_state(&state.dec);
+            held.pending = state.pending_payments.into_iter().collect();
+            held.received = state.received_reports.into_iter().collect();
+            for (base, section) in bases.iter().zip(state.shards) {
+                *base.lock() = section;
+            }
+            recovered_gate = state.gate;
+            report.snapshot = snap.name;
+            report.snapshot_lsn = covered;
+        }
+        if log_rec.start_lsn > covered {
+            // Records between the snapshot's coverage and the log's
+            // first segment are gone — compaction ran against a
+            // snapshot we can no longer read. State cannot be
+            // reconstructed faithfully; refuse.
+            return Err(StorageError::Corrupt {
+                file: String::new(),
+                offset: 0,
+                detail: format!(
+                    "log starts at lsn {} but newest readable snapshot covers only {}",
+                    log_rec.start_lsn, covered
+                ),
+            });
+        }
+        // Shared-effects replay, in global commit order. Each shard's
+        // records pair up Begin/Commit independently, and a Commit
+        // must answer its own shard's pending Begin under the same key.
+        let mut pending_begin: HashMap<u32, (Option<RequestKey>, MaRequest)> = HashMap::new();
+        let mut replayed = 0usize;
+        let mut discarded = 0u64;
+        for (lsn, shard, record) in &log_rec.records {
+            if *lsn < covered {
+                continue;
+            }
+            replayed += 1;
+            match record {
+                WalRecord::Begin { key, request, .. } => {
+                    if pending_begin
+                        .insert(*shard, (*key, request.clone()))
+                        .is_some()
+                    {
+                        // Begin over Begin: the older one died in
+                        // flight (worker crash); discard.
+                        discarded += 1;
                     }
-                    covered = state.covered;
-                    for &(id, balance) in &state.bank.accounts {
-                        bank.restore_account(AccountId(id), balance);
-                    }
-                    for job in state.jobs {
-                        bulletin.restore_job(job);
-                    }
-                    for (account, pk) in state.cl_bindings {
-                        cl_map.insert(AccountId(account), pk);
-                    }
-                    dec_bank.restore_state(&state.dec);
-                    held.pending = state.pending_payments.into_iter().collect();
-                    held.received = state.received_reports.into_iter().collect();
-                    for (base, section) in bases.iter().zip(state.shards) {
-                        *base.lock() = section;
-                    }
-                    recovered_gate = state.gate;
-                    report.snapshot = snap.name;
-                    report.snapshot_lsn = covered;
                 }
-                if log_rec.start_lsn > covered {
-                    // Records between the snapshot's coverage and the
-                    // log's first segment are gone — compaction ran
-                    // against a snapshot we can no longer read. State
-                    // cannot be reconstructed faithfully; refuse.
-                    return Err(StorageError::Corrupt {
+                WalRecord::Commit {
+                    key,
+                    response,
+                    effects,
+                } => {
+                    let corrupt = |detail: String| StorageError::Corrupt {
                         file: String::new(),
                         offset: 0,
-                        detail: format!(
-                            "log starts at lsn {} but newest readable snapshot covers only {}",
-                            log_rec.start_lsn, covered
-                        ),
-                    });
-                }
-                // Shared-effects replay, in global commit order. Each
-                // shard's records pair up Begin/Commit independently.
-                let mut pending_begin: HashMap<u32, MaRequest> = HashMap::new();
-                let mut replayed = 0usize;
-                let mut discarded = 0u64;
-                for (lsn, shard, record) in &log_rec.records {
-                    if *lsn < covered {
-                        continue;
+                        detail: format!("lsn {lsn}: {detail} on shard {shard}"),
+                    };
+                    let Some((begin_key, request)) = pending_begin.remove(shard) else {
+                        return Err(corrupt("commit without begin".into()));
+                    };
+                    if begin_key != *key {
+                        return Err(corrupt(format!(
+                            "commit key {key:?} answers begin key {begin_key:?}"
+                        )));
                     }
-                    replayed += 1;
-                    match record {
-                        WalRecord::Begin { request, .. } => {
-                            if pending_begin.insert(*shard, request.clone()).is_some() {
-                                // Begin over Begin: the older one died
-                                // in flight (worker crash); discard.
-                                discarded += 1;
-                            }
-                        }
-                        WalRecord::Commit {
-                            response, effects, ..
-                        } => {
-                            let Some(request) = pending_begin.remove(shard) else {
-                                return Err(StorageError::Corrupt {
-                                    file: String::new(),
-                                    offset: 0,
-                                    detail: format!(
-                                        "lsn {lsn}: commit without begin on shard {shard}"
-                                    ),
-                                });
-                            };
-                            apply_shared_effects(
-                                &request,
-                                response,
-                                effects,
-                                &bank,
-                                &bulletin,
-                                &mut dec_bank,
-                                &mut cl_map,
-                                &mut held,
-                                params.face_value(),
-                            );
-                        }
-                    }
+                    apply_shared_effects(
+                        &request,
+                        response,
+                        effects,
+                        &bank,
+                        &bulletin,
+                        &mut dec_bank,
+                        &mut cl_map,
+                        &mut held,
+                        params.face_value(),
+                    );
                 }
-                discarded += pending_begin.len() as u64;
-                report.replayed_records = replayed;
-                report.discarded_inflight = discarded;
-                report.torn_tail_bytes = log_rec.torn_bytes;
-                report.segments_read = log_rec.segments_read;
-                Some((log, cfg.clone(), covered))
             }
-        };
+        }
+        discarded += pending_begin.len() as u64;
+        report.replayed_records = replayed;
+        report.discarded_inflight = discarded;
+        report.torn_tail_bytes = log_rec.torn_bytes;
+        report.segments_read = log_rec.segments_read;
 
         let shared = Arc::new(SharedState {
             bank: bank.clone(),
@@ -2044,33 +2024,21 @@ impl MaService {
         let queue_gauges: Vec<_> = (0..n_shards)
             .map(|i| obs.gauge(&format!("ma.shard{i}.queue_depth")))
             .collect();
-        let journals: Vec<ShardJournal> = match &durable {
-            None => (0..n_shards)
-                .map(|_| ShardJournal::Memory(Arc::new(ShardWal::new())))
-                .collect(),
-            Some((log, _, _)) => (0..n_shards)
-                .map(|i| ShardJournal::Durable {
-                    shard: i as u32,
-                    log: log.clone(),
-                })
-                .collect(),
+        let durable = DurableCtx {
+            snapshots: obs.counter("wal.snapshots"),
+            snapshot_failures: obs.counter("wal.snapshot_failures"),
+            last_snapshot_lsn: obs.gauge("wal.last_snapshot_lsn"),
+            since_snapshot: obs.gauge("wal.records_since_snapshot"),
+            log,
+            config: durability,
+            covered,
+            gate_hook: gate_hook.clone(),
         };
-        let durable_ctx = durable.map(|(log, cfg, covered)| {
-            let ctx = DurableCtx {
-                snapshots: obs.counter("wal.snapshots"),
-                snapshot_failures: obs.counter("wal.snapshot_failures"),
-                last_snapshot_lsn: obs.gauge("wal.last_snapshot_lsn"),
-                since_snapshot: obs.gauge("wal.records_since_snapshot"),
-                log,
-                config: cfg,
-                covered,
-                gate_hook: gate_hook.clone(),
-            };
-            ctx.last_snapshot_lsn.set(covered as i64);
-            ctx.since_snapshot
-                .set(ctx.log.next_lsn().saturating_sub(covered) as i64);
-            ctx
-        });
+        durable.last_snapshot_lsn.set(covered as i64);
+        durable
+            .since_snapshot
+            .set(durable.log.next_lsn().saturating_sub(covered) as i64);
+        let routes_paused = Arc::new(AtomicBool::new(false));
 
         let mut dispatcher = Dispatcher {
             shared,
@@ -2081,7 +2049,6 @@ impl MaService {
             dedup_capacity,
             depth,
             n_shards,
-            journals,
             bases,
             crashes,
             mid_crashes,
@@ -2089,8 +2056,9 @@ impl MaService {
             queue_gauges: queue_gauges.clone(),
             shard_txs: Arc::new(Mutex::new(Vec::with_capacity(n_shards))),
             shard_handles: Vec::with_capacity(n_shards),
+            routes_paused: routes_paused.clone(),
             rr: 0,
-            durable: durable_ctx,
+            durable,
         };
         let shard_txs = dispatcher.shard_txs.clone();
         let handle = std::thread::spawn(move || {
@@ -2119,6 +2087,7 @@ impl MaService {
             gate_hook,
             recovered_gate: Mutex::new(recovered_gate),
             shard_txs,
+            routes_paused,
             queue_gauges,
             n_shards,
         };
@@ -2128,9 +2097,9 @@ impl MaService {
     /// Takes a checkpoint now: barriers the shards for their
     /// projections, publishes one atomic snapshot of the whole market
     /// and compacts the log behind it. Returns the covered LSN — the
-    /// point a future recovery replays from. Fails if the service has
-    /// no durable tier or the snapshot could not be published (the
-    /// log is untouched in that case; nothing is lost).
+    /// point a future recovery replays from. Fails if the snapshot
+    /// could not be published (the log is untouched in that case;
+    /// nothing is lost).
     pub fn checkpoint(&self) -> Result<u64, StorageError> {
         let (reply_tx, reply_rx) = channel::bounded(1);
         self.ctrl
@@ -2189,6 +2158,7 @@ impl MaService {
     pub fn router(&self) -> ShardRouter {
         ShardRouter {
             txs: self.shard_txs.clone(),
+            paused: self.routes_paused.clone(),
             gauges: self.queue_gauges.clone(),
             n_shards: self.n_shards,
             rr: 0,
@@ -2949,10 +2919,200 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_without_durable_tier_errors() {
-        let (svc, _rng) = service(43);
-        let err = svc.checkpoint().expect_err("in-memory service");
-        assert!(matches!(err, StorageError::Io(_)), "{err:?}");
+    fn in_memory_service_checkpoints_and_respawns_from_base() {
+        // The in-memory service journals to the same log as a durable
+        // one, so it checkpoints too; a worker that dies after the
+        // checkpoint respawns from the checkpointed base plus the log
+        // tail (compaction dropped the records the base covers).
+        let mut rng = StdRng::seed_from_u64(43);
+        let svc = MaService::spawn_with_config(
+            &mut rng,
+            DecParams::fixture(2, 8),
+            512,
+            40,
+            ServiceConfig {
+                crash: Some(CrashPoint {
+                    shard: 0,
+                    at_request: 4,
+                }),
+                ..ServiceConfig::default()
+            },
+        );
+        let client = svc.client();
+        let MaResponse::JobId(job) = client.call(MaRequest::PublishJob {
+            description: "j".into(),
+            payment: 1,
+            pseudonym: vec![1],
+        }) else {
+            panic!("publish");
+        };
+        for sp in 1..=2u8 {
+            let resp = client.call(MaRequest::LaborRegister {
+                job_id: job,
+                sp_pubkey: vec![sp],
+            });
+            assert!(matches!(resp, MaResponse::Ok), "{resp:?}");
+        }
+        let covered = svc.checkpoint().expect("in-memory checkpoint");
+        assert_eq!(covered, 6, "three requests journal six records");
+        assert_eq!(svc.faults.wal_snapshots(), 1);
+        assert!(svc.faults.wal_compactions() >= 1, "covered segment dropped");
+        // Request #4 hits the crash point after the checkpoint.
+        let id = next_request_id();
+        let third = MaRequest::LaborRegister {
+            job_id: job,
+            sp_pubkey: vec![3],
+        };
+        assert!(client.try_call_keyed(id, third.clone()).is_err());
+        let retry = client
+            .try_call_keyed(id, third)
+            .expect("retry after respawn");
+        assert!(matches!(retry, MaResponse::Ok), "{retry:?}");
+        assert_eq!(svc.faults.shard_respawns(), 1);
+        assert_eq!(svc.faults.snapshot().wal_discarded, 1);
+        let MaResponse::Labor(sps) = client.call(MaRequest::FetchLabor { job_id: job }) else {
+            panic!("labor");
+        };
+        assert_eq!(sps, vec![vec![1u8], vec![2], vec![3]]);
         svc.shutdown();
+    }
+
+    #[test]
+    fn checkpoint_pauses_direct_routes_so_recovery_applies_once() {
+        // A request the door's router places while a checkpoint runs
+        // would execute after the covered LSN was read but before the
+        // shared state was captured, and recovery would apply it a
+        // second time. Here a withdrawal arrives while the checkpoint
+        // waits on the gate hook; the recovered balance must show one
+        // debit.
+        let storage = Arc::new(SimStorage::new());
+        let (svc, mut rng) = durable_service(
+            45,
+            ServiceConfig::default(),
+            DurabilityConfig::new(storage.clone()),
+        );
+        let hook = Arc::new(GateCheckpoint::new());
+        svc.attach_gate_checkpoint(hook.clone());
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = svc.client().call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("register");
+        };
+        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+        let (reply, answer) = channel::bounded(1);
+        let inbound = Inbound {
+            key: Some(RequestKey {
+                party: Party::Jo,
+                request_id: next_request_id(),
+            }),
+            span: SpanContext::NONE,
+            request: MaRequest::Withdraw {
+                account: jo,
+                nonce: 1,
+                auth,
+                blinded: BigUint::from(12345u64),
+            },
+            reply,
+        };
+        std::thread::scope(|scope| {
+            let checkpoint = scope.spawn(|| svc.checkpoint());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !hook.pending() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "checkpoint never asked the hook"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let mut answered = None;
+            match svc.router().try_route(inbound) {
+                // Placed: it executes while the checkpoint waits.
+                Ok(()) => answered = answer.recv().ok(),
+                // Refused: it waits in the inbox for the checkpoint.
+                Err(inbound) => svc.inbox().send(inbound).expect("inbox"),
+            }
+            hook.fulfill(Vec::new());
+            checkpoint
+                .join()
+                .expect("checkpoint thread")
+                .expect("checkpoint");
+            let resp = answered.or_else(|| answer.recv().ok());
+            assert!(
+                matches!(resp, Some(MaResponse::BlindSignature(_))),
+                "{resp:?}"
+            );
+        });
+        let live = svc.bank.snapshot();
+        svc.shutdown();
+
+        let (recovered, _) = MaService::recover(
+            &mut StdRng::seed_from_u64(45),
+            DecParams::fixture(2, 8),
+            512,
+            40,
+            ServiceConfig::default(),
+            DurabilityConfig::new(storage),
+        )
+        .expect("recover");
+        assert_eq!(recovered.bank.snapshot(), live, "one withdrawal, one debit");
+        recovered.shutdown();
+    }
+
+    #[test]
+    fn cold_start_refuses_a_commit_under_a_different_key() {
+        // Cold-start pairing must match keys like worker replay does:
+        // a Commit answering another request's Begin is a corrupt
+        // journal, not a request to apply.
+        let storage = Arc::new(SimStorage::new());
+        let (log, _) = DurableLog::open(
+            storage.clone(),
+            crate::storage::SyncPolicy::Always,
+            1 << 16,
+            &Registry::new(),
+        )
+        .expect("open");
+        let key = |request_id| {
+            Some(RequestKey {
+                party: Party::Sp,
+                request_id,
+            })
+        };
+        log.append(
+            0,
+            &WalRecord::Begin {
+                key: key(1),
+                span: SpanContext::NONE,
+                request: MaRequest::RegisterSpAccount,
+            },
+        )
+        .expect("append");
+        log.append(
+            0,
+            &WalRecord::Commit {
+                key: key(2),
+                response: MaResponse::Account(AccountId(1)),
+                effects: vec![],
+            },
+        )
+        .expect("append");
+        drop(log);
+        let mut rng = StdRng::seed_from_u64(44);
+        let err = match MaService::recover(
+            &mut rng,
+            DecParams::fixture(2, 8),
+            512,
+            40,
+            ServiceConfig::default(),
+            DurabilityConfig::new(storage),
+        ) {
+            Ok(_) => panic!("a mismatched commit must refuse recovery"),
+            Err(e) => e,
+        };
+        assert!(
+            matches!(&err, StorageError::Corrupt { detail, .. } if detail.contains("answers begin")),
+            "{err:?}"
+        );
     }
 }

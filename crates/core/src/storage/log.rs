@@ -1,6 +1,7 @@
-//! The on-disk WAL: an append-only sequence of segment files over a
-//! [`Storage`] backend, reusing the exact record framing of the
-//! in-memory shard journal (`crate::wal`).
+//! The WAL: an append-only sequence of segment files over a
+//! [`Storage`] backend, in the record framing of `crate::wal` — the
+//! one journal every shard of an MA service writes, on disk or (for
+//! an in-memory service) on a `SimStorage`.
 //!
 //! Layout. Records carry a global, strictly increasing LSN. Each
 //! segment file `wal-<start_lsn:016x>.seg` begins with a 16-byte

@@ -1,10 +1,11 @@
-//! The durable storage tier (DESIGN.md §14): an on-disk write-ahead
-//! log with checkpoints, log compaction and cold-start recovery.
+//! The storage tier (DESIGN.md §14): the MA's one write-ahead log,
+//! with checkpoints, log compaction and cold-start recovery.
 //!
-//! The in-memory shard journal ([`crate::wal`]) already gives the MA
-//! exactly-once semantics across *worker* crashes; this tier extends
-//! the same records, framing and replay discipline to *process*
-//! crashes, layered as:
+//! The log carries the [`crate::wal`] records that give the MA
+//! exactly-once semantics across *worker* crashes. On a [`DiskStorage`]
+//! it also survives *process* crashes; an in-memory service runs the
+//! same log over a [`SimStorage`], whose bytes outlive any worker
+//! thread but not the process. Layered as:
 //!
 //! * [`backend`] — the byte-level [`Storage`] contract plus disk,
 //!   simulated-with-durability-watermark and fault-injecting

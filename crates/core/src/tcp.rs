@@ -1184,25 +1184,6 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip_keyed(
-        &self,
-        from: Party,
-        request_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_traced(from, request_id, next_trace_id(), request)
-    }
-
-    fn round_trip_traced(
-        &self,
-        from: Party,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_spanned(from, request_id, SpanContext::from_trace(trace_id), request)
-    }
-
     fn round_trip_spanned(
         &self,
         from: Party,

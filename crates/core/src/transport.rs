@@ -297,59 +297,43 @@ pub fn next_trace_id() -> u64 {
 /// implementations decide whether messages travel as in-memory enums
 /// or as serialized wire frames.
 ///
-/// The keyed form is the primitive: `request_id` is the client's
+/// The spanned form is the one primitive: `request_id` is the client's
 /// idempotency token, and sending the *same* `(from, request_id)`
 /// again is a retransmit — the service replays its cached response
-/// instead of re-executing. [`Transport::round_trip`] allocates a fresh id per
-/// call; a retry layer calls [`Transport::round_trip_keyed`] with one id for all
+/// instead of re-executing. `ctx` is the caller's [`SpanContext`],
+/// carried whole so the far side parents its own spans to the caller's
+/// (pass `SpanContext::from_trace(id)` to pin only a trace id).
+/// [`Transport::round_trip`] allocates a fresh id per call; a retry
+/// layer calls [`Transport::round_trip_keyed`] with one id for all
 /// attempts of a logical request.
 pub trait Transport: Send + Sync {
     /// Sends `request` on behalf of `from` under the idempotency key
-    /// `(from, request_id)` and waits for the answer.
-    fn round_trip_keyed(
-        &self,
-        from: Party,
-        request_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError>;
-
-    /// Like [`Transport::round_trip_keyed`], additionally carrying an
-    /// explicit trace context (see [`next_trace_id`]). The default
-    /// implementation drops the trace id — correct for transports
-    /// that predate trace propagation; the real backends override it
-    /// to put the id on the wire (and a retry layer passes one id to
-    /// every attempt).
-    fn round_trip_traced(
-        &self,
-        from: Party,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        let _ = trace_id;
-        self.round_trip_keyed(from, request_id, request)
-    }
-
-    /// Like [`Transport::round_trip_traced`], carrying the caller's
-    /// full [`SpanContext`] so the far side can parent its own spans
-    /// to the caller's. The default implementation keeps the trace id
-    /// and drops the span/parent ids — correct for transports that
-    /// predate causal spans; the real backends override it to put the
-    /// whole triple on the wire.
+    /// `(from, request_id)` and the span context `ctx`, and waits for
+    /// the answer.
     fn round_trip_spanned(
         &self,
         from: Party,
         request_id: u64,
         ctx: SpanContext,
         request: MaRequest,
+    ) -> Result<MaResponse, MarketError>;
+
+    /// Like [`Transport::round_trip_spanned`] under a freshly minted
+    /// trace id (see [`next_trace_id`]).
+    fn round_trip_keyed(
+        &self,
+        from: Party,
+        request_id: u64,
+        request: MaRequest,
     ) -> Result<MaResponse, MarketError> {
-        self.round_trip_traced(from, request_id, ctx.trace_id, request)
+        let ctx = SpanContext::from_trace(next_trace_id());
+        self.round_trip_spanned(from, request_id, ctx, request)
     }
 
     /// Sends `request` as a fresh (never-retried) logical request
     /// under a freshly minted trace id.
     fn round_trip(&self, from: Party, request: MaRequest) -> Result<MaResponse, MarketError> {
-        self.round_trip_traced(from, next_request_id(), next_trace_id(), request)
+        self.round_trip_keyed(from, next_request_id(), request)
     }
 }
 
@@ -407,25 +391,6 @@ impl InProcTransport {
 }
 
 impl Transport for InProcTransport {
-    fn round_trip_keyed(
-        &self,
-        from: Party,
-        request_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_traced(from, request_id, next_trace_id(), request)
-    }
-
-    fn round_trip_traced(
-        &self,
-        from: Party,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_spanned(from, request_id, SpanContext::from_trace(trace_id), request)
-    }
-
     fn round_trip_spanned(
         &self,
         from: Party,
@@ -674,25 +639,6 @@ impl SimNetTransport {
 }
 
 impl Transport for SimNetTransport {
-    fn round_trip_keyed(
-        &self,
-        from: Party,
-        request_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_traced(from, request_id, next_trace_id(), request)
-    }
-
-    fn round_trip_traced(
-        &self,
-        from: Party,
-        request_id: u64,
-        trace_id: u64,
-        request: MaRequest,
-    ) -> Result<MaResponse, MarketError> {
-        self.round_trip_spanned(from, request_id, SpanContext::from_trace(trace_id), request)
-    }
-
     fn round_trip_spanned(
         &self,
         from: Party,

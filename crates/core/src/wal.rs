@@ -1,11 +1,12 @@
-//! Per-shard write-ahead journal: the crash-recovery half of the MA's
-//! fault-tolerance story.
+//! The write-ahead journal's record format and replay rules: the
+//! crash-recovery half of the MA's fault-tolerance story.
 //!
 //! Every shard worker appends a framed [`WalRecord::Begin`] *before*
 //! executing a request and a [`WalRecord::Commit`] carrying the
-//! response right after. The journal outlives the worker thread (the
-//! supervisor owns it through an `Arc`), so when a shard panics or is
-//! crash-injected, the respawned incarnation replays the journal to
+//! response right after, into the service's one
+//! [`crate::storage::DurableLog`]. The log outlives the worker thread
+//! (the supervisor owns it through an `Arc`), so when a shard panics or
+//! is crash-injected, the respawned incarnation replays its records to
 //! rebuild exactly the state the dead worker held privately:
 //!
 //! * withdrawal-nonce high-water marks,
@@ -27,14 +28,12 @@
 //!
 //! Shared state (ledger, bulletin, DEC double-spend set, held
 //! payments) lives outside the shards behind `Arc`s and survives a
-//! worker crash on its own; the in-memory journal therefore replays
-//! only the per-shard projection. The **durable** tier
-//! ([`crate::storage`]) reuses these records and this exact framing
-//! for its on-disk segments, where a process restart *does* lose the
-//! shared state — there, replay applies the full recorded effects
-//! (which is why a `Commit` carries the deposit effects explicitly:
-//! re-running ZK verification on recovery is neither possible — the
-//! verdicts depend on bank-private state order — nor meaningful).
+//! worker crash on its own, so a respawn replays only the per-shard
+//! projection. A process restart *does* lose the shared state — there,
+//! cold-start recovery applies the full recorded effects (which is why
+//! a `Commit` carries the deposit effects explicitly: re-running ZK
+//! verification on recovery is neither possible — the verdicts depend
+//! on bank-private state order — nor meaningful).
 //!
 //! Records are framed as real bytes — the same length-prefixed wire
 //! codec the transport speaks (the repo's `serde` is a marker-only
@@ -44,7 +43,6 @@
 use crate::metrics::Party;
 use crate::service::{MaRequest, MaResponse, RequestKey};
 use crate::wire::{fnv1a, WireDecode, WireEncode, WireError, WireReader, WireWriter};
-use parking_lot::Mutex;
 use ppms_obs::SpanContext;
 
 /// One journal entry.
@@ -216,8 +214,7 @@ pub struct FrameScan<'a> {
 }
 
 /// Scans a buffer of `[len: u32 BE][body][fnv1a(body): u64 BE]`
-/// frames — the framing shared by the in-memory journal and the
-/// on-disk segment files.
+/// frames — the framing of the log's segment files.
 ///
 /// * An **incomplete final frame** (not enough bytes left for the
 ///   header, the announced body, or the trailer) is a torn tail:
@@ -253,85 +250,19 @@ pub fn scan_frames(buf: &[u8]) -> Result<FrameScan<'_>, FrameFault> {
 }
 
 /// Appends one framed, checksummed record to a byte buffer — the
-/// inverse of [`scan_frames`], shared with the durable segment
-/// writer.
+/// inverse of [`scan_frames`].
 pub fn append_frame(buf: &mut Vec<u8>, body: &[u8]) {
     buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
     buf.extend_from_slice(body);
     buf.extend_from_slice(&fnv1a(body).to_be_bytes());
 }
 
-/// An append-only, thread-shared journal of framed [`WalRecord`]s.
-///
-/// In-memory by design: the journal models durability *across worker
-/// crashes*, not process restarts (the durable tier in
-/// [`crate::storage`] covers those). Frames are `[len: u32 BE][record
-/// bytes][fnv1a(record): u64 BE]`; [`ShardWal::replay`] verifies
-/// every frame's checksum, so a corrupted journal fails loudly
-/// instead of replaying garbage — while a torn tail (partial final
-/// frame) is discarded like the orphan `Begin` it is.
-#[derive(Debug, Default)]
-pub struct ShardWal {
-    frames: Mutex<Vec<u8>>,
-}
-
-impl ShardWal {
-    /// Fresh, empty journal.
-    pub fn new() -> ShardWal {
-        ShardWal::default()
-    }
-
-    /// Appends one record, framed and checksummed.
-    pub fn append(&self, record: &WalRecord) {
-        let body = record.to_wire_bytes();
-        let mut frames = self.frames.lock();
-        append_frame(&mut frames, &body);
-    }
-
-    /// Total journal size in bytes (frames included).
-    pub fn len_bytes(&self) -> usize {
-        self.frames.lock().len()
-    }
-
-    /// Decodes every complete frame back into records, verifying
-    /// checksums. A torn tail is skipped (see [`scan_frames`]); a
-    /// mid-journal checksum mismatch is an error.
-    pub fn records(&self) -> Result<Vec<WalRecord>, WireError> {
-        let frames = self.frames.lock();
-        let scan = scan_frames(&frames).map_err(|fault| fault.error)?;
-        scan.frames
-            .iter()
-            .map(|&(_, body)| WalRecord::from_wire_bytes(body))
-            .collect()
-    }
-
-    /// Pairs every `Begin` with its `Commit` (execution on a shard is
-    /// sequential, so records strictly alternate; only a crash tail
-    /// can leave a `Begin` unmatched) and returns the committed
-    /// entries in order plus the discarded in-flight count and torn
-    /// tail length.
-    pub fn replay(&self) -> Result<WalReplay, WireError> {
-        let frames = self.frames.lock();
-        let scan = scan_frames(&frames).map_err(|fault| fault.error)?;
-        let mut records = Vec::with_capacity(scan.frames.len());
-        for &(_, body) in &scan.frames {
-            records.push(WalRecord::from_wire_bytes(body)?);
-        }
-        let mut replay = replay_records(records.into_iter())?;
-        replay.torn_bytes = scan.torn_bytes;
-        Ok(replay)
-    }
-
-    /// Truncates the journal to its first `len` bytes — test support
-    /// for simulating a writer that died mid-append.
-    pub fn truncate_for_test(&self, len: usize) {
-        self.frames.lock().truncate(len);
-    }
-}
-
-/// Pairs `Begin`/`Commit` records into committed entries — the replay
-/// state machine, shared by the in-memory journal and the durable
-/// log's per-shard recovery.
+/// Pairs one shard's `Begin`/`Commit` records into committed entries —
+/// the replay state machine behind a respawning worker's recovery.
+/// Execution on a shard is sequential, so records strictly alternate;
+/// only a crash can leave a `Begin` unmatched. A `Commit` with no
+/// pending `Begin`, or under a different key than the `Begin` it
+/// follows, is a corrupt journal and refused.
 pub fn replay_records(records: impl Iterator<Item = WalRecord>) -> Result<WalReplay, WireError> {
     let mut replay = WalReplay::default();
     let mut pending: Option<(Option<RequestKey>, SpanContext, MaRequest)> = None;
@@ -354,7 +285,9 @@ pub fn replay_records(records: impl Iterator<Item = WalRecord>) -> Result<WalRep
                 let Some((bkey, span, request)) = pending.take() else {
                     return Err(WireError::Malformed("wal commit without begin"));
                 };
-                debug_assert_eq!(bkey, key, "commit must answer its begin");
+                if bkey != key {
+                    return Err(WireError::Malformed("wal commit answers a different begin"));
+                }
                 replay.committed.push(CommittedEntry {
                     key,
                     span,
@@ -383,22 +316,57 @@ mod tests {
         })
     }
 
+    /// Frames `records` into one journal buffer.
+    fn journal(records: &[WalRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for record in records {
+            append_frame(&mut buf, &record.to_wire_bytes());
+        }
+        buf
+    }
+
+    /// Scans, decodes and pairs a journal buffer, keeping the torn
+    /// tail length — what a respawning worker does with its segment.
+    fn replay(buf: &[u8]) -> Result<WalReplay, WireError> {
+        let scan = scan_frames(buf).map_err(|fault| fault.error)?;
+        let records = scan
+            .frames
+            .iter()
+            .map(|&(_, body)| WalRecord::from_wire_bytes(body))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut replay = replay_records(records.into_iter())?;
+        replay.torn_bytes = scan.torn_bytes;
+        Ok(replay)
+    }
+
+    fn begin(id: u64, request: MaRequest) -> WalRecord {
+        WalRecord::Begin {
+            key: key(id),
+            span: SpanContext::NONE,
+            request,
+        }
+    }
+
+    fn commit(id: u64, response: MaResponse) -> WalRecord {
+        WalRecord::Commit {
+            key: key(id),
+            response,
+            effects: vec![],
+        }
+    }
+
     #[test]
     fn committed_records_replay_in_order() {
-        let wal = ShardWal::new();
+        let mut records = Vec::new();
         for i in 0..4u64 {
-            wal.append(&WalRecord::Begin {
+            records.push(WalRecord::Begin {
                 key: key(i),
                 span: SpanContext::from_trace(0x1000 + i),
                 request: MaRequest::FetchLabor { job_id: i },
             });
-            wal.append(&WalRecord::Commit {
-                key: key(i),
-                response: MaResponse::Labor(vec![]),
-                effects: vec![],
-            });
+            records.push(commit(i, MaResponse::Labor(vec![])));
         }
-        let replay = wal.replay().expect("replay");
+        let replay = replay(&journal(&records)).expect("replay");
         assert_eq!(replay.committed.len(), 4);
         assert_eq!(replay.discarded, 0);
         assert_eq!(replay.torn_bytes, 0);
@@ -418,26 +386,18 @@ mod tests {
 
     #[test]
     fn inflight_begin_is_discarded() {
-        let wal = ShardWal::new();
-        wal.append(&WalRecord::Begin {
-            key: key(1),
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        wal.append(&WalRecord::Commit {
-            key: key(1),
-            response: MaResponse::Account(AccountId(7)),
-            effects: vec![],
-        });
-        // Crash mid-request: Begin with no Commit.
-        wal.append(&WalRecord::Begin {
-            key: key(2),
-            span: SpanContext::NONE,
-            request: MaRequest::Balance {
-                account: AccountId(7),
-            },
-        });
-        let replay = wal.replay().expect("replay");
+        let buf = journal(&[
+            begin(1, MaRequest::RegisterSpAccount),
+            commit(1, MaResponse::Account(AccountId(7))),
+            // Crash mid-request: Begin with no Commit.
+            begin(
+                2,
+                MaRequest::Balance {
+                    account: AccountId(7),
+                },
+            ),
+        ]);
+        let replay = replay(&buf).expect("replay");
         assert_eq!(replay.committed.len(), 1);
         assert_eq!(replay.discarded, 1);
     }
@@ -448,28 +408,14 @@ mod tests {
         // mid-append) used to surface WireError::Truncated and sink
         // the whole replay. It must behave like an orphan Begin:
         // everything before it replays, the tail's length is reported.
-        let wal = ShardWal::new();
-        wal.append(&WalRecord::Begin {
-            key: key(1),
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        wal.append(&WalRecord::Commit {
-            key: key(1),
-            response: MaResponse::Account(AccountId(3)),
-            effects: vec![],
-        });
-        wal.append(&WalRecord::Begin {
-            key: key(2),
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        let whole = wal.len_bytes();
-        for torn_len in [whole - 1, whole - 9, whole - (whole / 3)] {
-            let torn = ShardWal::new();
-            let bytes = wal.frames.lock().clone();
-            torn.frames.lock().extend_from_slice(&bytes[..torn_len]);
-            let replay = torn.replay().expect("torn tail must not be fatal");
+        let whole = journal(&[
+            begin(1, MaRequest::RegisterSpAccount),
+            commit(1, MaResponse::Account(AccountId(3))),
+            begin(2, MaRequest::RegisterSpAccount),
+        ]);
+        let n = whole.len();
+        for torn_len in [n - 1, n - 9, n - (n / 3)] {
+            let replay = replay(&whole[..torn_len]).expect("torn tail must not be fatal");
             assert!(replay.torn_bytes > 0, "tail length must be reported");
             assert!(
                 replay.committed.len() <= 1,
@@ -477,21 +423,14 @@ mod tests {
             );
         }
         // Tearing into the *header* of the final frame (fewer than 4
-        // bytes left) is also just a torn tail.
-        let torn = ShardWal::new();
-        {
-            let bytes = wal.frames.lock().clone();
-            // Keep the two complete frames plus 2 stray bytes.
-            let two_frames = {
-                let frames = scan_frames(&bytes).expect("scan");
-                let (off, body) = frames.frames[1];
-                off + 4 + body.len() + 8
-            };
-            torn.frames
-                .lock()
-                .extend_from_slice(&bytes[..two_frames + 2]);
-        }
-        let replay = torn.replay().expect("2-byte tail tolerated");
+        // bytes left) is also just a torn tail: keep the two complete
+        // frames plus 2 stray bytes.
+        let two_frames = {
+            let scan = scan_frames(&whole).expect("scan");
+            let (off, body) = scan.frames[1];
+            off + 4 + body.len() + 8
+        };
+        let replay = replay(&whole[..two_frames + 2]).expect("2-byte tail tolerated");
         assert_eq!(replay.committed.len(), 1);
         assert_eq!(replay.torn_bytes, 2);
     }
@@ -502,67 +441,56 @@ mod tests {
         // checksum mismatch on a frame *before* the end is not a torn
         // tail — it means the medium corrupted history, and replay
         // must refuse rather than rebuild a diverged ledger.
-        let wal = ShardWal::new();
-        wal.append(&WalRecord::Begin {
-            key: key(1),
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        wal.append(&WalRecord::Commit {
-            key: key(1),
-            response: MaResponse::Account(AccountId(3)),
-            effects: vec![],
-        });
+        let mut buf = journal(&[
+            begin(1, MaRequest::RegisterSpAccount),
+            commit(1, MaResponse::Account(AccountId(3))),
+        ]);
         // Flip a bit inside the *first* record's body.
-        wal.frames.lock()[5] ^= 0x10;
-        assert!(matches!(wal.replay(), Err(WireError::Corrupt)));
-        assert!(matches!(wal.records(), Err(WireError::Corrupt)));
+        buf[5] ^= 0x10;
+        assert!(matches!(replay(&buf), Err(WireError::Corrupt)));
+        assert!(matches!(
+            scan_frames(&buf),
+            Err(FrameFault {
+                offset: 0,
+                error: WireError::Corrupt
+            })
+        ));
     }
 
     #[test]
     fn corrupted_journal_fails_loudly() {
-        let wal = ShardWal::new();
-        wal.append(&WalRecord::Begin {
-            key: None,
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        wal.append(&WalRecord::Commit {
-            key: None,
-            response: MaResponse::Ok,
-            effects: vec![],
-        });
+        let mut buf = journal(&[
+            WalRecord::Begin {
+                key: None,
+                span: SpanContext::NONE,
+                request: MaRequest::RegisterSpAccount,
+            },
+            WalRecord::Commit {
+                key: None,
+                response: MaResponse::Ok,
+                effects: vec![],
+            },
+        ]);
         // Flip a byte inside the first record body.
-        wal.frames.lock()[5] ^= 0x10;
-        assert!(matches!(wal.replay(), Err(WireError::Corrupt)));
+        buf[5] ^= 0x10;
+        assert!(matches!(replay(&buf), Err(WireError::Corrupt)));
     }
 
     #[test]
     fn scan_reports_precise_corruption_offset() {
-        let wal = ShardWal::new();
-        wal.append(&WalRecord::Begin {
-            key: key(1),
-            span: SpanContext::NONE,
-            request: MaRequest::RegisterSpAccount,
-        });
-        let first_len = wal.len_bytes();
-        wal.append(&WalRecord::Commit {
-            key: key(1),
-            response: MaResponse::Ok,
-            effects: vec![],
-        });
+        let mut buf = journal(&[begin(1, MaRequest::RegisterSpAccount)]);
+        let first_len = buf.len();
+        append_frame(&mut buf, &commit(1, MaResponse::Ok).to_wire_bytes());
         // Corrupt the *second* frame's body.
-        wal.frames.lock()[first_len + 5] ^= 0x01;
-        let frames = wal.frames.lock().clone();
-        let fault = scan_frames(&frames).expect_err("must refuse");
+        buf[first_len + 5] ^= 0x01;
+        let fault = scan_frames(&buf).expect_err("must refuse");
         assert_eq!(fault.offset, first_len, "offset names the bad frame");
         assert_eq!(fault.error, WireError::Corrupt);
     }
 
     #[test]
     fn records_roundtrip_through_frames() {
-        let wal = ShardWal::new();
-        let rec = WalRecord::Commit {
+        let buf = journal(&[WalRecord::Commit {
             key: key(9),
             response: MaResponse::BatchDeposited {
                 total: 3,
@@ -570,12 +498,12 @@ mod tests {
                 rejected: 1,
             },
             effects: vec![(0, 2), (2, 1)],
-        };
-        wal.append(&rec);
-        let back = wal.records().expect("decode");
-        assert_eq!(back.len(), 1);
+        }]);
+        let scan = scan_frames(&buf).expect("scan");
+        assert_eq!(scan.frames.len(), 1);
+        let back = WalRecord::from_wire_bytes(scan.frames[0].1).expect("decode");
         assert!(matches!(
-            &back[0],
+            &back,
             WalRecord::Commit {
                 key: Some(k),
                 response: MaResponse::BatchDeposited {
@@ -586,5 +514,26 @@ mod tests {
                 effects,
             } if k.request_id == 9 && effects == &vec![(0u32, 2u64), (2, 1)]
         ));
+    }
+
+    #[test]
+    fn commit_under_a_different_key_is_refused() {
+        // A Commit must answer the Begin it follows. A release build
+        // used to pair them silently (and a debug build panicked);
+        // replay now refuses the journal as malformed.
+        let buf = journal(&[
+            begin(1, MaRequest::RegisterSpAccount),
+            commit(2, MaResponse::Account(AccountId(3))),
+        ]);
+        assert!(matches!(replay(&buf), Err(WireError::Malformed(_))));
+        let keyless = journal(&[
+            begin(1, MaRequest::RegisterSpAccount),
+            WalRecord::Commit {
+                key: None,
+                response: MaResponse::Ok,
+                effects: vec![],
+            },
+        ]);
+        assert!(matches!(replay(&keyless), Err(WireError::Malformed(_))));
     }
 }

@@ -2,7 +2,8 @@
 //! identity (witnessed by canonical re-encoding) for every
 //! [`MaRequest`] / [`MaResponse`] / [`RelayPayload`] variant and for
 //! the e-cash layer's own wire types, truncated buffers never decode,
-//! and foreign versions are rejected.
+//! and foreign versions are rejected. The journal's decoders (WAL
+//! records, snapshots, segment files) get the same never-panic check.
 
 use ppms_bigint::BigUint;
 use ppms_core::service::{MaRequest, MaResponse};
@@ -555,5 +556,173 @@ proptest! {
         let _ = Envelope::<MaRequest>::from_bytes(got);
         let _ = Envelope::<MaResponse>::from_bytes(got);
         let _ = Envelope::<RelayPayload>::from_bytes(got);
+    }
+}
+
+/// Valid journal records to mutate: deep-decoding shapes (a deposit
+/// carrying a real spend, a withdrawal, a commit with effects).
+fn journal_templates() -> Vec<Vec<u8>> {
+    use ppms_core::service::RequestKey;
+    use ppms_core::WalRecord;
+    use ppms_obs::SpanContext;
+    let key = Some(RequestKey {
+        party: Party::Sp,
+        request_id: 7,
+    });
+    let records = [
+        WalRecord::Begin {
+            key,
+            span: SpanContext::from_trace(9),
+            request: MaRequest::DepositBatch {
+                account: AccountId(3),
+                spends: vec![fixture_spend().clone()],
+            },
+        },
+        WalRecord::Begin {
+            key: None,
+            span: SpanContext::NONE,
+            request: MaRequest::Withdraw {
+                account: AccountId(1),
+                nonce: 2,
+                auth: clsig(3, 4),
+                blinded: BigUint::from(5u64),
+            },
+        },
+        WalRecord::Commit {
+            key,
+            response: MaResponse::BatchDeposited {
+                total: 2,
+                accepted: 1,
+                rejected: 1,
+            },
+            effects: vec![(0, 2)],
+        },
+    ];
+    records.iter().map(|r| r.to_wire_bytes()).collect()
+}
+
+/// A valid snapshot touching every section of the format.
+fn snapshot_template() -> Vec<u8> {
+    use ppms_core::service::RequestKey;
+    use ppms_core::storage::ShardSection;
+    use ppms_core::SnapshotState;
+    let mut state = SnapshotState {
+        covered: 12,
+        jobs: vec![ppms_core::JobProfile {
+            job_id: 1,
+            description: "j".into(),
+            payment: 2,
+            pseudonym: vec![3; 4],
+        }],
+        cl_bindings: vec![(1, clpk(5, 6))],
+        pending_payments: vec![(vec![1; 8], vec![2; 16])],
+        received_reports: vec![vec![3; 8]],
+        shards: vec![ShardSection {
+            nonces: vec![(1, 2)],
+            labor: vec![(1, vec![vec![4; 8]])],
+            reports: vec![(1, vec![vec![5; 3]])],
+            dedup: vec![(
+                RequestKey {
+                    party: Party::Jo,
+                    request_id: 4,
+                },
+                MaResponse::Balance(9),
+            )],
+        }],
+        gate: Some(vec![6; 10]),
+        ..SnapshotState::default()
+    };
+    state.bank.next_id = 2;
+    state.bank.accounts = vec![(1, 50)];
+    state.dec.spent = vec![[7; 32]];
+    state.dec.ancestors = vec![[8; 32]];
+    state.dec.coin_totals = vec![([9; 32], 4)];
+    state.to_wire_bytes()
+}
+
+/// `template` with byte flips applied and cut to `cut` bytes — or, for
+/// an out-of-range `pick`, the raw `garbage` itself.
+fn mutate(
+    template: Option<&Vec<u8>>,
+    flips: &[(usize, u8)],
+    cut: usize,
+    garbage: &[u8],
+) -> Vec<u8> {
+    let Some(template) = template else {
+        return garbage.to_vec();
+    };
+    let mut bytes = template.clone();
+    for &(at, mask) in flips {
+        let at = at % bytes.len();
+        bytes[at] ^= mask;
+    }
+    bytes.truncate(cut % (bytes.len() + 1));
+    bytes.extend_from_slice(garbage);
+    bytes
+}
+
+/// Feeds one mutated record, snapshot and garbage segment to the
+/// journal's decoders; only a panic can fail it.
+fn feed_journal_decoders(
+    pick: usize,
+    flips: &[(usize, u8)],
+    cut: usize,
+    garbage: &[u8],
+    shard: u32,
+    frames: usize,
+) {
+    use ppms_core::storage::{DurableLog, SimStorage, Storage, SyncPolicy};
+    use ppms_core::{SnapshotState, WalRecord};
+    use std::sync::Arc;
+
+    static RECORDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    static SNAPSHOT: OnceLock<Vec<u8>> = OnceLock::new();
+    let records = RECORDS.get_or_init(journal_templates);
+    let snapshot = SNAPSHOT.get_or_init(snapshot_template);
+
+    let record = mutate(records.get(pick), flips, cut, garbage);
+    let _ = WalRecord::from_wire_bytes(&record);
+    let snap = mutate((pick < 2).then_some(snapshot), flips, cut, garbage);
+    let _ = SnapshotState::from_wire_bytes(&snap);
+
+    // A fresh log writes a valid segment header; the frames behind it
+    // carry honest lengths and checksums over garbage bodies.
+    let storage = Arc::new(SimStorage::new());
+    let registry = ppms_obs::Registry::new();
+    let open = |storage: &Arc<SimStorage>| {
+        DurableLog::open(storage.clone(), SyncPolicy::Always, 1 << 16, &registry)
+    };
+    drop(open(&storage).expect("fresh log opens"));
+    let segment = storage.list().expect("list").pop().expect("one segment");
+    for i in 0..frames {
+        let mut body = shard.to_be_bytes().to_vec();
+        body.extend_from_slice(if i % 2 == 0 { &record } else { garbage });
+        let mut frame = Vec::new();
+        ppms_core::wal::append_frame(&mut frame, &body);
+        storage.append(&segment, &frame).expect("append");
+    }
+    if let Ok((log, _)) = open(&storage) {
+        let _ = log.replay_shard(shard);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    // Arbitrary bytes — raw, or valid records and snapshots with
+    // flipped bytes, cut short or padded — decode to `Ok` or `Err`,
+    // never a panic. A segment of checksummed garbage frames behind a
+    // valid header either refuses to open or opens, and then replays
+    // to `Ok` or `Err` too.
+    #[test]
+    fn journal_decoders_never_panic_on_garbage(
+        pick in 0usize..5,
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut in any::<usize>(),
+        garbage in prop::collection::vec(any::<u8>(), 0..=48),
+        shard in 0u32..3,
+        frames in 1usize..4,
+    ) {
+        feed_journal_decoders(pick, &flips, cut, &garbage, shard, frames);
     }
 }

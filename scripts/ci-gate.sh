@@ -78,7 +78,7 @@ check_keys BENCH_load.json calibrated_capacity_per_sec knee_per_sec \
     peak_achieved_per_sec mean_batch_size mean_batch_size_under_load \
     p50_ns p99_ns p999_ns ops_scrape
 check_keys BENCH_tcp.json requests_per_sec p50_ns p99_ns smoke served
-check_keys BENCH_recovery.json policy recover_ms replayed
+check_keys BENCH_recovery.json policy recover_ms replayed smoke
 check_keys BENCH_batch.json batch_item_us seq_item_us speedup
 check_keys BENCH_fixed.json straus_us pippenger_us
 check_keys BENCH_chaos.json drop_rate availability

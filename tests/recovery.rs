@@ -378,6 +378,7 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     use ppms_core::next_request_id;
     use ppms_core::service::{MaService, ServiceConfig};
     use ppms_ecash::DecParams;
+    use ppms_obs::SpanContext;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -400,9 +401,9 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     .expect("durable spawn");
     let client = svc.client();
     let MaResponse::JobId(job) = client
-        .try_call_traced(
+        .try_call_spanned(
             next_request_id(),
-            TRACES[0],
+            SpanContext::from_trace(TRACES[0]),
             MaRequest::PublishJob {
                 description: "traced".into(),
                 payment: 1,
@@ -415,9 +416,9 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     };
     for trace in &TRACES[1..] {
         let resp = client
-            .try_call_traced(
+            .try_call_spanned(
                 next_request_id(),
-                *trace,
+                SpanContext::from_trace(*trace),
                 MaRequest::LaborRegister {
                     job_id: job,
                     sp_pubkey: vec![*trace as u8],

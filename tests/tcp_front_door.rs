@@ -11,8 +11,9 @@ use ppms_core::gate::{AdmissionConfig, OpsRequest};
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
-    next_request_id, next_trace_id, Envelope, FramedConn, GateRequest, GateResponse, MarketError,
-    Party, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
+    next_request_id, next_trace_id, DurabilityConfig, Envelope, FramedConn, GateRequest,
+    GateResponse, MarketError, Party, SimStorage, TcpByteStream, TcpClientConfig, TcpConfig,
+    TcpFrontDoor, TcpTransport,
 };
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
@@ -496,6 +497,78 @@ fn overload_is_shed_with_busy_not_queued_unboundedly() {
 
     drop(door);
     svc.shutdown();
+}
+
+#[test]
+fn scheduled_checkpoints_fire_for_traffic_served_through_the_door() {
+    // The door routes requests straight into the shard queues, past
+    // the dispatcher's `deliver`; the checkpoint schedule must still
+    // see the log grow and take its snapshot. The client keeps
+    // sending while checkpoints run, so the recovered ledger also
+    // checks that each checkpoint cut the market consistently.
+    const EVERY: u64 = 8;
+    let storage = Arc::new(SimStorage::new());
+    let mut durability = DurabilityConfig::new(storage.clone());
+    durability.checkpoint_every = EVERY;
+    let svc = MaService::spawn_durable(
+        &mut StdRng::seed_from_u64(0xD00C),
+        DecParams::fixture(2, 6),
+        512,
+        40,
+        ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        },
+        durability.clone(),
+    )
+    .expect("durable spawn");
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let client = MaClient::new(
+        Arc::new(TcpTransport::new(TcpClientConfig::new(door.addr()))),
+        Party::Sp,
+    );
+    for _ in 0..3 * EVERY {
+        let resp = client
+            .try_call(MaRequest::RegisterSpAccount)
+            .expect("served through the door");
+        assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.faults.wal_snapshots() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "no scheduled checkpoint after {} door requests (checkpoint_every = {EVERY})",
+            3 * EVERY
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        svc.obs.snapshot().counter("ma.direct_routed") > 0,
+        "the traffic must take the direct route"
+    );
+    let ledger = svc.bank.snapshot();
+    drop(door);
+    svc.shutdown();
+
+    let (recovered, report) = MaService::recover(
+        &mut StdRng::seed_from_u64(0xD00C),
+        DecParams::fixture(2, 6),
+        512,
+        40,
+        ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        },
+        durability,
+    )
+    .expect("recover from the scheduled checkpoint");
+    assert!(report.snapshot.is_some(), "{report:?}");
+    assert_eq!(recovered.bank.snapshot(), ledger);
+    recovered.shutdown();
 }
 
 #[test]

@@ -13,6 +13,7 @@ use ppms_core::{
     TcpTransport, Transport,
 };
 use ppms_ecash::DecParams;
+use ppms_obs::SpanContext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -53,11 +54,13 @@ fn crash_dump_carries_the_crashing_requests_trace_id() {
         sp_pubkey: vec![9],
     };
     assert!(
-        client.try_call_traced(id, TRACE, req.clone()).is_err(),
+        client
+            .try_call_spanned(id, SpanContext::from_trace(TRACE), req.clone())
+            .is_err(),
         "crash must surface as a transport error"
     );
     let retry = client
-        .try_call_traced(id, TRACE, req)
+        .try_call_spanned(id, SpanContext::from_trace(TRACE), req)
         .expect("retry after respawn");
     assert!(matches!(retry, MaResponse::Ok), "{retry:?}");
 
@@ -117,7 +120,11 @@ fn one_trace_survives_lossy_retransmission() {
     for i in 0..12u64 {
         let trace = 0x7000_0000_0000_0000 | i;
         let resp = client
-            .try_call_traced(next_request_id(), trace, MaRequest::RegisterSpAccount)
+            .try_call_spanned(
+                next_request_id(),
+                SpanContext::from_trace(trace),
+                MaRequest::RegisterSpAccount,
+            )
             .expect("retry layer converges under loss");
         assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
         traces.push(trace);
