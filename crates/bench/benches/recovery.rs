@@ -14,8 +14,8 @@
 
 use ppms_bench::artifact_path;
 use ppms_core::sim::{
-    drive_market_keyed, recover_durable_market, spawn_durable_market, KeyedDrive,
-    ServiceMarketOutcome,
+    drive_market_keyed, keyed_journaled_calls, recover_durable_market, spawn_durable_market,
+    KeyedDrive, ServiceMarketOutcome,
 };
 use ppms_core::{DurabilityConfig, MaService, SimStorage, SyncPolicy};
 use std::sync::Arc;
@@ -87,9 +87,9 @@ fn measure_recovery(calls: u64, compacted: bool) -> RecoveryRow {
     let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
     recovered.shutdown();
 
-    // Every call journals Begin + Commit; compaction must shed
-    // exactly the records the snapshot covers.
-    let records = 2 * calls;
+    // Every write journals one record and no read does; compaction
+    // must shed exactly the records the snapshot covers.
+    let records = keyed_journaled_calls(N_SPS, calls);
     assert_eq!(report.snapshot_lsn, covered, "snapshot coverage");
     assert_eq!(
         report.replayed_records as u64,

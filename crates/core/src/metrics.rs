@@ -196,11 +196,8 @@ pub struct FaultMetrics {
     dedup_replays: Arc<Counter>,
     /// Shard workers respawned by the supervisor after a crash.
     shard_respawns: Arc<Counter>,
-    /// Committed write-ahead-journal records.
+    /// Journal records appended (one per executed write).
     wal_commits: Arc<Counter>,
-    /// Uncommitted (in-flight at crash) journal records discarded
-    /// during replay.
-    wal_discarded: Arc<Counter>,
     /// Checkpoints published by the durable tier.
     wal_snapshots: Arc<Counter>,
     /// Log compactions run behind a durable checkpoint.
@@ -230,10 +227,8 @@ pub struct FaultSnapshot {
     pub dedup_replays: u64,
     /// Shard workers respawned by the supervisor.
     pub shard_respawns: u64,
-    /// Committed journal records.
+    /// Journal records appended (one per executed write).
     pub wal_commits: u64,
-    /// Uncommitted journal records discarded during replay.
-    pub wal_discarded: u64,
     /// Checkpoints published by the durable tier.
     pub wal_snapshots: u64,
     /// Log compactions run behind a durable checkpoint.
@@ -260,7 +255,6 @@ impl FaultMetrics {
             dedup_replays: registry.counter("fault.dedup_replays"),
             shard_respawns: registry.counter("fault.shard_respawns"),
             wal_commits: registry.counter("fault.wal_commits"),
-            wal_discarded: registry.counter("fault.wal_discarded"),
             // Shared names with the durable tier: `DurableLog` and the
             // dispatcher's checkpoint path increment the same
             // registry-owned counters, so this view needs no wiring.
@@ -314,11 +308,6 @@ impl FaultMetrics {
         self.wal_commits.inc();
     }
 
-    /// Records `n` uncommitted journal records discarded by replay.
-    pub fn wal_discard(&self, n: u64) {
-        self.wal_discarded.add(n);
-    }
-
     /// Durable checkpoints published so far.
     pub fn wal_snapshots(&self) -> u64 {
         self.wal_snapshots.get()
@@ -350,7 +339,6 @@ impl FaultMetrics {
             dedup_replays: self.dedup_replays.get(),
             shard_respawns: self.shard_respawns.get(),
             wal_commits: self.wal_commits.get(),
-            wal_discarded: self.wal_discarded.get(),
             wal_snapshots: self.wal_snapshots.get(),
             wal_compactions: self.wal_compactions.get(),
         }

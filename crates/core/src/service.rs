@@ -27,11 +27,13 @@
 //!   not mistaken for a double-spend — while a genuine double-spend
 //!   (same coin leaf under a *fresh* key) is still caught by the DEC
 //!   bank.
-//! * **Write-ahead journaling.** A shard appends a
-//!   [`WalRecord::Begin`] to the service's [`DurableLog`] before
-//!   executing and a `Commit` after, so its private state (nonce
-//!   high-water marks, labor, data reports, the idempotency cache) can
-//!   be rebuilt after a crash. The log sits on the caller's storage
+//! * **Journaling.** A shard appends one [`WalRecord`] — request,
+//!   response and effects — to the service's [`DurableLog`] after each
+//!   write executes and before its reply is released, so its private
+//!   state (nonce high-water marks, labor, data reports, the
+//!   idempotency cache) can be rebuilt after a crash. Pure reads
+//!   (`Balance`, `FetchLabor`) are neither journaled nor cached; a
+//!   retransmitted read re-executes. The log sits on the caller's storage
 //!   ([`MaService::spawn_durable`]) or on an in-process
 //!   [`SimStorage`] ([`MaService::spawn_with_config`]), whose bytes
 //!   outlive any worker thread.
@@ -57,7 +59,7 @@ use crate::storage::{
 use crate::transport::{
     request_label, FaultPlan, InProcTransport, SimNetConfig, SimNetTransport, TrafficLog, Transport,
 };
-use crate::wal::{CommittedEntry, WalRecord};
+use crate::wal::WalRecord;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use ppms_bigint::BigUint;
@@ -236,31 +238,33 @@ pub struct Inbound {
 }
 
 /// Crash-injection point for the supervision tests: the chosen shard
-/// worker exits (as if panicked) when it journals its `at_request`-th
-/// `Begin` — after the journal append, before execution, the
-/// canonical "lost in flight" window. Fires at most once per service.
+/// worker exits (as if panicked) just before its `at_request`-th
+/// executed request runs — the canonical "lost in flight" window,
+/// which leaves no journal record. Executed requests are those that
+/// missed the dedup cache, reads included. Fires at most once per
+/// service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// Which shard dies (taken modulo the shard count).
     pub shard: usize,
-    /// 1-based count of `Begin` records that triggers the crash.
+    /// 1-based count of executed requests that triggers the crash.
     pub at_request: u64,
 }
 
 /// Crash-injection point for the batching pipeline: the chosen shard
-/// worker exits after journaling the Commit for its `at_begin`-th
-/// `Begin` — *between* the batch's verification/execution and its
-/// group-commit flush, before any held reply is released. Items
-/// committed earlier in the same cross-client batch have journal
-/// records but unanswered clients; the retries must replay, not
-/// re-execute (pinned by `tests/chaos.rs` / `tests/recovery.rs`).
-/// Fires at most once per service.
+/// worker exits after its `at_request`-th executed request ran and
+/// its record (if it is a write) was appended — *between* the batch's
+/// verification/execution and its group-commit flush, before any held
+/// reply is released. Items executed earlier in the same cross-client
+/// batch have journal records but unanswered clients; the retries
+/// must replay, not re-execute (pinned by `tests/chaos.rs` /
+/// `tests/recovery.rs`). Fires at most once per service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MidBatchCrash {
     /// Which shard dies (taken modulo the shard count).
     pub shard: usize,
-    /// 1-based count of `Begin` records that triggers the crash.
-    pub at_begin: u64,
+    /// 1-based count of executed requests that triggers the crash.
+    pub at_request: u64,
 }
 
 /// Flush triggers for shard-level dynamic batching (DESIGN.md §16): a
@@ -582,15 +586,18 @@ impl Shard {
     /// double-spend bookkeeping still runs here, in arrival order.
     fn handle(
         &mut self,
-        request: MaRequest,
+        request: &MaRequest,
         effects: &mut Vec<(u32, u64)>,
         preverified: Option<Vec<Result<u64, DecError>>>,
     ) -> MaResponse {
         use MaRequest::*;
         match request {
             RegisterJoAccount { funds, clpk } => {
-                let account = self.shared.bank.open_account(funds);
-                self.shared.cl_bindings.write().insert(account, clpk);
+                let account = self.shared.bank.open_account(*funds);
+                self.shared
+                    .cl_bindings
+                    .write()
+                    .insert(account, clpk.clone());
                 MaResponse::Account(account)
             }
             RegisterSpAccount => MaResponse::Account(self.shared.bank.open_account(0)),
@@ -598,11 +605,11 @@ impl Shard {
                 description,
                 payment,
                 pseudonym,
-            } => MaResponse::JobId(
-                self.shared
-                    .bulletin
-                    .publish(description, payment, pseudonym),
-            ),
+            } => MaResponse::JobId(self.shared.bulletin.publish(
+                description.clone(),
+                *payment,
+                pseudonym.clone(),
+            )),
             Withdraw {
                 account,
                 nonce,
@@ -611,40 +618,43 @@ impl Shard {
             } => {
                 {
                     let bindings = self.shared.cl_bindings.read();
-                    let Some(bound) = bindings.get(&account) else {
+                    let Some(bound) = bindings.get(account) else {
                         return MaResponse::Err(MarketError::NoSuchAccount);
                     };
                     // Nonce freshness prevents replaying an old
                     // withdrawal authorization. Withdrawals route by
                     // account, so this shard sees every nonce for it.
-                    let last = self.used_nonces.entry(account).or_insert(0);
-                    if nonce <= *last {
+                    let last = self.used_nonces.entry(*account).or_insert(0);
+                    if *nonce <= *last {
                         return MaResponse::Err(MarketError::BadAuthentication);
                     }
                     if !auth.verify_bytes(&self.shared.pairing, bound, &nonce.to_be_bytes()) {
                         return MaResponse::Err(MarketError::BadAuthentication);
                     }
-                    *last = nonce;
+                    *last = *nonce;
                 }
                 if let Err(e) = self
                     .shared
                     .bank
-                    .debit(account, self.shared.params.face_value())
+                    .debit(*account, self.shared.params.face_value())
                 {
                     return MaResponse::Err(e);
                 }
-                let sig = self.shared.dec_bank.lock().sign_blinded(&blinded);
+                let sig = self.shared.dec_bank.lock().sign_blinded(blinded);
                 MaResponse::BlindSignature(sig)
             }
             LaborRegister { job_id, sp_pubkey } => {
-                if self.shared.bulletin.get(job_id).is_none() {
+                if self.shared.bulletin.get(*job_id).is_none() {
                     return MaResponse::Err(MarketError::NoSuchJob);
                 }
-                self.labor.entry(job_id).or_default().push(sp_pubkey);
+                self.labor
+                    .entry(*job_id)
+                    .or_default()
+                    .push(sp_pubkey.clone());
                 MaResponse::Ok
             }
             FetchLabor { job_id } => {
-                MaResponse::Labor(self.labor.get(&job_id).cloned().unwrap_or_default())
+                MaResponse::Labor(self.labor.get(job_id).cloned().unwrap_or_default())
             }
             SubmitPayment {
                 sp_pubkey,
@@ -654,7 +664,7 @@ impl Shard {
                     .held
                     .lock()
                     .pending
-                    .insert(sp_pubkey, ciphertext);
+                    .insert(sp_pubkey.clone(), ciphertext.clone());
                 MaResponse::Ok
             }
             SubmitData {
@@ -662,20 +672,23 @@ impl Shard {
                 sp_pubkey,
                 data,
             } => {
-                self.data_reports.entry(job_id).or_default().push(data);
-                self.shared.held.lock().received.insert(sp_pubkey);
+                self.data_reports
+                    .entry(*job_id)
+                    .or_default()
+                    .push(data.clone());
+                self.shared.held.lock().received.insert(sp_pubkey.clone());
                 MaResponse::Ok
             }
             FetchPayment { sp_pubkey } => {
                 // Paper phase 7: deliver only once the SP's data is in.
                 let mut held = self.shared.held.lock();
-                if !held.received.contains(&sp_pubkey) {
+                if !held.received.contains(sp_pubkey) {
                     return MaResponse::Payment(None);
                 }
-                MaResponse::Payment(held.pending.remove(&sp_pubkey))
+                MaResponse::Payment(held.pending.remove(sp_pubkey))
             }
             FetchData { job_id } => {
-                MaResponse::Data(self.data_reports.remove(&job_id).unwrap_or_default())
+                MaResponse::Data(self.data_reports.remove(job_id).unwrap_or_default())
             }
             DepositBatch { account, spends } => {
                 // The expensive ZK verification runs here, outside the
@@ -699,14 +712,14 @@ impl Shard {
                         v
                     }
                     None => {
-                        let seed = ppms_ecash::batch_seed(&spends, b"");
+                        let seed = ppms_ecash::batch_seed(spends, b"");
                         let v = ppms_ecash::verify_batch_chunked(
                             seed,
                             ppms_ecash::DEPOSIT_CHUNK,
                             &self.shared.params,
                             &self.shared.bank_pk,
                             b"",
-                            &spends,
+                            spends,
                         );
                         if !spends.is_empty() {
                             // Amortized verify cost per spend; the
@@ -734,7 +747,7 @@ impl Shard {
                     }
                 }
                 if total > 0 {
-                    if let Err(e) = self.shared.bank.credit(account, total) {
+                    if let Err(e) = self.shared.bank.credit(*account, total) {
                         return MaResponse::Err(e);
                     }
                 }
@@ -744,7 +757,7 @@ impl Shard {
                     rejected: spends.len() - accepted,
                 }
             }
-            Balance { account } => match self.shared.bank.balance(account) {
+            Balance { account } => match self.shared.bank.balance(*account) {
                 Ok(v) => MaResponse::Balance(v),
                 Err(e) => MaResponse::Err(e),
             },
@@ -756,14 +769,14 @@ impl Shard {
         }
     }
 
-    /// Re-applies one committed journal entry to this shard's private
-    /// state. Shared state (ledger, bulletin, DEC bank, held
-    /// payments) lives behind `Arc`s and survived the crash on its
-    /// own, so only the per-shard projection is replayed — replaying
-    /// the full request would double-apply the shared effects.
-    fn apply_committed(&mut self, entry: &CommittedEntry) {
+    /// Re-applies one journal record to this shard's private state.
+    /// Shared state (ledger, bulletin, DEC bank, held payments) lives
+    /// behind `Arc`s and survived the crash on its own, so only the
+    /// per-shard projection is replayed — replaying the full request
+    /// would double-apply the shared effects.
+    fn apply_committed(&mut self, record: &WalRecord) {
         use MaRequest::*;
-        match (&entry.request, &entry.response) {
+        match (&record.request, &record.response) {
             (Withdraw { account, nonce, .. }, MaResponse::BlindSignature(_)) => {
                 let last = self.used_nonces.entry(*account).or_insert(0);
                 *last = (*last).max(*nonce);
@@ -872,6 +885,19 @@ fn route(key: Option<RequestKey>, request: &MaRequest, shards: usize, rr: &mut u
     }
 }
 
+/// Whether executing `request` changes state a replay must rebuild.
+/// The pure reads — the kinds both [`Shard::apply_committed`] and
+/// [`apply_shared_effects`] ignore — are neither journaled nor cached
+/// for retransmits: a retransmitted read re-executes against current
+/// state, so a shard's live dedup cache is exactly what its base plus
+/// its journal rebuild.
+fn is_write(request: &MaRequest) -> bool {
+    !matches!(
+        request,
+        MaRequest::Balance { .. } | MaRequest::FetchLabor { .. }
+    )
+}
+
 /// Everything a shard worker thread needs; built once per incarnation
 /// by the supervisor, so a respawn reconstructs the worker over the
 /// same journal and crash bookkeeping.
@@ -901,12 +927,14 @@ struct ShardWorker {
     shard_idx: usize,
     /// Cross-client batching flush triggers.
     batch: BatchConfig,
-    /// `(at_request, fired)` — exit when this incarnation's journal
-    /// has `at_request` Begins, unless a previous incarnation already
+    /// `(at_request, fired)` — exit before executing the
+    /// `at_request`-th request (counting this incarnation's replayed
+    /// records as executed), unless a previous incarnation already
     /// fired the crash.
     crash: Option<(u64, Arc<AtomicBool>)>,
-    /// `(at_begin, fired)` — exit after the matching Commit append,
-    /// before the group commit and before any held reply is sent.
+    /// `(at_request, fired)` — exit after the matching request
+    /// executed and its record was appended, before the group commit
+    /// and before any held reply is sent.
     crash_mid_batch: Option<(u64, Arc<AtomicBool>)>,
 }
 
@@ -958,34 +986,28 @@ impl ShardWorker {
             data_reports: HashMap::new(),
         };
         shard.load_base(&self.base.lock(), &mut dedup);
-        let replay = {
+        let replayed = {
             let _span = Timed::new(&wal_replay_ns);
             self.log
                 .replay_shard(self.shard_idx as u32)
                 .expect("shard journal must replay cleanly")
         };
-        self.faults.wal_discard(replay.discarded);
-        for entry in &replay.committed {
-            shard.apply_committed(entry);
-            if let Some(k) = entry.key {
-                dedup.insert(k, entry.response.clone());
+        for record in &replayed {
+            shard.apply_committed(record);
+            if let Some(k) = record.key {
+                dedup.insert(k, record.response.clone());
             }
-            // Re-attribute each replayed entry to the trace of the
+            // Re-attribute each replayed record to the trace of the
             // client operation that originally caused it: a crash dump
             // taken after recovery shows *whose* requests were redone,
             // not an anonymous wall of trace 0.
-            self.recorder.record(entry.span.trace_id, "replayed", || {
-                format!("key={:?}", entry.key)
+            self.recorder.record(record.span.trace_id, "replayed", || {
+                format!("key={:?}", record.key)
             });
         }
-        let mut begins = replay.committed.len() as u64 + replay.discarded;
-        self.recorder.record(0, "replay", || {
-            format!(
-                "committed={} discarded={}",
-                replay.committed.len(),
-                replay.discarded
-            )
-        });
+        let mut executed = replayed.len() as u64;
+        self.recorder
+            .record(0, "replay", || format!("records={}", replayed.len()));
 
         // Batching instrumentation (DESIGN.md §16): how batches form
         // (`batch.drain_size`), why they flush (`batch.flush_*`), how
@@ -1184,45 +1206,32 @@ impl ShardWorker {
                     }
                 }
                 dedup_misses.inc();
-                // Service latency from here: WAL Begin + execute +
-                // Commit. The causal span covers the same window,
-                // parented under whatever delivered the request (a
-                // transport attempt or a reactor read), so exported
-                // traces show shard residency.
+                // Service latency from here: execute + journal append.
+                // The causal span covers the same window, parented
+                // under whatever delivered the request (a transport
+                // attempt or a reactor read), so exported traces show
+                // shard residency.
                 let handle_span = Span::child("shard.handle", span);
                 let op_hist = op_hists
                     .entry(label)
                     .or_insert_with(|| self.obs.histogram(&format!("ma.op.{label}_ns")));
                 let op_span = TimedOwned::new(op_hist.clone());
 
-                // The Begin record rides the request by move — no
-                // deep clone of payload vectors on the hot path — and
-                // hands it back after the append.
-                let record = {
-                    let _span = Timed::new(&wal_append_ns);
-                    let wal_span = Span::child("wal.append", handle_span.ctx());
-                    let record = WalRecord::Begin { key, span, request };
-                    self.journal(&record, wal_span.ctx());
-                    record
-                };
-                let WalRecord::Begin { request, .. } = record else {
-                    unreachable!("begin record carries the request")
-                };
-                begins += 1;
+                executed += 1;
                 if let Some((at, fired)) = &self.crash {
-                    if begins >= *at && !fired.swap(true, Ordering::SeqCst) {
-                        // Injected crash: die after journaling, before
-                        // executing — the request is lost in flight, its
-                        // Begin is the journal's orphan tail. Close the
-                        // queue *before* hanging up on the caller: once
-                        // the caller observes the failure, its retry is
-                        // guaranteed to bounce off the dead channel and
-                        // reach the supervisor's respawn path instead of
-                        // vanishing into a dying queue. Held replies and
-                        // undrained batch items hang up the same way.
-                        self.recorder.record(trace_id, "crash", || {
-                            format!("injected after {label} Begin")
-                        });
+                    if executed >= *at && !fired.swap(true, Ordering::SeqCst) {
+                        // Injected crash: die before executing — the
+                        // request is lost in flight and leaves no
+                        // record. Close the queue *before* hanging up
+                        // on the caller: once the caller observes the
+                        // failure, its retry is guaranteed to bounce
+                        // off the dead channel and reach the
+                        // supervisor's respawn path instead of
+                        // vanishing into a dying queue. Held replies
+                        // and undrained batch items hang up the same
+                        // way.
+                        self.recorder
+                            .record(trace_id, "crash", || format!("injected before {label}"));
                         self.dump_crash("injected-crash");
                         drop(srx);
                         drop(reply);
@@ -1233,10 +1242,10 @@ impl ShardWorker {
                 let pv = preverified[i].take();
                 // A panic inside a handler kills only this worker; the
                 // supervisor respawns it and the journal replay
-                // restores everything committed before the blast.
+                // restores everything recorded before the blast.
                 let (response, effects) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut effects = Vec::new();
-                    let response = shard.handle(request, &mut effects, pv);
+                    let response = shard.handle(&request, &mut effects, pv);
                     (response, effects)
                 })) {
                     Ok(pair) => pair,
@@ -1251,43 +1260,52 @@ impl ShardWorker {
                     }
                 };
 
-                // The Commit record rides the response by move, too;
-                // only the dedup cache still clones it.
-                let record = {
-                    let _span = Timed::new(&wal_append_ns);
-                    let wal_span = Span::child("wal.append", handle_span.ctx());
-                    let record = WalRecord::Commit {
-                        key,
-                        response,
-                        effects,
+                let write = is_write(&request);
+                let response = if write {
+                    // The record takes the request and the response by
+                    // move — no deep clone of payload vectors on the
+                    // hot path — and hands the response back after the
+                    // append; only the dedup cache still clones it.
+                    let record = {
+                        let _span = Timed::new(&wal_append_ns);
+                        let wal_span = Span::child("wal.append", handle_span.ctx());
+                        let record = WalRecord {
+                            key,
+                            span,
+                            request,
+                            response,
+                            effects,
+                        };
+                        self.journal(&record, wal_span.ctx());
+                        record
                     };
-                    self.journal(&record, wal_span.ctx());
-                    record
+                    self.faults.wal_commit();
+                    committed += 1;
+                    if let Some(k) = key {
+                        dedup.insert(k, record.response.clone());
+                    }
+                    record.response
+                } else {
+                    response
                 };
-                let WalRecord::Commit { response, .. } = record else {
-                    unreachable!("commit record carries the response")
-                };
-                self.faults.wal_commit();
-                committed += 1;
-                if let Some(k) = key {
-                    dedup.insert(k, response.clone());
-                }
                 self.recorder
-                    .record(trace_id, "commit", || label.to_string());
+                    .record(trace_id, if write { "commit" } else { "read" }, || {
+                        label.to_string()
+                    });
                 drop(op_span);
                 drop(handle_span);
                 if let Some((at, fired)) = &self.crash_mid_batch {
-                    if begins >= *at && !fired.swap(true, Ordering::SeqCst) {
-                        // Mid-batch kill point: the Commit above is
+                    if executed >= *at && !fired.swap(true, Ordering::SeqCst) {
+                        // Mid-batch kill point: the record above is
                         // journaled (not necessarily synced — under a
                         // deferring policy the group commit below is
                         // what would have made it durable), and no
                         // held reply escapes. Every client in the
-                        // batch must converge via retry: committed
+                        // batch must converge via retry: recorded
                         // items replay from the dedup cache, the rest
                         // re-execute.
                         self.recorder.record(trace_id, "crash", || {
-                            format!("injected mid-batch after {label} Commit")
+                            format!("injected mid-batch after {label}")
                         });
                         self.dump_crash("mid-batch-crash");
                         drop(srx);
@@ -1350,9 +1368,6 @@ pub struct RecoveryReport {
     /// — the property that bounds recovery time by checkpoint
     /// interval, not by history length.
     pub replayed_records: usize,
-    /// Requests in flight at the crash (Begin without Commit),
-    /// discarded; the clients' retries re-execute them.
-    pub discarded_inflight: u64,
     /// Bytes of torn final frame truncated from the log tail.
     pub torn_tail_bytes: usize,
     /// Segment files read during replay.
@@ -1374,18 +1389,15 @@ struct DurableCtx {
     since_snapshot: Arc<ppms_obs::Gauge>,
 }
 
-/// Re-applies the *shared-state* effects of one committed request
-/// during cold-start recovery — the shared twin of
+/// Re-applies the *shared-state* effects of one journal record during
+/// cold-start recovery — the shared twin of
 /// [`Shard::apply_committed`] (which replays per-shard private
 /// state). Each arm applies exactly what the original execution wrote
 /// into the shared structures, keyed off the recorded response; it
 /// never re-runs verification, whose verdict already rides in the
 /// record (`effects` for batch deposits).
-#[allow(clippy::too_many_arguments)]
 fn apply_shared_effects(
-    request: &MaRequest,
-    response: &MaResponse,
-    effects: &[(u32, u64)],
+    record: &WalRecord,
     bank: &Bank,
     bulletin: &Bulletin,
     dec_bank: &mut DecBank,
@@ -1394,7 +1406,8 @@ fn apply_shared_effects(
     face_value: u64,
 ) {
     use MaRequest::*;
-    match (request, response) {
+    let response = &record.response;
+    match (&record.request, response) {
         (RegisterJoAccount { funds, clpk }, MaResponse::Account(id)) => {
             bank.restore_account(*id, *funds);
             cl_bindings.insert(*id, clpk.clone());
@@ -1441,12 +1454,12 @@ fn apply_shared_effects(
             // Re-insert exactly the spends the original execution
             // accepted (double-spend state) and re-credit the
             // recorded total — the response alone carries only
-            // counts, which is why `effects` rides in the Commit.
+            // counts, which is why `effects` rides in the record.
             // The DEC state mutates even when the response was an
             // error (a failed ledger credit happens *after* the
             // deposits), matching the original execution.
             let mut total = 0u64;
-            for &(idx, value) in effects {
+            for &(idx, value) in &record.effects {
                 if let Some(spend) = spends.get(idx as usize) {
                     let _ = dec_bank.deposit_preverified(spend, value);
                     total += value;
@@ -1921,63 +1934,19 @@ impl MaService {
                 ),
             });
         }
-        // Shared-effects replay, in global commit order. Each shard's
-        // records pair up Begin/Commit independently, and a Commit
-        // must answer its own shard's pending Begin under the same key.
-        let mut pending_begin: HashMap<u32, (Option<RequestKey>, MaRequest)> = HashMap::new();
-        let mut replayed = 0usize;
-        let mut discarded = 0u64;
-        for (lsn, shard, record) in &log_rec.records {
-            if *lsn < covered {
-                continue;
-            }
-            replayed += 1;
-            match record {
-                WalRecord::Begin { key, request, .. } => {
-                    if pending_begin
-                        .insert(*shard, (*key, request.clone()))
-                        .is_some()
-                    {
-                        // Begin over Begin: the older one died in
-                        // flight (worker crash); discard.
-                        discarded += 1;
-                    }
-                }
-                WalRecord::Commit {
-                    key,
-                    response,
-                    effects,
-                } => {
-                    let corrupt = |detail: String| StorageError::Corrupt {
-                        file: String::new(),
-                        offset: 0,
-                        detail: format!("lsn {lsn}: {detail} on shard {shard}"),
-                    };
-                    let Some((begin_key, request)) = pending_begin.remove(shard) else {
-                        return Err(corrupt("commit without begin".into()));
-                    };
-                    if begin_key != *key {
-                        return Err(corrupt(format!(
-                            "commit key {key:?} answers begin key {begin_key:?}"
-                        )));
-                    }
-                    apply_shared_effects(
-                        &request,
-                        response,
-                        effects,
-                        &bank,
-                        &bulletin,
-                        &mut dec_bank,
-                        &mut cl_map,
-                        &mut held,
-                        params.face_value(),
-                    );
-                }
-            }
+        // Shared-effects replay, in global journal order.
+        for (_, _, record) in log_rec.records.iter().filter(|(lsn, ..)| *lsn >= covered) {
+            apply_shared_effects(
+                record,
+                &bank,
+                &bulletin,
+                &mut dec_bank,
+                &mut cl_map,
+                &mut held,
+                params.face_value(),
+            );
+            report.replayed_records += 1;
         }
-        discarded += pending_begin.len() as u64;
-        report.replayed_records = replayed;
-        report.discarded_inflight = discarded;
         report.torn_tail_bytes = log_rec.torn_bytes;
         report.segments_read = log_rec.segments_read;
 
@@ -2016,7 +1985,7 @@ impl MaService {
                 config
                     .crash_mid_batch
                     .filter(|c| c.shard % n_shards == i)
-                    .map(|c| (c.at_begin, Arc::new(AtomicBool::new(false))))
+                    .map(|c| (c.at_request, Arc::new(AtomicBool::new(false))))
             })
             .collect();
         // Queue-depth gauges: the dispatcher adds one per enqueue,
@@ -2676,8 +2645,8 @@ mod tests {
         }) else {
             panic!("publish");
         };
-        // Request #2 hits the crash point: journaled, never executed,
-        // the worker dies, the reply channel hangs up.
+        // Request #2 hits the crash point: never executed, no record
+        // written, the worker dies, the reply channel hangs up.
         let id = next_request_id();
         let first = client.try_call_keyed(
             id,
@@ -2687,8 +2656,8 @@ mod tests {
             },
         );
         assert!(first.is_err(), "crash must surface as a transport error");
-        // The retry (same key) lands on the respawned worker: the
-        // orphan Begin was discarded, so this re-executes cleanly.
+        // The retry (same key) lands on the respawned worker: nothing
+        // was recorded for it, so this re-executes cleanly.
         let retry = client
             .try_call_keyed(
                 id,
@@ -2700,7 +2669,6 @@ mod tests {
             .expect("retry after respawn");
         assert!(matches!(retry, MaResponse::Ok), "{retry:?}");
         assert_eq!(svc.faults.shard_respawns(), 1);
-        assert_eq!(svc.faults.snapshot().wal_discarded, 1);
         // The pre-crash state survived the respawn via journal replay.
         let MaResponse::Labor(sps) = client.call(MaRequest::FetchLabor { job_id: job }) else {
             panic!("labor");
@@ -2789,7 +2757,6 @@ mod tests {
         .expect("recover");
         assert!(report.snapshot.is_none(), "no checkpoint was taken");
         assert!(report.replayed_records > 0);
-        assert_eq!(report.discarded_inflight, 0, "clean shutdown");
         assert_eq!(svc2.bank.snapshot(), before, "ledger restored exactly");
         let client2 = svc2.client();
         // DEC double-spend state survived: the deposited spend under a
@@ -2839,7 +2806,7 @@ mod tests {
             });
         }
         let covered = svc.checkpoint().expect("checkpoint");
-        assert_eq!(covered, 12, "six requests journal twelve records");
+        assert_eq!(covered, 6, "six writes journal six records");
         assert_eq!(svc.faults.wal_snapshots(), 1);
         assert!(svc.faults.wal_compactions() >= 1, "segments were dropped");
         // One more request after the checkpoint: the only tail.
@@ -2865,7 +2832,7 @@ mod tests {
         assert!(report.snapshot.is_some());
         // The compaction guarantee: recovery replays only the records
         // written since the snapshot, however long the prior history.
-        assert_eq!(report.replayed_records, 2);
+        assert_eq!(report.replayed_records, 1);
         assert_eq!(svc2.bank.snapshot(), before);
         // Payment 0's data arrived post-checkpoint, so its payment is
         // deliverable; the other five stay held.
@@ -2954,7 +2921,7 @@ mod tests {
             assert!(matches!(resp, MaResponse::Ok), "{resp:?}");
         }
         let covered = svc.checkpoint().expect("in-memory checkpoint");
-        assert_eq!(covered, 6, "three requests journal six records");
+        assert_eq!(covered, 3, "three writes journal three records");
         assert_eq!(svc.faults.wal_snapshots(), 1);
         assert!(svc.faults.wal_compactions() >= 1, "covered segment dropped");
         // Request #4 hits the crash point after the checkpoint.
@@ -2969,7 +2936,6 @@ mod tests {
             .expect("retry after respawn");
         assert!(matches!(retry, MaResponse::Ok), "{retry:?}");
         assert_eq!(svc.faults.shard_respawns(), 1);
-        assert_eq!(svc.faults.snapshot().wal_discarded, 1);
         let MaResponse::Labor(sps) = client.call(MaRequest::FetchLabor { job_id: job }) else {
             panic!("labor");
         };
@@ -3061,58 +3027,85 @@ mod tests {
     }
 
     #[test]
-    fn cold_start_refuses_a_commit_under_a_different_key() {
-        // Cold-start pairing must match keys like worker replay does:
-        // a Commit answering another request's Begin is a corrupt
-        // journal, not a request to apply.
-        let storage = Arc::new(SimStorage::new());
-        let (log, _) = DurableLog::open(
-            storage.clone(),
-            crate::storage::SyncPolicy::Always,
-            1 << 16,
-            &Registry::new(),
-        )
-        .expect("open");
-        let key = |request_id| {
-            Some(RequestKey {
-                party: Party::Sp,
-                request_id,
-            })
-        };
-        log.append(
-            0,
-            &WalRecord::Begin {
-                key: key(1),
-                span: SpanContext::NONE,
-                request: MaRequest::RegisterSpAccount,
-            },
-        )
-        .expect("append");
-        log.append(
-            0,
-            &WalRecord::Commit {
-                key: key(2),
-                response: MaResponse::Account(AccountId(1)),
-                effects: vec![],
-            },
-        )
-        .expect("append");
-        drop(log);
-        let mut rng = StdRng::seed_from_u64(44);
-        let err = match MaService::recover(
+    fn reads_are_neither_journaled_nor_cached() {
+        // Request #12 (one write, eight reads, the keyed Balance, the
+        // withdrawal, then a fresh write) hits the crash point.
+        let mut rng = StdRng::seed_from_u64(46);
+        let svc = MaService::spawn_with_config(
             &mut rng,
             DecParams::fixture(2, 8),
             512,
             40,
-            ServiceConfig::default(),
-            DurabilityConfig::new(storage),
-        ) {
-            Ok(_) => panic!("a mismatched commit must refuse recovery"),
-            Err(e) => e,
-        };
-        assert!(
-            matches!(&err, StorageError::Corrupt { detail, .. } if detail.contains("answers begin")),
-            "{err:?}"
+            ServiceConfig {
+                crash: Some(CrashPoint {
+                    shard: 0,
+                    at_request: 12,
+                }),
+                ..ServiceConfig::default()
+            },
         );
+        let client = svc.client();
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("register");
+        };
+        let journal = |svc: &MaService| {
+            let snap = svc.obs_snapshot();
+            let appends = snap.histogram("wal.append_ns").map_or(0, |h| h.count);
+            (appends, snap.gauge("wal.records"))
+        };
+        let before = journal(&svc);
+        assert_eq!(before, (1, 1), "the registration is the one record");
+
+        // Reads append nothing: no record, no LSN.
+        for _ in 0..4 {
+            let resp = client.call(MaRequest::Balance { account: jo });
+            assert!(matches!(resp, MaResponse::Balance(50)), "{resp:?}");
+            let resp = client.call(MaRequest::FetchLabor { job_id: 0 });
+            assert!(matches!(resp, MaResponse::Labor(_)), "{resp:?}");
+        }
+        assert_eq!(journal(&svc), before, "reads must not be journaled");
+
+        // A keyed read, then a withdrawal that changes its answer.
+        let read_id = next_request_id();
+        let balance = MaRequest::Balance { account: jo };
+        let resp = client.try_call_keyed(read_id, balance.clone());
+        assert!(matches!(resp, Ok(MaResponse::Balance(50))), "{resp:?}");
+        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+        let resp = client.call(MaRequest::Withdraw {
+            account: jo,
+            nonce: 1,
+            auth,
+            blinded: BigUint::from(12345u64),
+        });
+        assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
+        let now = 50 - svc.params.face_value();
+
+        // Crash and respawn: the new worker rebuilds its dedup cache
+        // from the journal alone.
+        let id = next_request_id();
+        assert!(client
+            .try_call_keyed(id, MaRequest::RegisterSpAccount)
+            .is_err());
+        let resp = client.try_call_keyed(id, MaRequest::RegisterSpAccount);
+        assert!(matches!(resp, Ok(MaResponse::Account(_))), "{resp:?}");
+        assert_eq!(svc.faults.shard_respawns(), 1);
+
+        // The retransmitted read re-executes against current state.
+        let replays = svc.faults.dedup_replays();
+        let resp = client.try_call_keyed(read_id, balance);
+        assert!(
+            matches!(resp, Ok(MaResponse::Balance(b)) if b == now),
+            "a retransmitted read answers the current balance {now}: {resp:?}"
+        );
+        assert_eq!(
+            svc.faults.dedup_replays(),
+            replays,
+            "reads are never cached"
+        );
+        svc.shutdown();
     }
 }

@@ -751,12 +751,13 @@ pub enum KeyedDrive {
 ///
 /// Because the keys and every rng draw are functions of `(seed,
 /// n_sps, w)` alone, re-invoking the drive replays the schedule
-/// byte-identically from step 0: steps whose commit survived (in
+/// byte-identically from step 0: writes whose record survived (in
 /// memory, or on the durable log across a crash) answer from the
-/// dedup cache without re-executing, and lost steps re-execute
-/// against the recovered state. Killing a durable service after `k`
-/// calls and re-driving with an infinite budget must therefore
-/// converge on the fault-free outcome — the crash-matrix invariant.
+/// dedup cache without re-executing, while lost writes and every
+/// read re-execute against the recovered state. Killing a durable
+/// service after `k` calls and re-driving with an infinite budget
+/// must therefore converge on the fault-free outcome — the
+/// crash-matrix invariant.
 pub fn drive_market_keyed(
     svc: &MaService,
     seed: u64,
@@ -938,15 +939,32 @@ pub fn drive_market_keyed(
     })))
 }
 
+/// How many of the first `calls` requests of [`drive_market_keyed`]'s
+/// schedule are writes, i.e. journal one record each. The reads are
+/// each SP's `FetchLabor` (the third of its eight steps) and the
+/// `Balance` audits that follow the closing `FetchData`.
+pub const fn keyed_journaled_calls(n_sps: usize, calls: u64) -> u64 {
+    let data_fetch = 2 + 8 * n_sps as u64;
+    let mut reads = 0;
+    let mut step = 2;
+    while step < calls {
+        if (step < data_fetch && (step - 2) % 8 == 2) || step > data_fetch {
+            reads += 1;
+        }
+        step += 1;
+    }
+    calls - reads
+}
+
 // ---------------------------------------------------------------------------
-// Deposit workload (shard-scaling benchmark support)
+// Deposit workload (deposit benchmark support)
 // ---------------------------------------------------------------------------
 
 /// Mints `n_batches` deposit batches against a running service: each
 /// batch is a fresh SP account plus every unit leaf of one
 /// service-withdrawn coin. The expensive part of depositing these —
 /// per-spend ZK verification — is exactly what the shard workers
-/// parallelize, so these batches are the shard-scaling benchmark's
+/// parallelize, so these batches are the deposit benchmarks'
 /// workload.
 pub fn mint_deposit_batches(
     svc: &MaService,

@@ -29,7 +29,7 @@
 
 use super::backend::{Storage, StorageError};
 use super::SyncPolicy;
-use crate::wal::{self, WalRecord, WalReplay};
+use crate::wal::{self, WalRecord};
 use crate::wire::{WireDecode, WireEncode, WireReader, WireWriter};
 use parking_lot::Mutex;
 use ppms_obs::{Counter, Gauge, Histogram, Registry};
@@ -39,11 +39,11 @@ use std::time::Instant;
 /// Segment header magic: `PPWS` ("privacy-preserving WAL segment").
 const SEGMENT_MAGIC: u32 = 0x5050_5753;
 
-/// Segment format version. v2: `WalRecord::Begin` carries the span
-/// context of the request it journals (trace/span/parent ids), so
-/// recovery replay can re-attribute entries to their originating
-/// trace. v1 segments are refused rather than misdecoded.
-const SEGMENT_VERSION: u16 = 2;
+/// Segment format version. v3: one record per executed write
+/// (`{key, span, request, response, effects}`), where v2 wrote a
+/// `Begin` before and a `Commit` after each request. Segments of any
+/// other version are refused rather than misdecoded.
+const SEGMENT_VERSION: u16 = 3;
 
 /// Header bytes: magic u32, version u16, reserved u16, start LSN u64.
 const SEGMENT_HEADER_LEN: usize = 16;
@@ -82,8 +82,8 @@ struct LogInner {
 /// What [`DurableLog::open`] found on the medium.
 #[derive(Debug, Default)]
 pub struct LogRecovery {
-    /// Every committed-or-not record in LSN order, tagged with the
-    /// shard that wrote it: `(lsn, shard, record)`.
+    /// Every record in LSN order, tagged with the shard that wrote
+    /// it: `(lsn, shard, record)`.
     pub records: Vec<(u64, u32, WalRecord)>,
     /// First LSN still present (records below it live only in a
     /// snapshot) — the compaction-bound assertion reads this.
@@ -387,10 +387,10 @@ impl DurableLog {
     }
 
     /// Replays the per-shard projection for a respawning worker:
-    /// every record tagged `shard` still present in the log, paired
-    /// Begin/Commit. Holds the append lock for the duration so the
-    /// scan never races a concurrent writer mid-frame.
-    pub fn replay_shard(&self, shard: u32) -> Result<WalReplay, StorageError> {
+    /// every record tagged `shard` still present in the log, in LSN
+    /// order. Holds the append lock for the duration so the scan never
+    /// races a concurrent writer mid-frame.
+    pub fn replay_shard(&self, shard: u32) -> Result<Vec<WalRecord>, StorageError> {
         let inner = self.inner.lock();
         let mut records = Vec::new();
         let last = inner.segments.len() - 1;
@@ -426,7 +426,7 @@ impl DurableLog {
                 }
             }
         }
-        Ok(wal::replay_records(records.into_iter())?)
+        Ok(records)
     }
 }
 
@@ -474,23 +474,17 @@ mod tests {
     use crate::storage::SimStorage;
 
     fn rec(i: u64) -> WalRecord {
-        WalRecord::Begin {
+        WalRecord {
             key: Some(RequestKey {
                 party: Party::Sp,
                 request_id: i,
             }),
             span: ppms_obs::SpanContext::from_trace(i),
-            request: MaRequest::FetchLabor { job_id: i },
-        }
-    }
-
-    fn commit(i: u64) -> WalRecord {
-        WalRecord::Commit {
-            key: Some(RequestKey {
-                party: Party::Sp,
-                request_id: i,
-            }),
-            response: MaResponse::Labor(vec![]),
+            request: MaRequest::LaborRegister {
+                job_id: i,
+                sp_pubkey: vec![i as u8],
+            },
+            response: MaResponse::Ok,
             effects: vec![],
         }
     }
@@ -528,9 +522,8 @@ mod tests {
             assert_eq!(*lsn, i as u64);
             assert_eq!(*shard, (i % 3) as u32);
             assert!(matches!(
-                record,
-                WalRecord::Begin { request: MaRequest::FetchLabor { job_id }, .. }
-                    if *job_id == i as u64
+                record.request,
+                MaRequest::LaborRegister { job_id, .. } if job_id == i as u64
             ));
         }
         assert_eq!(log.next_lsn(), 6);
@@ -542,14 +535,13 @@ mod tests {
         let (log, _) = open(&sim, SyncPolicy::Always, 64); // tiny segments
         for i in 0..10u64 {
             log.append(0, &rec(i)).unwrap();
-            log.append(0, &commit(i)).unwrap();
         }
         assert!(log.segment_count() > 2, "tiny cap must force rotation");
-        let replay = log.replay_shard(0).unwrap();
-        assert_eq!(replay.committed.len(), 10);
+        let replayed = log.replay_shard(0).unwrap();
+        assert_eq!(replayed.len(), 10);
         // Every non-final segment must be fully durable (sealed).
         let (_, recovered) = open(&sim, SyncPolicy::Always, 64);
-        assert_eq!(recovered.records.len(), 20);
+        assert_eq!(recovered.records.len(), 10);
     }
 
     #[test]
@@ -685,5 +677,31 @@ mod tests {
         )
         .expect_err("gap must refuse");
         assert!(matches!(err, StorageError::Corrupt { .. }));
+    }
+
+    #[test]
+    fn segment_of_an_older_version_is_refused() {
+        // A v2 segment (a Begin before and a Commit after each
+        // request) must not be decoded as one-record-per-write frames.
+        let sim = SimStorage::new();
+        let mut header = segment_header(0);
+        header[4..6].copy_from_slice(&2u16.to_be_bytes());
+        let name = segment_name(0);
+        sim.append(&name, &header).unwrap();
+        sim.sync(&name).unwrap();
+        let err = DurableLog::open(
+            Arc::new(sim) as Arc<dyn Storage>,
+            SyncPolicy::Always,
+            1 << 16,
+            &Registry::new(),
+        )
+        .expect_err("an old segment version must refuse");
+        match err {
+            StorageError::Corrupt { file, offset, .. } => {
+                assert_eq!(file, name);
+                assert_eq!(offset, 4, "offset names the version field");
+            }
+            other => panic!("wrong error: {other}"),
+        }
     }
 }

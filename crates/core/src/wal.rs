@@ -1,37 +1,39 @@
 //! The write-ahead journal's record format and replay rules: the
 //! crash-recovery half of the MA's fault-tolerance story.
 //!
-//! Every shard worker appends a framed [`WalRecord::Begin`] *before*
-//! executing a request and a [`WalRecord::Commit`] carrying the
-//! response right after, into the service's one
-//! [`crate::storage::DurableLog`]. The log outlives the worker thread
-//! (the supervisor owns it through an `Arc`), so when a shard panics or
-//! is crash-injected, the respawned incarnation replays its records to
-//! rebuild exactly the state the dead worker held privately:
+//! Every shard worker appends one framed [`WalRecord`] per executed
+//! write — the request, its response and its recorded effects, written
+//! *after* the handler ran — into the service's one
+//! [`crate::storage::DurableLog`]. Pure reads (`Balance`,
+//! `FetchLabor`) change nothing a replay could rebuild, so they are
+//! neither journaled nor cached for retransmits. The log outlives the
+//! worker thread (the supervisor owns it through an `Arc`), so when a
+//! shard panics or is crash-injected, the respawned incarnation
+//! replays its records to rebuild exactly the state the dead worker
+//! held privately:
 //!
 //! * withdrawal-nonce high-water marks,
 //! * labor registrations and data reports keyed to this shard,
 //! * the idempotency (dedup) cache of `(party, request_id) →
-//!   response`, so retransmits of already-executed requests still
+//!   response`, so retransmits of already-executed writes still
 //!   replay their original answer after a crash.
 //!
-//! Replay applies only *committed* records. A `Begin` without a
-//! matching `Commit` marks the request that was in flight when the
-//! shard died: it was never applied (the shard journals, then
-//! executes, then commits), so replay discards it and the client's
-//! retry re-executes it from scratch. The same rule extends one level
-//! down, to the *bytes*: a partial final frame (a torn tail, the
-//! signature of a crash mid-append) is tolerated and its length
-//! reported, while a checksum mismatch on any *complete* frame is a
-//! hard error — corruption before the tail means the medium lied, and
-//! replaying past it would rebuild a ledger nobody agreed to.
+//! A request the shard died on before its record was appended was
+//! never answered (replies wait for the record), so replay has
+//! nothing to discard: the client's retry re-executes it from
+//! scratch. The same rule extends one level down, to the *bytes*: a
+//! partial final frame (a torn tail, the signature of a crash
+//! mid-append) is tolerated and its length reported, while a checksum
+//! mismatch on any *complete* frame is a hard error — corruption
+//! before the tail means the medium lied, and replaying past it would
+//! rebuild a ledger nobody agreed to.
 //!
 //! Shared state (ledger, bulletin, DEC double-spend set, held
 //! payments) lives outside the shards behind `Arc`s and survives a
 //! worker crash on its own, so a respawn replays only the per-shard
 //! projection. A process restart *does* lose the shared state — there,
 //! cold-start recovery applies the full recorded effects (which is why
-//! a `Commit` carries the deposit effects explicitly: re-running ZK
+//! a record carries the deposit effects explicitly: re-running ZK
 //! verification on recovery is neither possible — the verdicts depend
 //! on bank-private state order — nor meaningful).
 //!
@@ -45,37 +47,29 @@ use crate::service::{MaRequest, MaResponse, RequestKey};
 use crate::wire::{fnv1a, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use ppms_obs::SpanContext;
 
-/// One journal entry.
+/// One journal entry: a write that executed, appended after it ran.
 #[derive(Debug, Clone)]
-pub enum WalRecord {
-    /// Appended before a request executes. `key` is `None` only for
-    /// requests that arrived without an idempotency key (a raw
-    /// `Inbound` constructed by hand).
-    Begin {
-        /// The idempotency key the request arrived under.
-        key: Option<RequestKey>,
-        /// The span context the request executed under, persisted so
-        /// a respawned worker's replay re-attributes each applied
-        /// entry to the trace that originally caused it instead of
-        /// trace 0. `SpanContext::NONE` for untraced internal sends.
-        span: SpanContext,
-        /// The request about to execute.
-        request: MaRequest,
-    },
-    /// Appended after a request executed, carrying its response.
-    Commit {
-        /// The idempotency key the request arrived under.
-        key: Option<RequestKey>,
-        /// The response that was sent (and cached for retransmits).
-        response: MaResponse,
-        /// For a `DepositBatch`: the `(index, value)` pairs of the
-        /// spends that passed verification and were recorded in the
-        /// double-spend set. Cold-start recovery re-inserts exactly
-        /// these — the response alone carries only counts, and
-        /// re-verifying on replay would wrongly admit spends whose
-        /// ZK proofs never passed. Empty for every other request.
-        effects: Vec<(u32, u64)>,
-    },
+pub struct WalRecord {
+    /// The idempotency key the request arrived under; `None` only for
+    /// requests that arrived without one (a raw `Inbound` constructed
+    /// by hand).
+    pub key: Option<RequestKey>,
+    /// The span context the request executed under, persisted so a
+    /// respawned worker's replay re-attributes each entry to the trace
+    /// that originally caused it instead of trace 0.
+    /// `SpanContext::NONE` for untraced internal sends.
+    pub span: SpanContext,
+    /// The request that executed.
+    pub request: MaRequest,
+    /// The response that was sent (and cached for retransmits).
+    pub response: MaResponse,
+    /// For a `DepositBatch`: the `(index, value)` pairs of the spends
+    /// that passed verification and were recorded in the double-spend
+    /// set. Cold-start recovery re-inserts exactly these — the
+    /// response alone carries only counts, and re-verifying on replay
+    /// would wrongly admit spends whose ZK proofs never passed. Empty
+    /// for every other request.
+    pub effects: Vec<(u32, u64)>,
 }
 
 fn put_key(w: &mut WireWriter, key: &Option<RequestKey>) {
@@ -100,94 +94,35 @@ fn read_key(r: &mut WireReader<'_>) -> Result<Option<RequestKey>, WireError> {
     })
 }
 
-fn put_span(w: &mut WireWriter, span: &SpanContext) {
-    w.u64(span.trace_id);
-    w.u64(span.span_id);
-    w.u64(span.parent_id);
-}
-
-fn read_span(r: &mut WireReader<'_>) -> Result<SpanContext, WireError> {
-    Ok(SpanContext {
-        trace_id: r.u64()?,
-        span_id: r.u64()?,
-        parent_id: r.u64()?,
-    })
-}
-
 impl WireEncode for WalRecord {
     fn encode(&self, w: &mut WireWriter) {
-        match self {
-            WalRecord::Begin { key, span, request } => {
-                w.u8(0);
-                put_key(w, key);
-                put_span(w, span);
-                request.encode(w);
-            }
-            WalRecord::Commit {
-                key,
-                response,
-                effects,
-            } => {
-                w.u8(1);
-                put_key(w, key);
-                response.encode(w);
-                crate::wire::put_list(w, effects, |w, &(idx, value)| {
-                    w.u32(idx);
-                    w.u64(value);
-                });
-            }
-        }
+        put_key(w, &self.key);
+        w.u64(self.span.trace_id);
+        w.u64(self.span.span_id);
+        w.u64(self.span.parent_id);
+        self.request.encode(w);
+        self.response.encode(w);
+        crate::wire::put_list(w, &self.effects, |w, &(idx, value)| {
+            w.u32(idx);
+            w.u64(value);
+        });
     }
 }
 
 impl WireDecode for WalRecord {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => WalRecord::Begin {
-                key: read_key(r)?,
-                span: read_span(r)?,
-                request: MaRequest::decode(r)?,
+        Ok(WalRecord {
+            key: read_key(r)?,
+            span: SpanContext {
+                trace_id: r.u64()?,
+                span_id: r.u64()?,
+                parent_id: r.u64()?,
             },
-            1 => WalRecord::Commit {
-                key: read_key(r)?,
-                response: MaResponse::decode(r)?,
-                effects: crate::wire::read_list(r, |r| Ok((r.u32()?, r.u64()?)))?,
-            },
-            t => return Err(WireError::BadTag("wal-record", t)),
+            request: MaRequest::decode(r)?,
+            response: MaResponse::decode(r)?,
+            effects: crate::wire::read_list(r, |r| Ok((r.u32()?, r.u64()?)))?,
         })
     }
-}
-
-/// A committed request: what replay applies, in journal order.
-#[derive(Debug, Clone)]
-pub struct CommittedEntry {
-    /// The idempotency key, if the request carried one.
-    pub key: Option<RequestKey>,
-    /// The span context the request executed under (from its `Begin`
-    /// record) — what replay re-attribution reports.
-    pub span: SpanContext,
-    /// The request that executed.
-    pub request: MaRequest,
-    /// The response it produced.
-    pub response: MaResponse,
-    /// Accepted `(index, value)` pairs of a batch deposit (see
-    /// [`WalRecord::Commit::effects`]); empty otherwise.
-    pub effects: Vec<(u32, u64)>,
-}
-
-/// The replayable content of a journal.
-#[derive(Debug, Default)]
-pub struct WalReplay {
-    /// Committed entries in execution order.
-    pub committed: Vec<CommittedEntry>,
-    /// `Begin` records with no `Commit` — in flight at the crash,
-    /// discarded (the client's retry re-executes them).
-    pub discarded: u64,
-    /// Bytes of a partial final frame (a torn tail): the append that
-    /// was in flight when the writer died. Tolerated exactly like an
-    /// orphan `Begin` — never applied, reported so the recovery path
-    /// can log the loss.
-    pub torn_bytes: usize,
 }
 
 /// One frame scan failure, positioned for a precise report: `offset`
@@ -257,53 +192,6 @@ pub fn append_frame(buf: &mut Vec<u8>, body: &[u8]) {
     buf.extend_from_slice(&fnv1a(body).to_be_bytes());
 }
 
-/// Pairs one shard's `Begin`/`Commit` records into committed entries —
-/// the replay state machine behind a respawning worker's recovery.
-/// Execution on a shard is sequential, so records strictly alternate;
-/// only a crash can leave a `Begin` unmatched. A `Commit` with no
-/// pending `Begin`, or under a different key than the `Begin` it
-/// follows, is a corrupt journal and refused.
-pub fn replay_records(records: impl Iterator<Item = WalRecord>) -> Result<WalReplay, WireError> {
-    let mut replay = WalReplay::default();
-    let mut pending: Option<(Option<RequestKey>, SpanContext, MaRequest)> = None;
-    for record in records {
-        match record {
-            WalRecord::Begin { key, span, request } => {
-                if pending.is_some() {
-                    // A Begin over a live Begin means the worker
-                    // died mid-request earlier: the older one was
-                    // never applied.
-                    replay.discarded += 1;
-                }
-                pending = Some((key, span, request));
-            }
-            WalRecord::Commit {
-                key,
-                response,
-                effects,
-            } => {
-                let Some((bkey, span, request)) = pending.take() else {
-                    return Err(WireError::Malformed("wal commit without begin"));
-                };
-                if bkey != key {
-                    return Err(WireError::Malformed("wal commit answers a different begin"));
-                }
-                replay.committed.push(CommittedEntry {
-                    key,
-                    span,
-                    request,
-                    response,
-                    effects,
-                });
-            }
-        }
-    }
-    if pending.is_some() {
-        replay.discarded += 1;
-    }
-    Ok(replay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,102 +213,81 @@ mod tests {
         buf
     }
 
-    /// Scans, decodes and pairs a journal buffer, keeping the torn
-    /// tail length — what a respawning worker does with its segment.
-    fn replay(buf: &[u8]) -> Result<WalReplay, WireError> {
+    /// Scans and decodes a journal buffer into its records plus the
+    /// torn tail length — what a respawning worker does with its
+    /// segment.
+    fn replay(buf: &[u8]) -> Result<(Vec<WalRecord>, usize), WireError> {
         let scan = scan_frames(buf).map_err(|fault| fault.error)?;
         let records = scan
             .frames
             .iter()
             .map(|&(_, body)| WalRecord::from_wire_bytes(body))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut replay = replay_records(records.into_iter())?;
-        replay.torn_bytes = scan.torn_bytes;
-        Ok(replay)
+        Ok((records, scan.torn_bytes))
     }
 
-    fn begin(id: u64, request: MaRequest) -> WalRecord {
-        WalRecord::Begin {
+    fn record(id: u64, request: MaRequest, response: MaResponse) -> WalRecord {
+        WalRecord {
             key: key(id),
             span: SpanContext::NONE,
             request,
-        }
-    }
-
-    fn commit(id: u64, response: MaResponse) -> WalRecord {
-        WalRecord::Commit {
-            key: key(id),
             response,
             effects: vec![],
         }
     }
 
+    fn sp_account(id: u64) -> WalRecord {
+        record(
+            id,
+            MaRequest::RegisterSpAccount,
+            MaResponse::Account(AccountId(id)),
+        )
+    }
+
     #[test]
     fn committed_records_replay_in_order() {
-        let mut records = Vec::new();
-        for i in 0..4u64 {
-            records.push(WalRecord::Begin {
-                key: key(i),
+        let records: Vec<WalRecord> = (0..4u64)
+            .map(|i| WalRecord {
                 span: SpanContext::from_trace(0x1000 + i),
-                request: MaRequest::FetchLabor { job_id: i },
-            });
-            records.push(commit(i, MaResponse::Labor(vec![])));
-        }
-        let replay = replay(&journal(&records)).expect("replay");
-        assert_eq!(replay.committed.len(), 4);
-        assert_eq!(replay.discarded, 0);
-        assert_eq!(replay.torn_bytes, 0);
-        for (i, entry) in replay.committed.iter().enumerate() {
+                ..record(
+                    i,
+                    MaRequest::LaborRegister {
+                        job_id: i,
+                        sp_pubkey: vec![i as u8],
+                    },
+                    MaResponse::Ok,
+                )
+            })
+            .collect();
+        let (replayed, torn) = replay(&journal(&records)).expect("replay");
+        assert_eq!(replayed.len(), 4);
+        assert_eq!(torn, 0);
+        for (i, entry) in replayed.iter().enumerate() {
             assert_eq!(entry.key, key(i as u64));
             assert_eq!(
                 entry.span.trace_id,
                 0x1000 + i as u64,
-                "replay re-attributes each entry to its Begin's trace"
+                "replay re-attributes each entry to its record's trace"
             );
             assert!(matches!(
                 entry.request,
-                MaRequest::FetchLabor { job_id } if job_id == i as u64
+                MaRequest::LaborRegister { job_id, .. } if job_id == i as u64
             ));
         }
-    }
-
-    #[test]
-    fn inflight_begin_is_discarded() {
-        let buf = journal(&[
-            begin(1, MaRequest::RegisterSpAccount),
-            commit(1, MaResponse::Account(AccountId(7))),
-            // Crash mid-request: Begin with no Commit.
-            begin(
-                2,
-                MaRequest::Balance {
-                    account: AccountId(7),
-                },
-            ),
-        ]);
-        let replay = replay(&buf).expect("replay");
-        assert_eq!(replay.committed.len(), 1);
-        assert_eq!(replay.discarded, 1);
     }
 
     #[test]
     fn torn_tail_is_discarded_not_fatal() {
         // Regression: a partial final frame (the writer died
         // mid-append) used to surface WireError::Truncated and sink
-        // the whole replay. It must behave like an orphan Begin:
-        // everything before it replays, the tail's length is reported.
-        let whole = journal(&[
-            begin(1, MaRequest::RegisterSpAccount),
-            commit(1, MaResponse::Account(AccountId(3))),
-            begin(2, MaRequest::RegisterSpAccount),
-        ]);
+        // the whole replay. It must be dropped instead: everything
+        // before it replays, the tail's length is reported.
+        let whole = journal(&[sp_account(1), sp_account(2), sp_account(3)]);
         let n = whole.len();
-        for torn_len in [n - 1, n - 9, n - (n / 3)] {
-            let replay = replay(&whole[..torn_len]).expect("torn tail must not be fatal");
-            assert!(replay.torn_bytes > 0, "tail length must be reported");
-            assert!(
-                replay.committed.len() <= 1,
-                "nothing past the tear may replay"
-            );
+        for torn_len in [n - 1, n - 9, n - (n / 4)] {
+            let (records, torn) = replay(&whole[..torn_len]).expect("torn tail must not be fatal");
+            assert!(torn > 0, "tail length must be reported");
+            assert!(records.len() <= 2, "nothing past the tear may replay");
         }
         // Tearing into the *header* of the final frame (fewer than 4
         // bytes left) is also just a torn tail: keep the two complete
@@ -430,9 +297,9 @@ mod tests {
             let (off, body) = scan.frames[1];
             off + 4 + body.len() + 8
         };
-        let replay = replay(&whole[..two_frames + 2]).expect("2-byte tail tolerated");
-        assert_eq!(replay.committed.len(), 1);
-        assert_eq!(replay.torn_bytes, 2);
+        let (records, torn) = replay(&whole[..two_frames + 2]).expect("2-byte tail tolerated");
+        assert_eq!(records.len(), 2);
+        assert_eq!(torn, 2);
     }
 
     #[test]
@@ -441,10 +308,7 @@ mod tests {
         // checksum mismatch on a frame *before* the end is not a torn
         // tail — it means the medium corrupted history, and replay
         // must refuse rather than rebuild a diverged ledger.
-        let mut buf = journal(&[
-            begin(1, MaRequest::RegisterSpAccount),
-            commit(1, MaResponse::Account(AccountId(3))),
-        ]);
+        let mut buf = journal(&[sp_account(1), sp_account(2)]);
         // Flip a bit inside the *first* record's body.
         buf[5] ^= 0x10;
         assert!(matches!(replay(&buf), Err(WireError::Corrupt)));
@@ -459,28 +323,20 @@ mod tests {
 
     #[test]
     fn corrupted_journal_fails_loudly() {
-        let mut buf = journal(&[
-            WalRecord::Begin {
-                key: None,
-                span: SpanContext::NONE,
-                request: MaRequest::RegisterSpAccount,
-            },
-            WalRecord::Commit {
-                key: None,
-                response: MaResponse::Ok,
-                effects: vec![],
-            },
-        ]);
-        // Flip a byte inside the first record body.
+        let mut buf = journal(&[WalRecord {
+            key: None,
+            ..sp_account(1)
+        }]);
+        // Flip a byte inside the record body.
         buf[5] ^= 0x10;
         assert!(matches!(replay(&buf), Err(WireError::Corrupt)));
     }
 
     #[test]
     fn scan_reports_precise_corruption_offset() {
-        let mut buf = journal(&[begin(1, MaRequest::RegisterSpAccount)]);
+        let mut buf = journal(&[sp_account(1)]);
         let first_len = buf.len();
-        append_frame(&mut buf, &commit(1, MaResponse::Ok).to_wire_bytes());
+        append_frame(&mut buf, &sp_account(2).to_wire_bytes());
         // Corrupt the *second* frame's body.
         buf[first_len + 5] ^= 0x01;
         let fault = scan_frames(&buf).expect_err("must refuse");
@@ -490,8 +346,13 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_frames() {
-        let buf = journal(&[WalRecord::Commit {
+        let buf = journal(&[WalRecord {
             key: key(9),
+            span: SpanContext::from_trace(0x77),
+            request: MaRequest::DepositBatch {
+                account: AccountId(4),
+                spends: vec![],
+            },
             response: MaResponse::BatchDeposited {
                 total: 3,
                 accepted: 2,
@@ -502,38 +363,20 @@ mod tests {
         let scan = scan_frames(&buf).expect("scan");
         assert_eq!(scan.frames.len(), 1);
         let back = WalRecord::from_wire_bytes(scan.frames[0].1).expect("decode");
+        assert_eq!(back.key, key(9));
+        assert_eq!(back.span, SpanContext::from_trace(0x77));
         assert!(matches!(
-            &back,
-            WalRecord::Commit {
-                key: Some(k),
-                response: MaResponse::BatchDeposited {
-                    total: 3,
-                    accepted: 2,
-                    rejected: 1
-                },
-                effects,
-            } if k.request_id == 9 && effects == &vec![(0u32, 2u64), (2, 1)]
+            back.request,
+            MaRequest::DepositBatch { account: AccountId(4), ref spends } if spends.is_empty()
         ));
-    }
-
-    #[test]
-    fn commit_under_a_different_key_is_refused() {
-        // A Commit must answer the Begin it follows. A release build
-        // used to pair them silently (and a debug build panicked);
-        // replay now refuses the journal as malformed.
-        let buf = journal(&[
-            begin(1, MaRequest::RegisterSpAccount),
-            commit(2, MaResponse::Account(AccountId(3))),
-        ]);
-        assert!(matches!(replay(&buf), Err(WireError::Malformed(_))));
-        let keyless = journal(&[
-            begin(1, MaRequest::RegisterSpAccount),
-            WalRecord::Commit {
-                key: None,
-                response: MaResponse::Ok,
-                effects: vec![],
-            },
-        ]);
-        assert!(matches!(replay(&keyless), Err(WireError::Malformed(_))));
+        assert!(matches!(
+            back.response,
+            MaResponse::BatchDeposited {
+                total: 3,
+                accepted: 2,
+                rejected: 1
+            }
+        ));
+        assert_eq!(back.effects, vec![(0u32, 2u64), (2, 1)]);
     }
 }

@@ -560,7 +560,8 @@ proptest! {
 }
 
 /// Valid journal records to mutate: deep-decoding shapes (a deposit
-/// carrying a real spend, a withdrawal, a commit with effects).
+/// carrying a real spend and its effects, a keyless withdrawal, a data
+/// fetch answering a list).
 fn journal_templates() -> Vec<Vec<u8>> {
     use ppms_core::service::RequestKey;
     use ppms_core::WalRecord;
@@ -570,15 +571,21 @@ fn journal_templates() -> Vec<Vec<u8>> {
         request_id: 7,
     });
     let records = [
-        WalRecord::Begin {
+        WalRecord {
             key,
             span: SpanContext::from_trace(9),
             request: MaRequest::DepositBatch {
                 account: AccountId(3),
                 spends: vec![fixture_spend().clone()],
             },
+            response: MaResponse::BatchDeposited {
+                total: 2,
+                accepted: 1,
+                rejected: 1,
+            },
+            effects: vec![(0, 2)],
         },
-        WalRecord::Begin {
+        WalRecord {
             key: None,
             span: SpanContext::NONE,
             request: MaRequest::Withdraw {
@@ -587,15 +594,15 @@ fn journal_templates() -> Vec<Vec<u8>> {
                 auth: clsig(3, 4),
                 blinded: BigUint::from(5u64),
             },
+            response: MaResponse::BlindSignature(BigUint::from(6u64)),
+            effects: vec![],
         },
-        WalRecord::Commit {
+        WalRecord {
             key,
-            response: MaResponse::BatchDeposited {
-                total: 2,
-                accepted: 1,
-                rejected: 1,
-            },
-            effects: vec![(0, 2)],
+            span: SpanContext::from_trace(10),
+            request: MaRequest::FetchData { job_id: 1 },
+            response: MaResponse::Data(vec![vec![1; 4], vec![2; 3]]),
+            effects: vec![],
         },
     ];
     records.iter().map(|r| r.to_wire_bytes()).collect()

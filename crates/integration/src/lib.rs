@@ -38,8 +38,8 @@ pub fn dec_market(seed: u64, levels: usize) -> (DecMarket, StdRng) {
 /// crash-matrix tests compare against the *same* fault-free ledger.
 pub mod harness {
     use ppms_core::sim::{
-        drive_market_keyed, run_service_market, spawn_durable_market, KeyedDrive,
-        ServiceMarketOutcome, TransportKind,
+        drive_market_keyed, keyed_journaled_calls, run_service_market, spawn_durable_market,
+        KeyedDrive, ServiceMarketOutcome, TransportKind,
     };
     use ppms_core::{DurabilityConfig, FaultPlan, SimNetConfig, SimStorage, SyncPolicy};
     use std::sync::Arc;
@@ -54,6 +54,10 @@ pub mod harness {
     /// 8 per SP + 1 data fetch + 1 + `N_SPS` balance audits) — kill
     /// points must stay below this.
     pub const SCHEDULE_CALLS: u64 = 2 + 8 * N_SPS as u64 + 2 + N_SPS as u64;
+    /// Schedule calls that are writes and journal one record each:
+    /// all but the `N_SPS` labor fetches and the `1 + N_SPS` balance
+    /// audits.
+    pub const SCHEDULE_JOURNALED: u64 = keyed_journaled_calls(N_SPS, SCHEDULE_CALLS);
 
     /// The fault-free outcome every faulted run must converge to.
     pub fn baseline() -> ServiceMarketOutcome {

@@ -27,8 +27,8 @@
 //!
 //! [`set_enabled`]`(false)` turns the *timing* surface — clock reads
 //! in [`Timed`] and causal spans — off at runtime (one relaxed bool
-//! load per span). The `obs_overhead` bench uses it to measure
-//! instrumented-vs-dark inside one binary. Counters and gauges stay
+//! load per span), so instrumented and dark runs can be compared
+//! inside one binary. Counters and gauges stay
 //! live either way: Table I / Table II correctness depends on them,
 //! and a relaxed `fetch_add` costs a few nanoseconds.
 

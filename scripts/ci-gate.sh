@@ -82,7 +82,6 @@ check_keys BENCH_recovery.json policy recover_ms replayed smoke
 check_keys BENCH_batch.json batch_item_us seq_item_us speedup
 check_keys BENCH_fixed.json straus_us pippenger_us
 check_keys BENCH_chaos.json drop_rate availability
-check_keys BENCH_obs.json overhead_pct
 # Smoke runs write under target/bench-smoke/; a root artifact must come
 # from a full run.
 if grep -l '"smoke": true' BENCH_*.json; then

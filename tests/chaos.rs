@@ -46,11 +46,11 @@ fn chaos_grid_converges_to_fault_free_ledger() {
 
 #[test]
 fn crashed_shard_recovers_and_market_converges() {
-    // Seed-pinned supervision test: shard 0 is killed after journaling
+    // Seed-pinned supervision test: shard 0 is killed before executing
     // its third request, the supervisor respawns it over the journal,
     // and the retrying clients carry the market to the same ledger as
-    // the fault-free run. The crashed request's Begin is the journal's
-    // orphan tail, discarded on replay.
+    // the fault-free run. The crashed request left no record; its
+    // retry re-executes.
     let expected = baseline();
     let crash = CrashPoint {
         shard: 0,
@@ -67,7 +67,6 @@ fn crashed_shard_recovers_and_market_converges() {
     .expect("market survives a shard crash");
     assert_eq!(outcome, expected, "crash schedule changed the ledger");
     assert_eq!(faults.shard_respawns, 1, "exactly one respawn");
-    assert_eq!(faults.wal_discarded, 1, "exactly the in-flight Begin");
     assert!(
         faults.wal_commits > 0,
         "the journal must have committed work"
@@ -196,9 +195,9 @@ fn double_spend_is_still_caught_under_retries() {
 
 #[test]
 fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
-    // Retry-during-batch-verify: the shard dies after journaling the
-    // DepositBatch Begin (before the combined batch verification
-    // runs), the retry under the same id re-executes on the respawned
+    // Retry-during-batch-verify: the shard dies before the DepositBatch
+    // executes (before the combined batch verification runs), the
+    // retry under the same id re-executes on the respawned
     // worker, and a later retransmit replays the *identical*
     // batch-level BatchDeposited from the dedup cache — the batch is
     // one WAL/dedup unit, never per-item, so no partial credit can
@@ -211,7 +210,7 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
         40,
         ServiceConfig {
             shards: 1,
-            // Begins: RegisterSp, RegisterJo, Withdraw, then the batch.
+            // Requests: RegisterSp, RegisterJo, Withdraw, then the batch.
             crash: Some(CrashPoint {
                 shard: 0,
                 at_request: 4,
@@ -252,13 +251,13 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
         spends: vec![s1, s2, dup],
     };
 
-    // First delivery hits the crash point: journaled, never verified.
+    // First delivery hits the crash point: never verified, no record.
     let id = next_request_id();
     let first = client.try_call_keyed(id, batch.clone());
     assert!(first.is_err(), "crash must surface as a transport error");
 
-    // Retry under the same id: the respawned worker discards the
-    // orphan Begin and runs the whole batch verification once.
+    // Retry under the same id: the respawned worker has no record of
+    // it and runs the whole batch verification once.
     let retry = client
         .try_call_keyed(id, batch.clone())
         .expect("retry after respawn");
@@ -272,7 +271,6 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
     };
     assert_eq!((total, accepted, rejected), (2, 2, 1));
     assert_eq!(svc.faults.shard_respawns(), 1);
-    assert_eq!(svc.faults.snapshot().wal_discarded, 1);
 
     // Retransmit again: the identical batch-level outcome comes back
     // from the dedup cache without re-verification or re-credit.
@@ -297,7 +295,7 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
 #[test]
 fn mid_batch_crash_between_verify_and_group_commit_converges() {
     // The batching pipeline's canonical torn window (DESIGN.md §16):
-    // the shard dies *after* journaling a deposit's Commit but
+    // the shard dies *after* journaling a deposit's record but
     // *before* the batch's group commit and before any held reply in
     // that cross-client batch is released. Every client whose item
     // rode the doomed batch sees a hung-up connection; their retries
@@ -334,13 +332,13 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
                 max_batch: 8,
                 max_delay_micros: 2000,
             },
-            // Setup journals 6 Begins (2 clients x SP + JO + Withdraw);
-            // the crash fires on the Commit of the *second* deposit —
-            // mid-batch whenever the concurrent depositors share a
-            // drain.
+            // Setup executes 6 requests (2 clients x SP + JO +
+            // Withdraw); the crash fires after the record of the
+            // *second* deposit — mid-batch whenever the concurrent
+            // depositors share a drain.
             crash_mid_batch: Some(MidBatchCrash {
                 shard: 0,
-                at_begin: 8,
+                at_request: 8,
             }),
             ..ServiceConfig::default()
         },
@@ -419,11 +417,11 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
         errors.load(Ordering::Relaxed) >= 1,
         "the doomed batch must have hung up at least one client"
     );
-    // The crashed item's Commit predates the kill, so its retry is a
+    // The crashed item's record predates the kill, so its retry is a
     // replay, never a re-execution.
     assert!(
         svc.faults.dedup_replays() >= 1,
-        "the committed-but-unanswered item must replay from the rebuilt cache"
+        "the recorded-but-unanswered item must replay from the rebuilt cache"
     );
     // Exactly-once: every unique leaf credited exactly one unit,
     // through crash, respawn, retries and replays.

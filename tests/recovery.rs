@@ -10,8 +10,8 @@
 
 use ppms_core::service::{MaClient, MaRequest, MaResponse};
 use ppms_core::sim::{
-    drive_market_keyed, mint_admission_spends, recover_durable_market, spawn_durable_market,
-    KeyedDrive,
+    drive_market_keyed, keyed_journaled_calls, mint_admission_spends, recover_durable_market,
+    spawn_durable_market, KeyedDrive,
 };
 use ppms_core::{
     DiskStorage, DurabilityConfig, FaultyStorage, Party, SimStorage, Storage, StorageError,
@@ -92,13 +92,13 @@ fn run_matrix(sync: SyncPolicy) {
                 });
             if report.snapshot_lsn > 0 {
                 // The compaction bound: replay reads the post-snapshot
-                // tail, never the whole history (2 records per call).
+                // tail, never the whole history (one record per write).
+                let records = keyed_journaled_calls(h::N_SPS, kill_at);
                 assert!(
-                    (report.replayed_records as u64) < 2 * kill_at,
+                    (report.replayed_records as u64) < records,
                     "cell shards={shards} sync={sync} kill={kill_at}: \
-                     replayed {} of {} records despite a snapshot",
+                     replayed {} of {records} records despite a snapshot",
                     report.replayed_records,
-                    2 * kill_at
                 );
             }
             assert_eq!(
@@ -148,15 +148,21 @@ fn cold_recovery_is_byte_identical_at_quiescence() {
         jobs_before,
         "bulletin must be identical"
     );
-    assert_eq!(report.discarded_inflight, 0, "quiescent log has no orphans");
-    // Re-driving the whole schedule answers every step from the
-    // recovered dedup cache — same outcome, nothing re-executed.
+    assert_eq!(
+        report.replayed_records as u64,
+        h::SCHEDULE_JOURNALED,
+        "a quiescent log holds one record per write and none per read"
+    );
+    // Re-driving the whole schedule answers every write from the
+    // recovered dedup cache — same outcome, no write re-executed. The
+    // reads re-execute against the recovered state, and the equal
+    // outcome checks their answers.
     let faults = svc.faults.clone();
     assert_eq!(complete(svc), *outcome);
     assert_eq!(
         faults.dedup_replays(),
-        h::SCHEDULE_CALLS,
-        "every re-driven call must replay from the recovered cache"
+        h::SCHEDULE_JOURNALED,
+        "every re-driven write must replay from the recovered cache"
     );
 }
 
@@ -168,7 +174,10 @@ fn checkpoint_compaction_bounds_recovery_replay() {
     let svc = spawn_durable_market(h::SEED, 2, dur.clone()).expect("durable spawn");
     drive_to(&svc, 11);
     let covered = svc.checkpoint().expect("checkpoint");
-    assert_eq!(covered, 22, "every request journals Begin + Commit");
+    assert_eq!(
+        covered, 10,
+        "every write journals one record, and the first 11 calls hold one read"
+    );
     // Compaction dropped every segment wholly below the snapshot: the
     // oldest remaining segment no longer starts at LSN 0.
     let mut segments: Vec<String> = storage
@@ -191,8 +200,8 @@ fn checkpoint_compaction_bounds_recovery_replay() {
     let (svc, report) = recover_durable_market(h::SEED, 2, recov).expect("recovery");
     assert_eq!(report.snapshot_lsn, covered);
     assert_eq!(
-        report.replayed_records, 12,
-        "replay must read exactly the post-snapshot tail"
+        report.replayed_records, 5,
+        "replay must read exactly the post-snapshot tail (calls 12-17 hold one read)"
     );
     assert_eq!(complete(svc), h::durable_baseline());
 }
@@ -244,7 +253,7 @@ fn torn_checkpoint_falls_back_to_previous_snapshot() {
     // non-frame. Recovery must skip it and restart from the previous
     // generation (which compaction never outran — segments are only
     // dropped after a *successful* save).
-    let torn_covered = covered + 12;
+    let torn_covered = covered + 5;
     storage
         .write_atomic(
             &format!("snap-{torn_covered:016x}.snap"),
@@ -264,7 +273,7 @@ fn torn_checkpoint_falls_back_to_previous_snapshot() {
     );
     assert_eq!(report.snapshot_lsn, covered);
     assert_eq!(
-        report.replayed_records, 12,
+        report.replayed_records, 5,
         "the fallback replays the tail the torn snapshot would have covered"
     );
     assert_eq!(complete(svc), h::durable_baseline());
@@ -277,42 +286,42 @@ fn fsync_lies_lose_acknowledged_state_but_recovery_converges() {
     // with the crash even under fsync-always — and the re-driven
     // schedule must still converge, exactly like the group-commit
     // window.
-    let sim = SimStorage::new();
-    let faulty = FaultyStorage::new(
-        Arc::new(sim.clone()),
-        StorageFaults {
-            sync_lie: 0.5,
-            seed: 0x11E5,
-            ..StorageFaults::default()
-        },
-    );
-    let mut dur = DurabilityConfig::new(Arc::new(faulty));
-    // One segment for the whole run: a lied-away tail then lands at
-    // the *end* of the log (tolerated torn tail), not in the middle
-    // of history (refused).
-    dur.segment_bytes = 1 << 20;
-    let svc = spawn_durable_market(h::SEED, 2, dur).expect("durable spawn");
-    drive_to(&svc, 17);
-    let live: usize = sim
-        .list()
-        .expect("list")
-        .iter()
-        .filter(|n| n.starts_with("wal-"))
-        .map(|n| sim.len(n))
-        .sum();
-    let image = sim.crash_image(0x0F5C);
-    let kept: usize = image
-        .list()
-        .expect("list")
-        .iter()
-        .filter(|n| n.starts_with("wal-"))
-        .map(|n| image.len(n))
-        .sum();
-    svc.shutdown();
-    assert!(
-        kept < live,
-        "the fsync lies must actually have lost acknowledged bytes"
-    );
+    let wal_bytes = |storage: &SimStorage| -> usize {
+        storage
+            .list()
+            .expect("list")
+            .iter()
+            .filter(|n| n.starts_with("wal-"))
+            .map(|n| storage.len(n))
+            .sum()
+    };
+    // Whether a lie lands on the syncs that cover the tail depends on
+    // the fault seed, so take the first seed from 0x11E5 whose lies
+    // actually lose acknowledged bytes at the kill point.
+    let image = (0x11E5..0x11E5 + 64u64)
+        .find_map(|seed| {
+            let sim = SimStorage::new();
+            let faulty = FaultyStorage::new(
+                Arc::new(sim.clone()),
+                StorageFaults {
+                    sync_lie: 0.5,
+                    seed,
+                    ..StorageFaults::default()
+                },
+            );
+            let mut dur = DurabilityConfig::new(Arc::new(faulty));
+            // One segment for the whole run: a lied-away tail then
+            // lands at the *end* of the log (tolerated torn tail),
+            // not in the middle of history (refused).
+            dur.segment_bytes = 1 << 20;
+            let svc = spawn_durable_market(h::SEED, 2, dur).expect("durable spawn");
+            drive_to(&svc, 17);
+            let live = wal_bytes(&sim);
+            let image = sim.crash_image(0x0F5C);
+            svc.shutdown();
+            (wal_bytes(&image) < live).then_some(image)
+        })
+        .expect("the fsync lies must actually have lost acknowledged bytes");
 
     let (svc, _report) = recover_durable_market(h::SEED, 2, DurabilityConfig::new(Arc::new(image)))
         .expect("recovery");
@@ -370,7 +379,7 @@ fn disk_backed_front_door_survives_restart() {
 }
 
 /// Satellite of the causal-span work: the span context persisted into
-/// each `WalRecord::Begin` survives the crash, so recovery replay
+/// each `WalRecord` survives the crash, so recovery replay
 /// re-attributes every replayed entry to the *originating* trace id —
 /// a post-crash flight recorder reads like the pre-crash one.
 #[test]
@@ -446,7 +455,7 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     )
     .expect("recovery");
     assert!(
-        report.replayed_records >= 2 * TRACES.len(),
+        report.replayed_records >= TRACES.len(),
         "all traced operations must replay, got {}",
         report.replayed_records
     );
@@ -472,8 +481,8 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
 #[test]
 fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
     // The batching tier's torn window under the durable WAL: with
-    // group commit (`SyncPolicy::Batch`) the deposit's Begin and
-    // Commit are *appended* but not yet fsynced when the worker dies
+    // group commit (`SyncPolicy::Batch`) the deposit's record is
+    // *appended* but not yet fsynced when the worker dies
     // between batch verification and the group-commit flush. The
     // process kill then tears the unsynced tail off the medium, so
     // the restarted service has never heard of the deposit — the
@@ -491,13 +500,13 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
     dur.sync = SyncPolicy::Batch { every: 1000 }; // wide window: nothing fsyncs on its own
     let config = ServiceConfig {
         shards: 1,
-        // Begins: RegisterSp (1), RegisterJo (2), Withdraw (3), then
-        // the deposit (4) — the crash fires after the deposit's
-        // Commit append, before the group-commit fsync and before the
+        // Requests: RegisterSp (1), RegisterJo (2), Withdraw (3),
+        // then the deposit (4) — the crash fires after the deposit's
+        // record append, before the group-commit fsync and before the
         // held reply is released.
         crash_mid_batch: Some(MidBatchCrash {
             shard: 0,
-            at_begin: 4,
+            at_request: 4,
         }),
         ..ServiceConfig::default()
     };
@@ -538,7 +547,7 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
     // atomically, so only the deposit's records live in the unsynced
     // tail.
     let covered = svc.checkpoint().expect("checkpoint");
-    assert_eq!(covered, 6, "setup is three requests = six records");
+    assert_eq!(covered, 3, "setup is three writes = three records");
 
     let spend = coin.spend(&mut rng, &svc.params, &NodePath::from_index(2, 0), b"");
     let deposit = MaRequest::DepositBatch {
@@ -550,8 +559,8 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
     assert!(first.is_err(), "mid-batch crash must hang up the client");
 
     // The kill. Pick a tear seed that actually cuts into the unsynced
-    // tail (all but one tear offset do): the deposit's Commit — the
-    // journal's last record — dies with the process.
+    // tail (all but one tear offset do): the deposit's record — the
+    // journal's last — dies with the process.
     let live_wal: usize = storage
         .list()
         .expect("list")
