@@ -12,7 +12,7 @@
 //! The smoke mode runs one repetition of two sizes, checks that both
 //! algorithms agree, and writes under `target/bench-smoke/`.
 
-use ppms_bench::artifact_path;
+use ppms_bench::write_artifact;
 use ppms_bigint::{random_bits, random_odd_bits, BigUint, ModRing};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,14 +88,6 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"smoke\": {},\n  \"fixed_crossover\": [\n{}\n  ]\n}}\n",
-        smoke,
-        x_cells.join(",\n")
-    );
-    let path = artifact_path("BENCH_fixed.json", smoke);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> {}]", path.display()),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    let body = format!("\"fixed_crossover\": [\n{}\n  ]", x_cells.join(",\n"));
+    write_artifact("BENCH_fixed.json", smoke, &body);
 }

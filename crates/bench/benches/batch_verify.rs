@@ -21,7 +21,7 @@
 //! The `rsa` rows time `rsa::batch_verify`, which verifies per item
 //! (nothing beats that at e = 65537), gated at parity.
 
-use ppms_bench::{artifact_path, cfg};
+use ppms_bench::{cfg, write_artifact};
 use ppms_bigint::{random_bits, random_odd_bits, BigUint, ModRing};
 use ppms_crypto::group::SchnorrGroup;
 use ppms_crypto::rsa;
@@ -245,17 +245,12 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"smoke\": {},\n  \"batch\": [\n{}\n  ],\n  \"multi_exp_crossover\": [\n{}\n  ]\n}}\n",
-        smoke,
+    let body = format!(
+        "\"batch\": [\n{}\n  ],\n  \"multi_exp_crossover\": [\n{}\n  ]",
         batch_cells.join(",\n"),
         x_cells.join(",\n")
     );
-    let path = artifact_path("BENCH_batch.json", smoke);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> {}]", path.display()),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    write_artifact("BENCH_batch.json", smoke, &body);
 
     if !smoke {
         // Acceptance: at a deployment-grade group the combined check

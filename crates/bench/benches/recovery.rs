@@ -12,7 +12,7 @@
 //! The smoke run does the same work but writes its JSON under
 //! `target/bench-smoke/`, so it never overwrites the committed file.
 
-use ppms_bench::artifact_path;
+use ppms_bench::write_artifact;
 use ppms_core::sim::{
     drive_market_keyed, keyed_journaled_calls, recover_durable_market, spawn_durable_market,
     KeyedDrive, ServiceMarketOutcome,
@@ -194,16 +194,12 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"recovery\": [\n{}\n  ],\n  \"fsync\": [\n{}\n  ]\n}}\n",
+    let body = format!(
+        "\"recovery\": [\n{}\n  ],\n  \"fsync\": [\n{}\n  ]",
         recovery_cells.join(",\n"),
         fsync_cells.join(",\n")
     );
-    let path = artifact_path("BENCH_recovery.json", smoke);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> {}]", path.display()),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    write_artifact("BENCH_recovery.json", smoke, &body);
 
     // Correctness gates (the `-- --test` smoke relies on these).
     for pair in recovery_rows.chunks(2) {

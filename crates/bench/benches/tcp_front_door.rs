@@ -1,7 +1,8 @@
-//! TCP front door: loopback throughput/latency through the reactor
-//! and the admission gate, plus the Table-II-style framing overhead
-//! of the socket path measured against the simnet wire. Emits
-//! `BENCH_tcp.json` at the repo root (EXPERIMENTS.md A13).
+//! TCP front door: the Table-II-style framing overhead of the socket
+//! path measured against the simnet wire, on the same seeded service
+//! market, whose ledger must not change. Emits `BENCH_tcp.json` at the
+//! repo root (EXPERIMENTS.md A13). The door's latency and throughput
+//! are timed by perfbench (`perfbench/`, workload `reads`).
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench tcp_front_door
@@ -11,25 +12,14 @@
 //! The smoke run does the same work but writes its JSON under
 //! `target/bench-smoke/`, so it never overwrites the committed file.
 
-use ppms_bench::artifact_path;
-use ppms_core::gate::AdmissionConfig;
-use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
+use ppms_bench::write_artifact;
 use ppms_core::sim::{run_service_market_traffic, TcpEquivConfig, TransportKind};
-use ppms_core::{
-    Party, SimNetConfig, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport, TrafficLog,
-};
-use ppms_ecash::DecParams;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
-use std::time::Instant;
+use ppms_core::{Party, SimNetConfig, TrafficLog};
 
 const SEED: u64 = 0xE0;
 const SHARDS: usize = 2;
 const N_SPS: usize = 3;
 const W: u64 = 3;
-const CLIENTS: usize = 2;
-const REQUESTS_PER_CLIENT: usize = 500;
 
 struct Table2Row {
     transport: &'static str,
@@ -62,71 +52,6 @@ fn table2_row(transport: &'static str, traffic: &TrafficLog) -> Table2Row {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    // ---- loopback throughput/latency through the open door ----
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let svc = MaService::spawn_with_config(
-        &mut rng,
-        DecParams::fixture(2, 6),
-        512,
-        40,
-        ServiceConfig {
-            shards: SHARDS,
-            ..ServiceConfig::default()
-        },
-    );
-    // Price 0 isolates transport cost from admission cost; the
-    // admission protocol itself (Hello/Admitted) still runs.
-    let config = TcpConfig {
-        admission: AdmissionConfig {
-            price: 0,
-            requests_per_token: u64::MAX,
-            ..AdmissionConfig::default()
-        },
-        ..TcpConfig::default()
-    };
-    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
-    let addr = door.addr();
-
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
-            s.spawn(move || {
-                let client = MaClient::new(
-                    Arc::new(TcpTransport::new(TcpClientConfig::new(addr))),
-                    Party::Sp,
-                );
-                let account = match client.call(MaRequest::RegisterSpAccount) {
-                    MaResponse::Account(a) => a,
-                    other => panic!("account: {other:?}"),
-                };
-                for _ in 0..REQUESTS_PER_CLIENT {
-                    match client.call(MaRequest::Balance { account }) {
-                        MaResponse::Balance(_) => {}
-                        other => panic!("balance: {other:?}"),
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = t0.elapsed();
-    let total_requests = CLIENTS * (REQUESTS_PER_CLIENT + 1);
-    let rps = total_requests as f64 / elapsed.as_secs_f64();
-
-    let snap = door.obs_snapshot();
-    let hist = snap
-        .histogram("tcp.request_ns")
-        .expect("request histogram populated");
-    let (p50_ns, p99_ns, served) = (hist.p50(), hist.p99(), hist.count);
-    println!("tcp front door loopback: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests");
-    println!(
-        "  {rps:.0} req/s, service-side p50 {:.1}us p99 {:.1}us over {served} served",
-        p50_ns as f64 / 1e3,
-        p99_ns as f64 / 1e3
-    );
-    drop(door);
-    svc.shutdown();
-
-    // ---- Table II: framing overhead of the socket path ----
     let (simnet_outcome, simnet_traffic) = run_service_market_traffic(
         SEED,
         SHARDS,
@@ -184,23 +109,13 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"loopback\": {{\"clients\": {CLIENTS}, \"requests\": {total_requests}, \
-         \"requests_per_sec\": {rps:.1}, \"p50_ns\": {p50_ns}, \"p99_ns\": {p99_ns}, \
-         \"served\": {served}}},\n  \"table2\": [\n{}\n  ],\n  \
-         \"tcp_overhead_pct\": {overhead:.2}\n}}\n",
+    let body = format!(
+        "\"table2\": [\n{}\n  ],\n  \"tcp_overhead_pct\": {overhead:.2}",
         table_cells.join(",\n")
     );
-    let path = artifact_path("BENCH_tcp.json", smoke);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> {}]", path.display()),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    write_artifact("BENCH_tcp.json", smoke, &body);
 
     // Correctness gates (the `-- --test` smoke relies on these).
-    assert!(rps > 0.0);
-    assert!(p99_ns >= p50_ns);
-    assert!(served as usize >= total_requests, "every request timed");
     assert!(
         rows[1].total > rows[0].total,
         "the socket path must account its gate frames"

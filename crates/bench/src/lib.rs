@@ -2,6 +2,7 @@
 //! `report` binary that regenerates every figure and table of the
 //! paper's evaluation (§VI).
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Times `f` once.
@@ -29,18 +30,49 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Where a bench writes its JSON artifact `name`: the repo root for a
-/// full run, `target/bench-smoke/` for a `--test` smoke run, so a smoke
-/// run never overwrites a committed measurement.
-pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+/// Writes the bench's JSON artifact `name`: at the repo root for a
+/// full run, under `target/bench-smoke/` for a `--test` smoke run, so
+/// a smoke run never overwrites a committed measurement. `body` holds
+/// the object's members after the `smoke` flag and the provenance
+/// stamp, whose fields (`git_sha`, `nproc`, `profile`) are named as in
+/// perfbench's records.
+pub fn write_artifact(name: &str, smoke: bool, body: &str) {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let dir = if smoke {
         root.join("target/bench-smoke")
     } else {
         root.to_path_buf()
     };
     std::fs::create_dir_all(&dir).ok();
-    dir.join(name)
+    let path = dir.join(name);
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let json = format!(
+        "{{\n  \"smoke\": {smoke},\n  \"provenance\": {{\"git_sha\": \"{}\", \"nproc\": {nproc}, \
+         \"profile\": \"{profile}\"}},\n  {body}\n}}\n",
+        git_sha(root)
+    );
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("  [json -> {}]", path.display()),
+        Err(e) => eprintln!("  [json write failed: {e}]"),
+    }
+}
+
+/// The commit checked out at `root`, or `"none"` outside a git checkout.
+fn git_sha(root: &Path) -> String {
+    std::process::Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "none".into(), |sha| sha.trim().to_string())
 }
 
 /// Standard bench parameters, matching the integration tests:

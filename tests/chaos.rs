@@ -27,6 +27,7 @@ fn chaos_grid_converges_to_fault_free_ledger() {
         plan(0xC0A6, 0.00, 0.25, 0.15, 0.00), // duplication + stale replay
         plan(0xC0A7, 0.00, 0.00, 0.00, 0.20), // corruption
         plan(0xC0A8, 0.15, 0.10, 0.10, 0.10), // everything at once
+        plan(0xC0A9, 0.30, 0.15, 0.00, 0.00), // heavy loss + duplication
     ];
     let mut retries = 0;
     let mut replays = 0;

@@ -443,7 +443,10 @@ fn overload_is_shed_with_busy_not_queued_unboundedly() {
     // The inbox overflow must come back as Busy — immediately, not
     // after a queueing delay. On a loaded machine the shard can drain
     // between reactor reads, so escalate with fresh volleys until the
-    // pipeline falls behind at least once.
+    // pipeline falls behind at least once. A second connection probes
+    // the ops plane while each volley is in flight: the live metrics
+    // path must answer from inside the loaded reactor.
+    let ops = TcpTransport::new(TcpClientConfig::new(door.addr()));
     let mut busy = 0usize;
     let mut deposited = 0usize;
     let mut sent = 0usize;
@@ -470,6 +473,16 @@ fn overload_is_shed_with_busy_not_queued_unboundedly() {
             ids.push(msg_id);
         }
         sent += ids.len();
+
+        let health = ops.ops(OpsRequest::Health).expect("health under load");
+        assert!(health.contains("\"status\""), "health probe body: {health}");
+        let metrics = ops
+            .ops(OpsRequest::MetricsJson)
+            .expect("metrics under load");
+        assert!(
+            metrics.contains("\"tcp."),
+            "metrics scrape must expose the door's counters: {metrics}"
+        );
 
         // Every request gets exactly one reply: either its deposit
         // result or a Busy shed marker.
@@ -728,10 +741,9 @@ fn slow_requests_land_in_the_slow_log_with_their_span_tree() {
 
     let snap = door.obs_snapshot();
     assert!(snap.counter("tcp.slow_requests") >= 7);
-    assert!(
-        snap.histogram("tcp.request_ns").is_some(),
-        "request latencies recorded"
-    );
+    // Every app request sent (one registration, six reads) is timed.
+    let timed = snap.histogram("tcp.request_ns").map_or(0, |h| h.count);
+    assert!(timed >= 7, "{timed} of 7 requests timed");
 
     drop(door);
     svc.shutdown();

@@ -159,8 +159,13 @@ fn simnet_drop_surfaces_as_transport_error() {
 // service produces for the same logical operations.
 
 mod batching_equivalence {
-    use ppms_core::next_request_id;
-    use ppms_core::service::{BatchConfig, MaRequest, MaResponse, MaService, ServiceConfig};
+    use ppms_core::service::{
+        BatchConfig, MaClient, MaRequest, MaResponse, MaService, ServiceConfig,
+    };
+    use ppms_core::{
+        next_request_id, AdmissionConfig, Party, TcpClientConfig, TcpConfig, TcpFrontDoor,
+        TcpTransport,
+    };
     use ppms_crypto::cl::ClKeyPair;
     use ppms_ecash::{Coin, DecParams, NodePath, Spend};
     use proptest::prelude::*;
@@ -249,15 +254,29 @@ mod batching_equivalence {
             .collect()
     }
 
-    /// Plays one client's deposits. Every item is a single-spend
-    /// `DepositBatch` under a fresh idempotency key, so in the
-    /// concurrent run the shard's drain mixes items from different
-    /// clients into one cross-client batch. The first deposit is also
-    /// retransmitted under the *same* key from a second thread released
-    /// by the same barrier, so the duplicate can share a drain with the
-    /// original.
-    fn play(svc: &MaService, plan: ClientPlan, stagger_micros: u64, start: Option<Arc<Barrier>>) {
-        let client = svc.client();
+    /// How the deposit phase reaches the service: in-process, or
+    /// through a price-0 TCP front door (the admission handshake still
+    /// runs on every connection).
+    #[derive(Clone, Copy, Debug)]
+    enum Door {
+        InProc,
+        Tcp,
+    }
+
+    /// Plays one client's deposits over clients made by `connect`.
+    /// Every item is a single-spend `DepositBatch` under a fresh
+    /// idempotency key, so in the concurrent run the shard's drain
+    /// mixes items from different clients into one cross-client batch.
+    /// The first deposit is also retransmitted under the *same* key
+    /// from a second client on its own thread, so the duplicate can
+    /// share a drain with the original.
+    fn play(
+        connect: &(dyn Fn() -> MaClient + Sync),
+        plan: ClientPlan,
+        stagger_micros: u64,
+        start: Option<Arc<Barrier>>,
+    ) {
+        let client = connect();
         let mut retrans: Option<std::thread::JoinHandle<()>> = None;
         if let Some(b) = &start {
             b.wait();
@@ -273,7 +292,7 @@ mod batching_equivalence {
             };
             if j == 0 {
                 // Race a same-key duplicate against the original.
-                let dup_client = svc.client();
+                let dup_client = connect();
                 let dup_req = req.clone();
                 retrans = Some(std::thread::spawn(move || {
                     let resp = dup_client.try_call_keyed(id, dup_req).expect("retransmit");
@@ -351,9 +370,9 @@ mod batching_equivalence {
         });
     }
 
-    /// Runs the logical schedule and returns the final per-client
-    /// balances plus the `(batch.items, batch.drains)` deltas of the
-    /// deposit phase.
+    /// Runs the logical schedule, its deposit phase through `door`, and
+    /// returns the final per-client balances plus the
+    /// `(batch.items, batch.drains)` deltas of the deposit phase.
     fn run_schedule(
         seed: u64,
         leaves: &[usize],
@@ -361,6 +380,7 @@ mod batching_equivalence {
         batch: BatchConfig,
         concurrent: bool,
         staggers: &[u64],
+        door: Door,
     ) -> (Vec<u64>, u64, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let svc = MaService::spawn_with_config(
@@ -374,6 +394,28 @@ mod batching_equivalence {
                 ..ServiceConfig::default()
             },
         );
+        let front = match door {
+            Door::InProc => None,
+            Door::Tcp => {
+                let config = TcpConfig {
+                    admission: AdmissionConfig {
+                        price: 0,
+                        requests_per_token: u64::MAX,
+                        ..AdmissionConfig::default()
+                    },
+                    ..TcpConfig::default()
+                };
+                Some(TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door"))
+            }
+        };
+        let addr = front.as_ref().map(TcpFrontDoor::addr);
+        let connect = || match addr {
+            Some(addr) => MaClient::new(
+                Arc::new(TcpTransport::new(TcpClientConfig::new(addr))),
+                Party::Sp,
+            ),
+            None => svc.client(),
+        };
         let plans = build_plans(&svc, seed ^ 0x5EED, leaves, cheater);
         let accounts: Vec<_> = plans.iter().map(|p| p.account).collect();
         warm_arrival_gap(&svc, &accounts);
@@ -386,15 +428,15 @@ mod batching_equivalence {
             let start = Arc::new(Barrier::new(plans.len()));
             std::thread::scope(|scope| {
                 for (i, plan) in plans.into_iter().enumerate() {
-                    let svc = &svc;
+                    let connect = &connect;
                     let stagger = staggers[i % staggers.len()];
                     let start = start.clone();
-                    scope.spawn(move || play(svc, plan, stagger, Some(start)));
+                    scope.spawn(move || play(connect, plan, stagger, Some(start)));
                 }
             });
         } else {
             for (i, plan) in plans.into_iter().enumerate() {
-                play(&svc, plan, staggers[i % staggers.len()], None);
+                play(&connect, plan, staggers[i % staggers.len()], None);
             }
         }
 
@@ -410,46 +452,59 @@ mod batching_equivalence {
                 b
             })
             .collect();
+        drop(front);
         svc.shutdown();
         (balances, items, drains)
     }
 
     /// Deterministic anchor: a concurrent run against the batching
     /// service must form at least one genuine cross-client batch
-    /// (items > drains) and still land on the sequential ledger.
+    /// (items > drains) and still land on the sequential ledger, both
+    /// in-process and through the TCP front door.
     #[test]
     fn concurrent_batched_run_matches_sequential_and_actually_batches() {
         let leaves = [2usize, 2, 2];
         let cheater = 1;
         let staggers = [0u64, 40, 80];
-        let (seq, _, _) = run_schedule(
-            0xBA7C,
-            &leaves,
-            cheater,
-            BatchConfig {
-                max_batch: 1,
-                max_delay_micros: 0,
-            },
-            false,
-            &staggers,
-        );
-        let (bat, items, drains) = run_schedule(
-            0xBA7C,
-            &leaves,
-            cheater,
-            BatchConfig {
-                max_batch: 8,
-                max_delay_micros: 2000,
-            },
-            true,
-            &staggers,
-        );
-        assert_eq!(seq, bat, "batched ledger diverged from sequential");
-        assert_eq!(bat, vec![2, 2, 2], "each unique valid leaf credits once");
-        assert!(
-            drains < items,
-            "no cross-client batch ever formed ({items} items in {drains} drains)"
-        );
+        for door in [Door::InProc, Door::Tcp] {
+            let (seq, _, _) = run_schedule(
+                0xBA7C,
+                &leaves,
+                cheater,
+                BatchConfig {
+                    max_batch: 1,
+                    max_delay_micros: 0,
+                },
+                false,
+                &staggers,
+                door,
+            );
+            let (bat, items, drains) = run_schedule(
+                0xBA7C,
+                &leaves,
+                cheater,
+                BatchConfig {
+                    max_batch: 8,
+                    max_delay_micros: 2000,
+                },
+                true,
+                &staggers,
+                door,
+            );
+            assert_eq!(
+                seq, bat,
+                "{door:?}: batched ledger diverged from sequential"
+            );
+            assert_eq!(
+                bat,
+                vec![2, 2, 2],
+                "{door:?}: each unique valid leaf credits once"
+            );
+            assert!(
+                drains < items,
+                "{door:?}: no cross-client batch ever formed ({items} items in {drains} drains)"
+            );
+        }
     }
 
     proptest! {
@@ -474,6 +529,7 @@ mod batching_equivalence {
                 BatchConfig { max_batch: 1, max_delay_micros: 0 },
                 false,
                 &staggers,
+                Door::InProc,
             );
             let bat = run_schedule(
                 seed,
@@ -482,6 +538,7 @@ mod batching_equivalence {
                 BatchConfig { max_batch: 8, max_delay_micros: 2000 },
                 true,
                 &staggers,
+                Door::InProc,
             );
             prop_assert_eq!(&seq.0, &bat.0, "batched vs sequential ledgers");
             let expected: Vec<u64> = leaves.iter().map(|&l| l as u64).collect();
