@@ -32,8 +32,8 @@
 //! checkpoints, compaction and the crash-matrix fault models behind
 //! cold-start recovery), [`metrics`] (operation counts → paper Table I;
 //! fault-tolerance counters — both thin views over the `ppms-obs`
-//! registry, which also carries per-op latency histograms, queue-depth
-//! gauges and the per-shard flight recorders dumped on worker crash),
+//! registry, which also carries per-op latency histograms and
+//! queue-depth gauges; a worker crash dumps them with the span ring),
 //! [`sim`] (multi-round, threaded and chaos market simulation → paper
 //! Fig. 5), and [`attack`] (the denomination / linkage attack
 //! evaluation behind the paper's §IV-B analysis).

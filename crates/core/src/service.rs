@@ -66,7 +66,7 @@ use ppms_bigint::BigUint;
 use ppms_crypto::cl::{ClPublicKey, ClSignature};
 use ppms_crypto::pairing::TypeAPairing;
 use ppms_ecash::{DecBank, DecError, DecParams, Spend};
-use ppms_obs::{FlightRecorder, Registry, Snapshot, Span, SpanContext, Timed, TimedOwned};
+use ppms_obs::{Registry, Snapshot, Span, SpanContext, Timed, TimedOwned};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -342,9 +342,6 @@ pub struct MaService {
     /// and WAL timings all live here, so one [`Registry::snapshot`]
     /// captures the whole service.
     pub obs: Registry,
-    /// One bounded flight recorder per shard — the last events each
-    /// worker saw, dumped to JSON when a worker dies.
-    recorders: Vec<Arc<FlightRecorder>>,
     /// Crash-dump files written by dead workers, in order of death.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     /// The DEC public parameters (clients need them to mint/spend).
@@ -471,8 +468,8 @@ impl MaClient {
     /// append) under `ctx`, so an exported trace shows the request's
     /// complete tree across process boundaries. Reusing the request id
     /// and `SpanContext::from_trace(id)` marks a retransmit that stays
-    /// on the original trace: the serving shard's flight recorder and
-    /// any crash dump show the same `trace_id` for every attempt.
+    /// on the original trace: the serving shard's spans and any crash
+    /// dump show the same `trace_id` for every attempt.
     pub fn try_call_spanned(
         &self,
         request_id: u64,
@@ -562,8 +559,7 @@ impl DedupCache {
 /// whose routing key lands on this shard, so no locking is needed.
 struct Shard {
     shared: Arc<SharedState>,
-    /// The service registry — batch-deposit instrumentation
-    /// (`deposit.batch_size`, `deposit.item_amortized_ns`) lands here.
+    /// The service registry — `deposit.batch_size` lands here.
     obs: Registry,
     used_nonces: HashMap<AccountId, u64>,
     labor: HashMap<u64, Vec<Vec<u8>>>,
@@ -578,17 +574,15 @@ impl Shard {
     /// the original execution accepted without re-running the ZK
     /// verification (whose verdict lives only in the journal).
     ///
-    /// `preverified` carries this request's slice of a cross-client
-    /// combined verification (the worker's batch pre-pass); when
-    /// present, the `DepositBatch` arm consumes those verdicts instead
-    /// of re-verifying. Verdicts are bit-identical either way
-    /// (`ppms_ecash::batch` pins seed-independence), and the stateful
-    /// double-spend bookkeeping still runs here, in arrival order.
+    /// `verdicts` is this request's slice of the worker's cross-client
+    /// combined verification (one verdict per spend; empty for every
+    /// other request). The `DepositBatch` arm consumes them; the
+    /// stateful double-spend bookkeeping runs here, in arrival order.
     fn handle(
         &mut self,
         request: &MaRequest,
         effects: &mut Vec<(u32, u64)>,
-        preverified: Option<Vec<Result<u64, DecError>>>,
+        verdicts: Vec<Result<u64, DecError>>,
     ) -> MaResponse {
         use MaRequest::*;
         match request {
@@ -691,52 +685,19 @@ impl Shard {
                 MaResponse::Data(self.data_reports.remove(job_id).unwrap_or_default())
             }
             DepositBatch { account, spends } => {
-                // The expensive ZK verification runs here, outside the
-                // DEC-bank lock, as combined small-exponent batch
-                // checks over rayon sub-chunks (verdicts bit-identical
-                // to per-item verification — see ppms_ecash::batch;
-                // bank signatures are verified per item, and every
-                // exponentiation underneath runs on the ring's
-                // fixed-width kernels, DESIGN.md §12).
-                // The deterministic content-derived seed keeps a
-                // retried batch on the exact same verification path.
-                // Only the cheap double-spend bookkeeping serializes
-                // on the bank.
-                let started = std::time::Instant::now();
+                // The expensive ZK verification already ran in the
+                // worker's preverify pass, outside the DEC-bank lock;
+                // only the cheap double-spend bookkeeping serializes
+                // on the bank. A spend without a verdict is rejected,
+                // never credited unverified.
                 self.obs
                     .histogram("deposit.batch_size")
                     .record(spends.len() as u64);
-                let verified: Vec<Result<u64, DecError>> = match preverified {
-                    Some(v) => {
-                        debug_assert_eq!(v.len(), spends.len());
-                        v
-                    }
-                    None => {
-                        let seed = ppms_ecash::batch_seed(spends, b"");
-                        let v = ppms_ecash::verify_batch_chunked(
-                            seed,
-                            ppms_ecash::DEPOSIT_CHUNK,
-                            &self.shared.params,
-                            &self.shared.bank_pk,
-                            b"",
-                            spends,
-                        );
-                        if !spends.is_empty() {
-                            // Amortized verify cost per spend; the
-                            // preverified path records its own sample
-                            // over the whole combined batch instead.
-                            self.obs.histogram("deposit.item_amortized_ns").record(
-                                (started.elapsed().as_nanos() / spends.len() as u128) as u64,
-                            );
-                        }
-                        v
-                    }
-                };
                 let mut total = 0u64;
                 let mut accepted = 0usize;
                 {
                     let mut dec_bank = self.shared.dec_bank.lock();
-                    for (idx, (spend, v)) in spends.iter().zip(verified).enumerate() {
+                    for (idx, (spend, v)) in spends.iter().zip(verdicts).enumerate() {
                         let recorded =
                             v.and_then(|value| dec_bank.deposit_preverified(spend, value));
                         if let Ok(value) = recorded {
@@ -912,11 +873,9 @@ struct ShardWorker {
     /// makes log compaction sound.
     base: Arc<Mutex<ShardSection>>,
     faults: FaultMetrics,
-    /// The service registry: per-op latency, dedup hit/miss, WAL
+    /// The service registry: per-op latency, dedup misses, WAL
     /// timings all land here.
     obs: Registry,
-    /// This shard's bounded event ring, dumped on worker death.
-    recorder: Arc<FlightRecorder>,
     /// Shared with the dispatcher: it adds one per enqueue, the worker
     /// subtracts one per dequeue, so the gauge reads the queue depth.
     queue_depth: Arc<ppms_obs::Gauge>,
@@ -939,17 +898,14 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Writes this shard's flight-recorder ring plus a full registry
-    /// snapshot to a JSON dump file and announces it on stderr with a
-    /// stable, greppable prefix (the CI gate and the chaos tests look
-    /// for `flight-recorder dump:`).
+    /// Writes the span ring plus a full registry snapshot to a JSON
+    /// crash dump (see [`ppms_obs::write_dump`]). The crashing
+    /// request's `shard.handle` span is already in the ring: it opens
+    /// before the crash checks.
     fn dump_crash(&self, reason: &str) {
-        let snapshot = self.obs.snapshot();
-        match self.recorder.dump(reason, &snapshot) {
-            Ok(path) => {
-                eprintln!("flight-recorder dump: {}", path.display());
-                self.dumps.lock().push(path);
-            }
+        let name = format!("ma-shard{}", self.shard_idx);
+        match ppms_obs::write_dump(&ppms_obs::dump_dir(), &name, reason, &self.obs.snapshot()) {
+            Ok(path) => self.dumps.lock().push(path),
             Err(e) => eprintln!("flight-recorder dump failed: {e}"),
         }
     }
@@ -972,7 +928,6 @@ impl ShardWorker {
         // fail loudly.
         let wal_replay_ns = self.obs.histogram("wal.replay_ns");
         let wal_append_ns = self.obs.histogram("wal.append_ns");
-        let dedup_hits = self.obs.counter("ma.dedup.hits");
         let dedup_misses = self.obs.counter("ma.dedup.misses");
         // Per-op latency histograms, resolved once per label instead of
         // a `format!` + registry lookup on every request.
@@ -993,21 +948,16 @@ impl ShardWorker {
                 .expect("shard journal must replay cleanly")
         };
         for record in &replayed {
+            // Parented under the record's persisted span, so replayed
+            // work stays attributed to the client operation that
+            // originally caused it, not an anonymous wall of trace 0.
+            let _span = Span::child("wal.replay", record.span);
             shard.apply_committed(record);
             if let Some(k) = record.key {
                 dedup.insert(k, record.response.clone());
             }
-            // Re-attribute each replayed record to the trace of the
-            // client operation that originally caused it: a crash dump
-            // taken after recovery shows *whose* requests were redone,
-            // not an anonymous wall of trace 0.
-            self.recorder.record(record.span.trace_id, "replayed", || {
-                format!("key={:?}", record.key)
-            });
         }
         let mut executed = replayed.len() as u64;
-        self.recorder
-            .record(0, "replay", || format!("records={}", replayed.len()));
 
         // Batching instrumentation (DESIGN.md §16): how batches form
         // (`batch.drain_size`), why they flush (`batch.flush_*`), how
@@ -1035,8 +985,7 @@ impl ShardWorker {
         // Reusable batch scratch, reclaimed across iterations.
         let mut batch: Vec<Inbound> = Vec::with_capacity(max_batch);
         let mut held: Vec<(Sender<MaResponse>, MaResponse)> = Vec::with_capacity(max_batch);
-        let mut preverified: Vec<Option<Vec<Result<u64, DecError>>>> =
-            Vec::with_capacity(max_batch);
+        let mut preverified: Vec<Vec<Result<u64, DecError>>> = Vec::with_capacity(max_batch);
 
         loop {
             batch.clear();
@@ -1134,7 +1083,7 @@ impl ShardWorker {
             // sequential-equivalent. The *stateful* double-spend
             // bookkeeping is not here: it stays in the handler, per
             // item, in arrival order.
-            preverified.extend((0..batch.len()).map(|_| None));
+            preverified.resize_with(batch.len(), Vec::new);
             let mut combined: Vec<Spend> = Vec::new();
             let mut plan: Vec<(usize, usize)> = Vec::new();
             for (i, inbound) in batch.iter_mut().enumerate() {
@@ -1171,7 +1120,7 @@ impl ShardWorker {
                         unreachable!("plan entries are deposits")
                     };
                     spends.extend(spends_back.by_ref().take(n));
-                    preverified[i] = Some(verdicts.by_ref().take(n).collect());
+                    preverified[i] = verdicts.by_ref().take(n).collect();
                 }
             }
 
@@ -1187,20 +1136,15 @@ impl ShardWorker {
                     request,
                     reply,
                 } = inbound;
-                let trace_id = span.trace_id;
                 let label = request_label(&request);
-                self.recorder
-                    .record(trace_id, "recv", || format!("{label} key={key:?}"));
                 // Exactly-once: a retransmit of an executed request
                 // gets its original answer back, without touching any
                 // state — including a retransmit that landed in the
                 // same batch as its original.
                 if let Some(k) = key {
                     if let Some(cached) = dedup.get(&k) {
+                        let _span = Span::child("shard.dedup_replay", span);
                         self.faults.dedup_replay();
-                        dedup_hits.inc();
-                        self.recorder
-                            .record(trace_id, "dedup-replay", || format!("{label} key={k:?}"));
                         held.push((reply, cached.clone()));
                         continue;
                     }
@@ -1230,8 +1174,6 @@ impl ShardWorker {
                         // vanishing into a dying queue. Held replies
                         // and undrained batch items hang up the same
                         // way.
-                        self.recorder
-                            .record(trace_id, "crash", || format!("injected before {label}"));
                         self.dump_crash("injected-crash");
                         drop(srx);
                         drop(reply);
@@ -1239,19 +1181,17 @@ impl ShardWorker {
                     }
                 }
 
-                let pv = preverified[i].take();
+                let verdicts = std::mem::take(&mut preverified[i]);
                 // A panic inside a handler kills only this worker; the
                 // supervisor respawns it and the journal replay
                 // restores everything recorded before the blast.
                 let (response, effects) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut effects = Vec::new();
-                    let response = shard.handle(&request, &mut effects, pv);
+                    let response = shard.handle(&request, &mut effects, verdicts);
                     (response, effects)
                 })) {
                     Ok(pair) => pair,
                     Err(_) => {
-                        self.recorder
-                            .record(trace_id, "crash", || format!("panic handling {label}"));
                         self.dump_crash("handler-panic");
                         // Same close-then-hang-up ordering as above.
                         drop(srx);
@@ -1260,8 +1200,7 @@ impl ShardWorker {
                     }
                 };
 
-                let write = is_write(&request);
-                let response = if write {
+                let response = if is_write(&request) {
                     // The record takes the request and the response by
                     // move — no deep clone of payload vectors on the
                     // hot path — and hands the response back after the
@@ -1288,10 +1227,6 @@ impl ShardWorker {
                 } else {
                     response
                 };
-                self.recorder
-                    .record(trace_id, if write { "commit" } else { "read" }, || {
-                        label.to_string()
-                    });
                 drop(op_span);
                 drop(handle_span);
                 if let Some((at, fired)) = &self.crash_mid_batch {
@@ -1304,9 +1239,6 @@ impl ShardWorker {
                         // batch must converge via retry: recorded
                         // items replay from the dedup cache, the rest
                         // re-execute.
-                        self.recorder.record(trace_id, "crash", || {
-                            format!("injected mid-batch after {label}")
-                        });
                         self.dump_crash("mid-batch-crash");
                         drop(srx);
                         drop(reply);
@@ -1479,7 +1411,6 @@ struct Dispatcher {
     shared: Arc<SharedState>,
     faults: FaultMetrics,
     obs: Registry,
-    recorders: Vec<Arc<FlightRecorder>>,
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     dedup_capacity: usize,
     depth: usize,
@@ -1515,7 +1446,6 @@ impl Dispatcher {
             base: self.bases[idx].clone(),
             faults: self.faults.clone(),
             obs: self.obs.clone(),
-            recorder: self.recorders[idx].clone(),
             queue_depth: self.queue_gauges[idx].clone(),
             dumps: self.dumps.clone(),
             dedup_capacity: self.dedup_capacity,
@@ -1964,13 +1894,8 @@ impl MaService {
         let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = channel::bounded(depth);
         let (ctrl_tx, ctrl_rx) = channel::unbounded::<Control>();
 
-        // One flight recorder per shard, created here (not inside the
-        // dispatcher) so the service handle keeps clones: tests can
-        // inspect the rings, and a crash dump can be located after the
-        // worker is gone.
-        let recorders: Vec<Arc<FlightRecorder>> = (0..n_shards)
-            .map(|i| Arc::new(FlightRecorder::new(format!("ma-shard{i}"), 64)))
-            .collect();
+        // Created here (not inside the dispatcher) so the service
+        // handle can locate a crash dump after the worker is gone.
         let dumps: Arc<Mutex<Vec<PathBuf>>> = Arc::new(Mutex::new(Vec::new()));
         let crashes: Vec<Option<(u64, Arc<AtomicBool>)>> = (0..n_shards)
             .map(|i| {
@@ -2013,7 +1938,6 @@ impl MaService {
             shared,
             faults: faults.clone(),
             obs: obs.clone(),
-            recorders: recorders.clone(),
             dumps: dumps.clone(),
             dedup_capacity,
             depth,
@@ -2048,7 +1972,6 @@ impl MaService {
             traffic,
             faults,
             obs,
-            recorders,
             dumps,
             params,
             bank_pk,
@@ -2099,11 +2022,6 @@ impl MaService {
     /// (crypto and bigint spans recorded via [`ppms_obs::timed!`]).
     pub fn obs_snapshot(&self) -> Snapshot {
         self.obs.snapshot().merge(&ppms_obs::global().snapshot())
-    }
-
-    /// The per-shard flight recorders (shard index = vector index).
-    pub fn recorders(&self) -> &[Arc<FlightRecorder>] {
-        &self.recorders
     }
 
     /// Crash-dump files written by dead shard workers so far, in

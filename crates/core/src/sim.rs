@@ -386,10 +386,6 @@ pub fn run_service_market_chaos(
         .map(|(outcome, faults, _)| (outcome, faults))
 }
 
-/// What the fallible drive hands back on success:
-/// `(jo_balance, sp_balances, sp_credited, data_reports)`.
-type DriveOutput = (u64, Vec<u64>, Vec<u64>, Vec<Vec<u8>>);
-
 fn run_market(
     seed: u64,
     shards: usize,
@@ -400,10 +396,9 @@ fn run_market(
 ) -> Result<(ServiceMarketOutcome, FaultSnapshot, TrafficLog), MarketError> {
     const RSA_BITS: usize = 512;
     let mut rng = StdRng::seed_from_u64(seed);
-    let params = DecParams::fixture(3, 8);
     let svc = MaService::spawn_with_config(
         &mut rng,
-        params.clone(),
+        DecParams::fixture(3, 8),
         RSA_BITS,
         40,
         ServiceConfig {
@@ -489,171 +484,32 @@ fn run_market(
         ),
     };
 
-    // The fallible drive runs in a closure: if the market diverges or
-    // errors (which under chaos means the fault-tolerance machinery
-    // failed to converge), the flight recorders are dumped before the
-    // error surfaces, preserving the last events each shard saw.
-    let mut drive = || -> Result<DriveOutput, MarketError> {
-        // JO setup: account, CL key, job pseudonym, published job.
-        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
-        let funds = (n_sps as u64 + 1) * params.face_value();
-        let jo_account = match jo_client.try_call(MaRequest::RegisterJoAccount {
-            funds,
-            clpk: cl.public.clone(),
-        })? {
-            MaResponse::Account(a) => a,
-            other => return Err(unexpected("jo-account", &other)),
-        };
-        let job_key = rsa::keygen(&mut rng, RSA_BITS);
-        let job_id = match jo_client.try_call(MaRequest::PublishJob {
-            description: "simulated sensing job".into(),
-            payment: w,
-            pseudonym: job_key.public.to_bytes(),
-        })? {
-            MaResponse::JobId(id) => id,
-            other => return Err(unexpected("publish", &other)),
-        };
-
-        let mut sp_accounts = Vec::with_capacity(n_sps);
-        let mut sp_credited = Vec::with_capacity(n_sps);
-        for i in 0..n_sps {
-            // SP: account, one-time key, labor registration.
-            let sp_account = match sp_client.try_call(MaRequest::RegisterSpAccount)? {
-                MaResponse::Account(a) => a,
-                other => return Err(unexpected("sp-account", &other)),
-            };
-            let one_time = rsa::keygen(&mut rng, RSA_BITS);
-            let sp_pubkey = one_time.public.to_bytes();
-            match sp_client.try_call(MaRequest::LaborRegister {
-                job_id,
-                sp_pubkey: sp_pubkey.clone(),
-            })? {
-                MaResponse::Ok => {}
-                other => return Err(unexpected("labor-register", &other)),
-            }
-
-            // JO: poll labor, withdraw a fresh coin, pay this SP.
-            let keys = match jo_client.try_call(MaRequest::FetchLabor { job_id })? {
-                MaResponse::Labor(keys) => keys,
-                other => return Err(unexpected("labor-fetch", &other)),
-            };
-            let receiver = keys
-                .last()
-                .cloned()
-                .ok_or_else(|| MarketError::Transport("labor registration not visible".into()))?;
-            let mut coin = Coin::mint(&mut rng, &params);
-            let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
-            let nonce = i as u64 + 1;
-            let auth = cl.sign_bytes(&mut rng, &svc.pairing, &nonce.to_be_bytes());
-            let sig = match jo_client.try_call(MaRequest::Withdraw {
-                account: jo_account,
-                nonce,
-                auth,
-                blinded,
-            })? {
-                MaResponse::BlindSignature(sig) => sig,
-                other => return Err(unexpected("withdraw", &other)),
-            };
-            if !coin.attach_signature(&svc.bank_pk, &sig, &factor) {
-                return Err(MarketError::BadCoin("bank signature did not verify".into()));
-            }
-            let plan = plan_break(CashBreak::Pcba, w, params.levels)?;
-            let mut allocator = NodeAllocator::new(params.levels);
-            let items = build_payment_with(
-                &mut rng,
-                &params,
-                &coin,
-                &plan,
-                b"",
-                svc.bank_pk.size_bytes(),
-                &mut allocator,
-            )?;
-            let payload = encode_payment(&items);
-            let sp_pk = rsa::RsaPublicKey::from_bytes(&receiver)
-                .ok_or_else(|| MarketError::BadPayload("labor key does not parse".into()))?;
-            let ciphertext = rsa::encrypt(&mut rng, &sp_pk, &payload);
-            match jo_client.try_call(MaRequest::SubmitPayment {
-                sp_pubkey: sp_pubkey.clone(),
-                ciphertext,
-            })? {
-                MaResponse::Ok => {}
-                other => return Err(unexpected("payment-submission", &other)),
-            }
-
-            // SP: submit data (releasing the hold), fetch, verify, deposit.
-            match sp_client.try_call(MaRequest::SubmitData {
-                job_id,
-                sp_pubkey: sp_pubkey.clone(),
-                data: format!("reading from sp {i}").into_bytes(),
-            })? {
-                MaResponse::Ok => {}
-                other => return Err(unexpected("data-report", &other)),
-            }
-            let ciphertext = match sp_client.try_call(MaRequest::FetchPayment { sp_pubkey })? {
-                MaResponse::Payment(Some(ct)) => ct,
-                MaResponse::Payment(None) => {
-                    return Err(MarketError::Transport(
-                        "payment still held after data".into(),
-                    ))
-                }
-                other => return Err(unexpected("payment-fetch", &other)),
-            };
-            let payload = rsa::decrypt(&one_time, &ciphertext)
-                .map_err(|_| MarketError::BadPayload("payment does not decrypt".into()))?;
-            let items = decode_payment(&payload)
-                .map_err(|_| MarketError::BadPayload("payment bundle does not parse".into()))?;
-            let (spends, _) = verify_bundle_sequential(&params, &svc.bank_pk, &items, b"");
-            match sp_client.try_call(MaRequest::DepositBatch {
-                account: sp_account,
-                spends,
-            })? {
-                MaResponse::BatchDeposited { total, .. } => sp_credited.push(total),
-                other => return Err(unexpected("deposit", &other)),
-            }
-            sp_accounts.push(sp_account);
-        }
-
-        // JO: collect the data reports.
-        let data_reports = match jo_client.try_call(MaRequest::FetchData { job_id })? {
-            MaResponse::Data(reports) => reports,
-            other => return Err(unexpected("data-fetch", &other)),
-        };
-
-        // Audit the ledger.
-        let jo_balance = match jo_client.try_call(MaRequest::Balance {
-            account: jo_account,
-        })? {
-            MaResponse::Balance(b) => b,
-            other => return Err(unexpected("balance", &other)),
-        };
-        let mut sp_balances = Vec::with_capacity(n_sps);
-        for &account in &sp_accounts {
-            match sp_client.try_call(MaRequest::Balance { account })? {
-                MaResponse::Balance(b) => sp_balances.push(b),
-                other => return Err(unexpected("balance", &other)),
-            }
-        }
-        Ok((jo_balance, sp_balances, sp_credited, data_reports))
-    };
-
-    let (jo_balance, sp_balances, sp_credited, data_reports) = match drive() {
-        Ok(parts) => parts,
+    // If the market diverges or errors (which under chaos means the
+    // fault-tolerance machinery failed to converge), one crash dump —
+    // the span ring plus the service's metrics — is written before
+    // the error surfaces.
+    let drove = drive_schedule(
+        &svc,
+        &jo_client,
+        &sp_client,
+        &mut rng,
+        n_sps,
+        w,
+        |c, req| c.try_call(req),
+    );
+    let mut outcome = match drove {
+        Ok(outcome) => outcome,
         Err(e) => {
             let snap = svc.obs_snapshot();
-            for recorder in svc.recorders() {
-                if let Ok(path) = recorder.dump("market-divergence", &snap) {
-                    eprintln!("flight-recorder dump: {}", path.display());
-                }
-            }
+            let _ = ppms_obs::write_dump(
+                &ppms_obs::dump_dir(),
+                "ma-service",
+                "market-divergence",
+                &snap,
+            );
             return Err(e);
         }
     };
-    let jobs = svc
-        .bulletin
-        .list()
-        .into_iter()
-        .map(|j| (j.job_id, j.description, j.payment))
-        .collect();
     let faults = svc.faults.clone();
     let traffic = svc.traffic.clone();
     // Stop the front door before the service: the reactor must not
@@ -662,20 +518,194 @@ fn run_market(
     if let Some(mut door) = _front_door.take() {
         door.shutdown();
     }
-    let undelivered_payments = svc.shutdown();
+    outcome.undelivered_payments = svc.shutdown();
+    Ok((outcome, faults.snapshot(), traffic))
+}
 
-    Ok((
-        ServiceMarketOutcome {
-            jo_balance,
-            sp_balances,
-            sp_credited,
-            data_reports,
-            jobs,
-            undelivered_payments,
-        },
-        faults.snapshot(),
-        traffic,
-    ))
+/// The deterministic PPMSdec schedule behind [`run_service_market`]
+/// and [`drive_market_keyed`]: the JO publishes a job, `n_sps` SPs
+/// register labor, the JO withdraws a coin per SP and pays `w` via
+/// PCBA cash breaking, each SP submits data, fetches and verifies its
+/// payment and deposits the spends as one batch, and a ledger audit
+/// closes the run. Every request goes out through `call` on the JO's
+/// or the SP's client and every draw comes from `rng`, so the same
+/// stream replays the same bytes. The outcome's
+/// `undelivered_payments` is `0`: only the shutdown drain counts it.
+fn drive_schedule(
+    svc: &MaService,
+    jo: &MaClient,
+    sp: &MaClient,
+    rng: &mut StdRng,
+    n_sps: usize,
+    w: u64,
+    mut call: impl FnMut(&MaClient, MaRequest) -> Result<MaResponse, MarketError>,
+) -> Result<ServiceMarketOutcome, MarketError> {
+    const RSA_BITS: usize = 512;
+    // One schedule step on the JO's or the SP's client.
+    macro_rules! jo {
+        ($req:expr) => {
+            call(jo, $req)?
+        };
+    }
+    macro_rules! sp {
+        ($req:expr) => {
+            call(sp, $req)?
+        };
+    }
+    let params = &svc.params;
+    // JO setup: account, CL key, job pseudonym, published job.
+    let cl = ClKeyPair::generate(rng, &svc.pairing);
+    let funds = (n_sps as u64 + 1) * params.face_value();
+    let jo_account = match jo!(MaRequest::RegisterJoAccount {
+        funds,
+        clpk: cl.public.clone(),
+    }) {
+        MaResponse::Account(a) => a,
+        other => return Err(unexpected("jo-account", &other)),
+    };
+    let job_key = rsa::keygen(rng, RSA_BITS);
+    let job_id = match jo!(MaRequest::PublishJob {
+        description: "simulated sensing job".into(),
+        payment: w,
+        pseudonym: job_key.public.to_bytes(),
+    }) {
+        MaResponse::JobId(id) => id,
+        other => return Err(unexpected("publish", &other)),
+    };
+
+    let mut sp_accounts = Vec::with_capacity(n_sps);
+    let mut sp_credited = Vec::with_capacity(n_sps);
+    for i in 0..n_sps {
+        // SP: account, one-time key, labor registration.
+        let sp_account = match sp!(MaRequest::RegisterSpAccount) {
+            MaResponse::Account(a) => a,
+            other => return Err(unexpected("sp-account", &other)),
+        };
+        let one_time = rsa::keygen(rng, RSA_BITS);
+        let sp_pubkey = one_time.public.to_bytes();
+        match sp!(MaRequest::LaborRegister {
+            job_id,
+            sp_pubkey: sp_pubkey.clone(),
+        }) {
+            MaResponse::Ok => {}
+            other => return Err(unexpected("labor-register", &other)),
+        }
+
+        // JO: poll labor, withdraw a fresh coin, pay this SP.
+        let keys = match jo!(MaRequest::FetchLabor { job_id }) {
+            MaResponse::Labor(keys) => keys,
+            other => return Err(unexpected("labor-fetch", &other)),
+        };
+        let receiver = keys
+            .last()
+            .cloned()
+            .ok_or_else(|| MarketError::Transport("labor registration not visible".into()))?;
+        let mut coin = Coin::mint(rng, params);
+        let (blinded, factor) = coin.blind_token(rng, &svc.bank_pk);
+        let nonce = i as u64 + 1;
+        let auth = cl.sign_bytes(rng, &svc.pairing, &nonce.to_be_bytes());
+        let sig = match jo!(MaRequest::Withdraw {
+            account: jo_account,
+            nonce,
+            auth,
+            blinded,
+        }) {
+            MaResponse::BlindSignature(sig) => sig,
+            other => return Err(unexpected("withdraw", &other)),
+        };
+        if !coin.attach_signature(&svc.bank_pk, &sig, &factor) {
+            return Err(MarketError::BadCoin("bank signature did not verify".into()));
+        }
+        let plan = plan_break(CashBreak::Pcba, w, params.levels)?;
+        let mut allocator = NodeAllocator::new(params.levels);
+        let items = build_payment_with(
+            rng,
+            params,
+            &coin,
+            &plan,
+            b"",
+            svc.bank_pk.size_bytes(),
+            &mut allocator,
+        )?;
+        let payload = encode_payment(&items);
+        let sp_pk = rsa::RsaPublicKey::from_bytes(&receiver)
+            .ok_or_else(|| MarketError::BadPayload("labor key does not parse".into()))?;
+        let ciphertext = rsa::encrypt(rng, &sp_pk, &payload);
+        match jo!(MaRequest::SubmitPayment {
+            sp_pubkey: sp_pubkey.clone(),
+            ciphertext,
+        }) {
+            MaResponse::Ok => {}
+            other => return Err(unexpected("payment-submission", &other)),
+        }
+
+        // SP: submit data (releasing the hold), fetch, verify, deposit.
+        match sp!(MaRequest::SubmitData {
+            job_id,
+            sp_pubkey: sp_pubkey.clone(),
+            data: format!("reading from sp {i}").into_bytes(),
+        }) {
+            MaResponse::Ok => {}
+            other => return Err(unexpected("data-report", &other)),
+        }
+        let ciphertext = match sp!(MaRequest::FetchPayment { sp_pubkey }) {
+            MaResponse::Payment(Some(ct)) => ct,
+            MaResponse::Payment(None) => {
+                return Err(MarketError::Transport(
+                    "payment still held after data".into(),
+                ))
+            }
+            other => return Err(unexpected("payment-fetch", &other)),
+        };
+        let payload = rsa::decrypt(&one_time, &ciphertext)
+            .map_err(|_| MarketError::BadPayload("payment does not decrypt".into()))?;
+        let items = decode_payment(&payload)
+            .map_err(|_| MarketError::BadPayload("payment bundle does not parse".into()))?;
+        let (spends, _) = verify_bundle_sequential(params, &svc.bank_pk, &items, b"");
+        match sp!(MaRequest::DepositBatch {
+            account: sp_account,
+            spends,
+        }) {
+            MaResponse::BatchDeposited { total, .. } => sp_credited.push(total),
+            other => return Err(unexpected("deposit", &other)),
+        }
+        sp_accounts.push(sp_account);
+    }
+
+    // JO: collect the data reports.
+    let data_reports = match jo!(MaRequest::FetchData { job_id }) {
+        MaResponse::Data(reports) => reports,
+        other => return Err(unexpected("data-fetch", &other)),
+    };
+
+    // Audit the ledger.
+    let jo_balance = match jo!(MaRequest::Balance {
+        account: jo_account,
+    }) {
+        MaResponse::Balance(b) => b,
+        other => return Err(unexpected("balance", &other)),
+    };
+    let mut sp_balances = Vec::with_capacity(n_sps);
+    for &account in &sp_accounts {
+        match sp!(MaRequest::Balance { account }) {
+            MaResponse::Balance(b) => sp_balances.push(b),
+            other => return Err(unexpected("balance", &other)),
+        }
+    }
+    let jobs = svc
+        .bulletin
+        .list()
+        .into_iter()
+        .map(|j| (j.job_id, j.description, j.payment))
+        .collect();
+    Ok(ServiceMarketOutcome {
+        jo_balance,
+        sp_balances,
+        sp_credited,
+        data_reports,
+        jobs,
+        undelivered_payments: 0,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -765,178 +795,27 @@ pub fn drive_market_keyed(
     w: u64,
     max_calls: u64,
 ) -> Result<KeyedDrive, MarketError> {
-    const RSA_BITS: usize = 512;
     // The drive's rng stream is disjoint from the spawn's: re-driving
     // after a recovery regenerates the same coins and keys no matter
     // how many draws service spawn consumed.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x64_72_69_76_65); // "drive"
-    let params = svc.params.clone();
     let client = svc.client();
     let mut calls = 0u64;
-    macro_rules! step {
-        ($req:expr) => {{
-            if calls == max_calls {
-                return Ok(KeyedDrive::Paused { calls });
-            }
-            let id = DURABLE_KEY_BASE + calls;
-            calls += 1;
-            client.try_call_keyed(id, $req)?
-        }};
+    let mut paused = false;
+    let drove = drive_schedule(svc, &client, &client, &mut rng, n_sps, w, |c, req| {
+        if calls == max_calls {
+            paused = true;
+            return Err(MarketError::Transport("call budget spent".into()));
+        }
+        let id = DURABLE_KEY_BASE + calls;
+        calls += 1;
+        c.try_call_keyed(id, req)
+    });
+    match drove {
+        Ok(outcome) => Ok(KeyedDrive::Complete(Box::new(outcome))),
+        Err(_) if paused => Ok(KeyedDrive::Paused { calls }),
+        Err(e) => Err(e),
     }
-
-    // JO setup: account, CL key, job pseudonym, published job.
-    let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
-    let funds = (n_sps as u64 + 1) * params.face_value();
-    let jo_account = match step!(MaRequest::RegisterJoAccount {
-        funds,
-        clpk: cl.public.clone(),
-    }) {
-        MaResponse::Account(a) => a,
-        other => return Err(unexpected("jo-account", &other)),
-    };
-    let job_key = rsa::keygen(&mut rng, RSA_BITS);
-    let job_id = match step!(MaRequest::PublishJob {
-        description: "simulated sensing job".into(),
-        payment: w,
-        pseudonym: job_key.public.to_bytes(),
-    }) {
-        MaResponse::JobId(id) => id,
-        other => return Err(unexpected("publish", &other)),
-    };
-
-    let mut sp_accounts = Vec::with_capacity(n_sps);
-    let mut sp_credited = Vec::with_capacity(n_sps);
-    for i in 0..n_sps {
-        // SP: account, one-time key, labor registration.
-        let sp_account = match step!(MaRequest::RegisterSpAccount) {
-            MaResponse::Account(a) => a,
-            other => return Err(unexpected("sp-account", &other)),
-        };
-        let one_time = rsa::keygen(&mut rng, RSA_BITS);
-        let sp_pubkey = one_time.public.to_bytes();
-        match step!(MaRequest::LaborRegister {
-            job_id,
-            sp_pubkey: sp_pubkey.clone(),
-        }) {
-            MaResponse::Ok => {}
-            other => return Err(unexpected("labor-register", &other)),
-        }
-
-        // JO: poll labor, withdraw a fresh coin, pay this SP.
-        let keys = match step!(MaRequest::FetchLabor { job_id }) {
-            MaResponse::Labor(keys) => keys,
-            other => return Err(unexpected("labor-fetch", &other)),
-        };
-        let receiver = keys
-            .last()
-            .cloned()
-            .ok_or_else(|| MarketError::Transport("labor registration not visible".into()))?;
-        let mut coin = Coin::mint(&mut rng, &params);
-        let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
-        let nonce = i as u64 + 1;
-        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &nonce.to_be_bytes());
-        let sig = match step!(MaRequest::Withdraw {
-            account: jo_account,
-            nonce,
-            auth,
-            blinded,
-        }) {
-            MaResponse::BlindSignature(sig) => sig,
-            other => return Err(unexpected("withdraw", &other)),
-        };
-        if !coin.attach_signature(&svc.bank_pk, &sig, &factor) {
-            return Err(MarketError::BadCoin("bank signature did not verify".into()));
-        }
-        let plan = plan_break(CashBreak::Pcba, w, params.levels)?;
-        let mut allocator = NodeAllocator::new(params.levels);
-        let items = build_payment_with(
-            &mut rng,
-            &params,
-            &coin,
-            &plan,
-            b"",
-            svc.bank_pk.size_bytes(),
-            &mut allocator,
-        )?;
-        let payload = encode_payment(&items);
-        let sp_pk = rsa::RsaPublicKey::from_bytes(&receiver)
-            .ok_or_else(|| MarketError::BadPayload("labor key does not parse".into()))?;
-        let ciphertext = rsa::encrypt(&mut rng, &sp_pk, &payload);
-        match step!(MaRequest::SubmitPayment {
-            sp_pubkey: sp_pubkey.clone(),
-            ciphertext,
-        }) {
-            MaResponse::Ok => {}
-            other => return Err(unexpected("payment-submission", &other)),
-        }
-
-        // SP: submit data (releasing the hold), fetch, verify, deposit.
-        match step!(MaRequest::SubmitData {
-            job_id,
-            sp_pubkey: sp_pubkey.clone(),
-            data: format!("reading from sp {i}").into_bytes(),
-        }) {
-            MaResponse::Ok => {}
-            other => return Err(unexpected("data-report", &other)),
-        }
-        let ciphertext = match step!(MaRequest::FetchPayment { sp_pubkey }) {
-            MaResponse::Payment(Some(ct)) => ct,
-            MaResponse::Payment(None) => {
-                return Err(MarketError::Transport(
-                    "payment still held after data".into(),
-                ))
-            }
-            other => return Err(unexpected("payment-fetch", &other)),
-        };
-        let payload = rsa::decrypt(&one_time, &ciphertext)
-            .map_err(|_| MarketError::BadPayload("payment does not decrypt".into()))?;
-        let items = decode_payment(&payload)
-            .map_err(|_| MarketError::BadPayload("payment bundle does not parse".into()))?;
-        let (spends, _) = verify_bundle_sequential(&params, &svc.bank_pk, &items, b"");
-        match step!(MaRequest::DepositBatch {
-            account: sp_account,
-            spends,
-        }) {
-            MaResponse::BatchDeposited { total, .. } => sp_credited.push(total),
-            other => return Err(unexpected("deposit", &other)),
-        }
-        sp_accounts.push(sp_account);
-    }
-
-    // JO: collect the data reports.
-    let data_reports = match step!(MaRequest::FetchData { job_id }) {
-        MaResponse::Data(reports) => reports,
-        other => return Err(unexpected("data-fetch", &other)),
-    };
-
-    // Audit the ledger.
-    let jo_balance = match step!(MaRequest::Balance {
-        account: jo_account,
-    }) {
-        MaResponse::Balance(b) => b,
-        other => return Err(unexpected("balance", &other)),
-    };
-    let mut sp_balances = Vec::with_capacity(n_sps);
-    for &account in &sp_accounts {
-        match step!(MaRequest::Balance { account }) {
-            MaResponse::Balance(b) => sp_balances.push(b),
-            other => return Err(unexpected("balance", &other)),
-        }
-    }
-    let jobs = svc
-        .bulletin
-        .list()
-        .into_iter()
-        .map(|j| (j.job_id, j.description, j.payment))
-        .collect();
-    Ok(KeyedDrive::Complete(Box::new(ServiceMarketOutcome {
-        jo_balance,
-        sp_balances,
-        sp_credited,
-        data_reports,
-        jobs,
-        undelivered_payments: 0,
-    })))
 }
 
 /// How many of the first `calls` requests of [`drive_market_keyed`]'s

@@ -52,7 +52,7 @@ use crate::wire::Envelope;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use ppms_ecash::Spend;
-use ppms_obs::{FlightRecorder, Span, SpanContext};
+use ppms_obs::{Span, SpanContext};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -232,7 +232,6 @@ impl TcpFrontDoor {
             reply_scratch: Vec::new(),
             stop: stop.clone(),
             obs: svc.obs.clone(),
-            recorder: Arc::new(FlightRecorder::new("tcp-reactor", 256)),
             dumps: dumps.clone(),
             started: Instant::now(),
             ops_tokens: config.ops_burst as f64,
@@ -323,9 +322,6 @@ struct Reactor {
     /// Service registry handle — the ops plane snapshots it (merged
     /// with the process-global registry) without leaving the reactor.
     obs: ppms_obs::Registry,
-    /// Last-events ring for the reactor itself; dumped on panic like
-    /// a shard worker's recorder.
-    recorder: Arc<FlightRecorder>,
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     started: Instant,
     /// Ops token bucket: refilled at `ops_rate_per_sec`, capped at
@@ -355,8 +351,8 @@ impl Reactor {
     fn run(&mut self) {
         // The reactor thread is the front door's single point of
         // failure, so a panic anywhere in a tick (a handler bug, the
-        // chaos hook) is caught, dumped — flight-recorder events plus
-        // the in-flight span ring — and the loop resumes. A panic
+        // chaos hook) is caught, dumped — the span ring, in-flight
+        // spans included, plus metrics — and the loop resumes. A panic
         // *storm* (something deterministically broken) stops the
         // reactor instead of spinning the dump path forever.
         let mut panics = 0u32;
@@ -371,8 +367,10 @@ impl Reactor {
                     panics += 1;
                     self.reactor_panics.inc();
                     let snap = self.obs.snapshot().merge(&ppms_obs::global().snapshot());
-                    if let Ok(path) = self.recorder.dump("tcp-reactor-panic", &snap) {
-                        eprintln!("flight-recorder dump: {}", path.display());
+                    let dir = ppms_obs::dump_dir();
+                    if let Ok(path) =
+                        ppms_obs::write_dump(&dir, "tcp-reactor", "tcp-reactor-panic", &snap)
+                    {
                         self.dumps.lock().push(path);
                     }
                     if panics >= 8 {
@@ -526,15 +524,6 @@ impl Reactor {
     }
 
     fn handle_envelope(&mut self, conn_id: u64, env: Envelope<GateRequest>, frame_len: usize) {
-        if self.config.chaos_panic_on_trace == Some(env.trace_id) && env.trace_id != 0 {
-            // Disarm before unwinding: the hook fires exactly once, so
-            // the caller's retransmit of the same trace succeeds.
-            self.config.chaos_panic_on_trace = None;
-            self.recorder.record(env.trace_id, "chaos-panic", || {
-                format!("conn={conn_id} msg={}", env.msg_id)
-            });
-            panic!("chaos: injected reactor panic on trace {:#x}", env.trace_id);
-        }
         let party = env.party;
         let key = RequestKey {
             party,
@@ -549,9 +538,13 @@ impl Reactor {
         let ctx = env.span_ctx();
         let read_span = Span::child("tcp.read", ctx);
         let read_ctx = read_span.ctx();
-        self.recorder.record(env.trace_id, "frame", || {
-            format!("conn={conn_id} party={party:?} msg={}", env.msg_id)
-        });
+        if self.config.chaos_panic_on_trace == Some(env.trace_id) && env.trace_id != 0 {
+            // Disarm before unwinding: the hook fires exactly once, so
+            // the caller's retransmit of the same trace succeeds. The
+            // open `tcp.read` span carries the trace into the dump.
+            self.config.chaos_panic_on_trace = None;
+            panic!("chaos: injected reactor panic on trace {:#x}", env.trace_id);
+        }
         match env.payload {
             GateRequest::Hello => {
                 self.traffic

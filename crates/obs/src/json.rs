@@ -1,6 +1,6 @@
 //! Tiny hand-rolled JSON helpers. The workspace's `serde_json` is an
 //! offline build stub that emits placeholder documents, so every
-//! artifact this crate writes (snapshots, flight-recorder dumps) is
+//! artifact this crate writes (snapshots, crash dumps) is
 //! formatted by hand. Only what the dumps need lives here.
 
 /// Escapes a string for embedding inside a JSON string literal.

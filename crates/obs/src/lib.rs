@@ -1,14 +1,16 @@
 //! `ppms-obs` — the observability substrate under the whole market
 //! stack (bigint → crypto → ecash → core → bench all sit above it).
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * **causal spans** ([`SpanContext`], [`Span`]): a trace/span/parent
 //!   id triple that rides the wire envelope, an RAII guard minting
 //!   child contexts, and a process-global lock-free span ring exported
 //!   as Chrome `trace_event` JSONL ([`export_trace_jsonl`]) — one
 //!   request's retries, reactor phases, admission check, shard
-//!   execution, WAL append and fsync as a single tree.
+//!   execution, WAL append and fsync as a single tree. The ring is
+//!   the only event store: a crash dump ([`write_dump`]) is its most
+//!   recent records plus a metrics [`Snapshot`].
 //! * a **metrics registry** ([`Registry`]) of named atomic
 //!   [`Counter`]s, [`Gauge`]s and log₂-bucketed [`Histogram`]s.
 //!   Handles are `Arc`s resolved once; updates are relaxed atomics —
@@ -18,10 +20,6 @@
 //! * **span-style timing** via the [`Timed`] RAII guard over a
 //!   monotonic clock, plus the [`timed!`] / [`count!`] macros that
 //!   cache a global-registry handle per call site.
-//! * a **flight recorder** ([`FlightRecorder`]) — a bounded ring of
-//!   recent structured events per shard, dumped with the metrics
-//!   snapshot to a JSON artifact when a worker panics or the chaos
-//!   harness detects divergence.
 //!
 //! # The runtime switch
 //!
@@ -36,12 +34,10 @@
 
 mod hist;
 mod json;
-mod recorder;
 mod span;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistSnapshot, Histogram, BUCKETS};
 pub use json::escape;
-pub use recorder::{Event, FlightRecorder};
 pub use span::{
     export_trace_jsonl, next_span_id, span_events, spans_dump_json, trace_dump_json, trace_events,
     Span, SpanContext, SpanEvent,
@@ -49,6 +45,7 @@ pub use span::{
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -342,6 +339,50 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Crash dumps
+// ---------------------------------------------------------------------------
+
+/// The default crash-dump directory: `$PPMS_OBS_DIR` if set, else the
+/// workspace's `target/obs/`.
+pub fn dump_dir() -> PathBuf {
+    std::env::var_os("PPMS_OBS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/obs").into())
+}
+
+/// Writes a crash dump — `reason`, the span ring's 256 most recent
+/// records (in-flight spans included, so a crash shows what never
+/// finished) and `metrics` — to `dir/{name}-{pid}-{seq}.json`,
+/// announces it on stderr under the stable, greppable prefix
+/// `flight-recorder dump:` and returns its path. With spans switched
+/// off ([`set_enabled`]`(false)`) the dump carries metrics only.
+pub fn write_dump(
+    dir: &Path,
+    name: &str,
+    reason: &str,
+    metrics: &Snapshot,
+) -> std::io::Result<PathBuf> {
+    // Process-wide, so concurrent dumps (parallel tests, several
+    // shards crashing at once) never clobber each other's files.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!(
+        "{name}-{}-{}.json",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let body = format!(
+        "{{\n  \"reason\": \"{}\",\n  \"spans\": {},\n  \"metrics\": {}\n}}\n",
+        escape(reason),
+        spans_dump_json(256),
+        metrics.to_json()
+    );
+    std::fs::write(&path, body)?;
+    eprintln!("flight-recorder dump: {}", path.display());
+    Ok(path)
+}
+
+// ---------------------------------------------------------------------------
 // Span timing
 // ---------------------------------------------------------------------------
 
@@ -438,6 +479,10 @@ macro_rules! count {
 mod tests {
     use super::*;
 
+    /// Held by every test that flips, or needs, the process-wide span
+    /// switch, so no test sees spans dark because another turned them off.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_and_gauges_always_count() {
         let r = Registry::new();
@@ -464,8 +509,9 @@ mod tests {
 
     #[test]
     fn spans_follow_runtime_switch() {
-        // One test owns the global ENABLED toggle (parallel tests
-        // would race on it otherwise).
+        // One test owns the global ENABLED toggle; SWITCH keeps the
+        // tests that rely on it from racing with it.
+        let _switch = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let r = Registry::new();
         let h = r.histogram("span");
         {
@@ -491,6 +537,43 @@ mod tests {
         assert!(json.contains("\"a\":3"));
         assert!(json.contains("\"g\":-1"));
         assert!(json.contains("\"count\":1"));
+    }
+
+    #[test]
+    fn dump_contains_trace_and_reason() {
+        let _switch = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        const TRACE: u64 = 0xD0D0_0000_0000_ABCD;
+        let dir = std::env::temp_dir().join(format!("ppms-obs-dump-{}", std::process::id()));
+        let r = Registry::new();
+        r.counter("dump.c").add(3);
+        let span = Span::root("test.dump", TRACE);
+        let path = write_dump(&dir, "shard9", "panic: boom", &r.snapshot()).expect("dump");
+        drop(span);
+        let body = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(body.contains("\"reason\": \"panic: boom\""), "{body}");
+        assert!(body.contains("\"spans\": ["), "{body}");
+        assert!(body.contains("0xd0d000000000abcd"), "{body}");
+        assert!(body.contains("\"in_flight\":true"), "{body}");
+        assert!(body.contains("\"metrics\": {"), "{body}");
+        assert!(body.contains("\"dump.c\":3"), "{body}");
+        assert!(!body.contains("\"events\""), "{body}");
+    }
+
+    #[test]
+    fn dump_to_dir_writes_file() {
+        let dir = std::env::temp_dir().join(format!("ppms-obs-dir-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = write_dump(&dir, "shard7", "test", &Registry::new().snapshot()).expect("dump");
+        assert_eq!(path.parent(), Some(dir.as_path()));
+        let name = path.file_name().and_then(|n| n.to_str()).expect("name");
+        assert!(
+            name.starts_with(&format!("shard7-{}-", std::process::id())) && name.ends_with(".json"),
+            "{name}"
+        );
+        let body = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(body.contains("\"reason\": \"test\""), "{body}");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! **complete** record (with duration) at drop. A span that never
 //! completed — in flight at a crash — is therefore visible in the
 //! ring as a begin without a matching complete, which is exactly what
-//! the flight-recorder crash dump wants to show.
+//! the crash dump ([`crate::write_dump`]) wants to show.
 //!
 //! # The runtime switch
 //!
@@ -402,7 +402,7 @@ pub fn export_trace_jsonl(trace_id: u64) -> String {
 }
 
 /// A compact JSON array of the ring's most recent `limit` records —
-/// what the flight-recorder crash dump embeds so a post-mortem shows
+/// what a crash dump ([`crate::write_dump`]) embeds so a post-mortem shows
 /// the spans (including in-flight ones) around the failure.
 pub fn spans_dump_json(limit: usize) -> String {
     let events = span_events();

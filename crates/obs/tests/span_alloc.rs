@@ -11,6 +11,7 @@ use ppms_obs::{Span, SpanContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Mutex;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -49,6 +50,11 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|a| a.get())
 }
 
+/// Serialises the tests: one of them switches spans off process-wide,
+/// which would otherwise let the other warm up with spans dark (names
+/// never interned) and then count the interning as span allocations.
+static SWITCH: Mutex<()> = Mutex::new(());
+
 fn span_tree_once(trace: u64) {
     let root = Span::root("alloc.root", trace);
     let child = Span::child("alloc.child", root.ctx());
@@ -59,6 +65,7 @@ fn span_tree_once(trace: u64) {
 
 #[test]
 fn live_spans_do_not_allocate_once_warmed() {
+    let _switch = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     // First use interns the names and lazily builds the ring.
     span_tree_once(0x6000);
     let n = allocs_in(|| {
@@ -71,6 +78,7 @@ fn live_spans_do_not_allocate_once_warmed() {
 
 #[test]
 fn disabled_spans_do_not_allocate() {
+    let _switch = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     ppms_obs::set_enabled(false);
     let n = allocs_in(|| {
         for i in 0..64u64 {

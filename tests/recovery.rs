@@ -381,7 +381,8 @@ fn disk_backed_front_door_survives_restart() {
 /// Satellite of the causal-span work: the span context persisted into
 /// each `WalRecord` survives the crash, so recovery replay
 /// re-attributes every replayed entry to the *originating* trace id —
-/// a post-crash flight recorder reads like the pre-crash one.
+/// each replayed record's `wal.replay` span lands under the trace of
+/// the client operation that wrote it.
 #[test]
 fn recovery_replay_reattributes_entries_to_their_originating_traces() {
     use ppms_core::next_request_id;
@@ -462,16 +463,14 @@ fn recovery_replay_reattributes_entries_to_their_originating_traces() {
 
     // Replay runs inside the (single) shard worker before it serves
     // its first request, so one round-trip is a replay barrier; only
-    // then is the recorder guaranteed to name every original trace.
+    // then is the span ring guaranteed to name every original trace.
     let client = svc.client();
     let resp = client.try_call(MaRequest::RegisterSpAccount).expect("sync");
     assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
-    let events: Vec<_> = svc.recorders().iter().flat_map(|r| r.snapshot()).collect();
     for trace in TRACES {
+        let events = ppms_obs::trace_events(trace);
         assert!(
-            events
-                .iter()
-                .any(|e| e.label == "replayed" && e.trace_id == trace),
+            events.iter().any(|e| e.name == "wal.replay"),
             "replay must re-attribute to trace {trace:#x}: {events:?}"
         );
     }

@@ -137,8 +137,8 @@ fn unadmitted_requests_never_reach_a_shard() {
         "an unadmitted request entered the service"
     );
     assert_eq!(
-        before.counter("ma.dedup.hits"),
-        after.counter("ma.dedup.hits")
+        before.counter("fault.dedup_replays"),
+        after.counter("fault.dedup_replays")
     );
     assert!(after.counter("gate.challenges") >= 2);
 
@@ -630,8 +630,8 @@ fn ops_plane_is_admission_exempt_read_only_and_shardless() {
         "an ops query reached the service"
     );
     assert_eq!(
-        before.counter("ma.dedup.hits"),
-        after.counter("ma.dedup.hits")
+        before.counter("fault.dedup_replays"),
+        after.counter("fault.dedup_replays")
     );
     assert!(after.counter("tcp.ops") >= 4, "every ops query counted");
 

@@ -1,8 +1,9 @@
 //! Trace-context propagation end-to-end: a trace id minted at the
 //! client rides the wire envelope, survives retransmission (same id on
 //! every attempt of one logical request), reaches the serving shard's
-//! flight recorder, and — when a shard worker dies — appears in the
-//! crash-dump JSON, tying the dump to the request that was in flight.
+//! spans in the process-global ring, and — when a shard worker dies —
+//! appears in the crash-dump JSON, tying the dump to the request that
+//! was in flight.
 
 use ppms_core::gate::AdmissionConfig;
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
@@ -74,18 +75,17 @@ fn crash_dump_carries_the_crashing_requests_trace_id() {
         "dump must carry the crashing request's trace id: {body}"
     );
 
-    // The shard's ring (shared across worker incarnations) shows the
-    // same trace on the crashing attempt and the successful retry.
-    let events = svc.recorders()[0].snapshot();
-    let labels: Vec<&str> = events
-        .iter()
-        .filter(|e| e.trace_id == TRACE)
-        .map(|e| e.label)
-        .collect();
-    assert!(labels.contains(&"crash"), "{labels:?}");
+    // The span ring shows the same trace on the crashing attempt and
+    // the successful retry, and the retry's journal commit under it.
+    let events = ppms_obs::trace_events(TRACE);
+    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
     assert!(
-        labels.contains(&"commit"),
-        "the retry must commit under the original trace: {labels:?}"
+        count("shard.handle") >= 2,
+        "the crashing attempt and the retry both run under the trace: {events:?}"
+    );
+    assert!(
+        count("wal.append") >= 1,
+        "the retry must commit under the original trace: {events:?}"
     );
     svc.shutdown();
 }
@@ -135,23 +135,28 @@ fn one_trace_survives_lossy_retransmission() {
 
     // Every committed operation kept its caller-minted trace across
     // the wire, the faults, and whichever shard served it…
-    let events: Vec<_> = svc.recorders().iter().flat_map(|r| r.snapshot()).collect();
+    let events = ppms_obs::span_events();
     for trace in &traces {
         assert!(
             events
                 .iter()
-                .any(|e| e.trace_id == *trace && e.label == "commit"),
+                .any(|e| e.trace_id == *trace && e.name == "wal.append"),
             "trace {trace:#x} never committed at a shard"
         );
     }
     // …and every dedup replay (an executed-but-unacked retransmit) was
-    // served under one of those same traces, not a fresh one.
-    for event in events.iter().filter(|e| e.label == "dedup-replay") {
-        assert!(
-            traces.contains(&event.trace_id),
-            "replayed retransmit carried an unknown trace: {event:?}"
-        );
-    }
+    // served under one of those same traces, not a fresh one: the
+    // ring's replay spans under our traces account for every replay
+    // this service counted. (The ring is process-global; a replay
+    // under any other trace would fall short of the count.)
+    let replays = events
+        .iter()
+        .filter(|e| e.name == "shard.dedup_replay" && traces.contains(&e.trace_id))
+        .count() as u64;
+    assert_eq!(
+        replays, faults.dedup_replays,
+        "replayed retransmits must carry their request's trace"
+    );
     svc.shutdown();
 }
 
