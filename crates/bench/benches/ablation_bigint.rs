@@ -2,7 +2,9 @@
 //! against the naive square-and-multiply reference, and Karatsuba vs
 //! schoolbook multiplication around the crossover. **A17** — prime
 //! generation: the residue-sieve walk against the walk that
-//! trial-divides every candidate.
+//! trial-divides every candidate. **A18** — the Type-A pairing and the
+//! CL signature on it, at the reproduction's `r = 40` bits and the
+//! paper's `r = 160` (`-- --test` also checks each verdict).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppms_bigint::{
@@ -182,8 +184,40 @@ fn bench_prime_generation(_c: &mut Criterion) {
     );
 }
 
+fn bench_pairing(c: &mut Criterion) {
+    use ppms_crypto::cl::ClKeyPair;
+    use ppms_crypto::pairing::TypeAPairing;
+    let mut group = c.benchmark_group("pairing");
+    group.sample_size(20);
+    for r_bits in [40usize, 160] {
+        let mut rng = StdRng::seed_from_u64(11);
+        let e = TypeAPairing::generate(&mut rng, r_bits);
+        let keys = ClKeyPair::generate(&mut rng, &e);
+        let k = e.random_scalar(&mut rng);
+        let msg = b"withdrawal nonce 1";
+        let sig = keys.sign_bytes(&mut rng, &e, msg);
+        assert!(sig.verify_bytes(&e, &keys.public, msg), "r = {r_bits}");
+        assert!(!sig.verify_bytes(&e, &keys.public, b"withdrawal nonce 2"));
+        assert!(!e.pairing(&e.g, &keys.public.y_pub).is_one());
+        group.bench_with_input(BenchmarkId::new("pairing", r_bits), &r_bits, |b, _| {
+            b.iter(|| std::hint::black_box(e.pairing(&e.g, &keys.public.y_pub)));
+        });
+        group.bench_with_input(BenchmarkId::new("cl_verify", r_bits), &r_bits, |b, _| {
+            b.iter(|| std::hint::black_box(sig.verify_bytes(&e, &keys.public, msg)));
+        });
+        group.bench_with_input(BenchmarkId::new("cl_sign", r_bits), &r_bits, |b, _| {
+            b.iter(|| std::hint::black_box(keys.sign_bytes(&mut rng, &e, msg)));
+        });
+        group.bench_with_input(BenchmarkId::new("g_mul", r_bits), &r_bits, |b, _| {
+            b.iter(|| std::hint::black_box(e.g_mul(&k)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_pairing,
     bench_prime_generation,
     bench_modpow,
     bench_mul,

@@ -12,8 +12,9 @@
 //! subtraction compares all `LIMBS` limbs, so the padded limbs stay
 //! zero throughout. `ModRing` instantiates widths 1, 2, 4, 8, 16 and 32
 //! and picks the smallest that holds the modulus — the protocol moduli
-//! (the ~45-bit pairing field, the fixture towers, RSA moduli and their
-//! CRT halves) all land on a width equal to their limb count.
+//! (the fixture towers, RSA moduli and their CRT halves) all land on a
+//! width equal to their limb count. The pairing field picks its own
+//! width the same way and runs its curve loops on the residues.
 //!
 //! Allocation discipline, mechanically enforced by
 //! `tests/alloc_free.rs` with a counting global allocator:

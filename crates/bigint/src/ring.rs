@@ -40,8 +40,9 @@ const MULTI_POW_MAX: usize = 6;
 /// The monomorphized [`FpMont`] widths. 32 and 16 limbs hold the
 /// 2048/1024-bit RSA and group moduli, 8 and 4 their CRT halves (and
 /// the 512-bit bench modulus), 2 the fixture-tower groups and 1 the
-/// ~45-bit field of the CL pairing. Moduli between two widths are
-/// zero-padded to the wider one.
+/// one-limb moduli (the ~45-bit CL pairing field holds its own
+/// `FpMont<1>`). Moduli between two widths are zero-padded to the
+/// wider one.
 // The enum lives once per ModRing; keeping the widest context inline
 // (rather than boxed) spares every kernel dispatch a pointer chase.
 #[allow(clippy::large_enum_variant)]

@@ -35,6 +35,10 @@ pub enum MarketError {
     /// has failed repeatedly and calls are rejected without being
     /// attempted until the cooldown elapses.
     CircuitOpen,
+    /// A CL public key was refused at registration: a coordinate of
+    /// `X` or `Y` is infinite, non-canonical, off the curve or outside
+    /// the pairing group `G`.
+    BadKey,
 }
 
 impl MarketError {
@@ -73,6 +77,7 @@ impl std::fmt::Display for MarketError {
             MarketError::Transport(s) => write!(f, "transport failure: {s}"),
             MarketError::Timeout => write!(f, "deadline expired before a successful attempt"),
             MarketError::CircuitOpen => write!(f, "circuit breaker open: destination failing"),
+            MarketError::BadKey => write!(f, "public key is not a pair of points of G"),
         }
     }
 }
@@ -101,6 +106,7 @@ mod tests {
             MarketError::Dec(DecError::Overspend),
             MarketError::NoSuchJob,
             MarketError::CircuitOpen,
+            MarketError::BadKey,
         ] {
             assert!(!e.is_retryable(), "{e}");
         }

@@ -157,9 +157,10 @@ impl DecMarket {
         initial_funds: u64,
         rsa_bits: usize,
     ) -> DecJobOwner {
-        let account = self.bank.open_account(initial_funds);
         let cl = ClKeyPair::generate(rng, &self.pairing);
-        self.cl_bindings.insert(account, cl.public.clone());
+        let account = self
+            .register_jo_key(initial_funds, &cl.public)
+            .expect("a generated key lies in G");
         DecJobOwner {
             account,
             cl,
@@ -167,6 +168,22 @@ impl DecMarket {
             coin: None,
             allocator: NodeAllocator::new(self.dec_bank.params().levels),
         }
+    }
+
+    /// Opens a funded account bound to `clpk`, under the MA's rule:
+    /// a key that is not a pair of finite points of `G` is refused with
+    /// [`MarketError::BadKey`] and opens no account.
+    pub fn register_jo_key(
+        &mut self,
+        initial_funds: u64,
+        clpk: &ClPublicKey,
+    ) -> Result<AccountId, MarketError> {
+        if !clpk.is_valid(&self.pairing) {
+            return Err(MarketError::BadKey);
+        }
+        let account = self.bank.open_account(initial_funds);
+        self.cl_bindings.insert(account, clpk.clone());
+        Ok(account)
     }
 
     /// Registers a sensing participant: opens an (empty) account and

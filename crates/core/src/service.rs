@@ -587,6 +587,11 @@ impl Shard {
         use MaRequest::*;
         match request {
             RegisterJoAccount { funds, clpk } => {
+                // Withdraw verifies under this key; refuse one outside
+                // G before any Miller loop runs on it.
+                if !clpk.is_valid(&self.shared.pairing) {
+                    return MaResponse::Err(MarketError::BadKey);
+                }
                 let account = self.shared.bank.open_account(*funds);
                 self.shared
                     .cl_bindings
@@ -2133,6 +2138,7 @@ mod tests {
     use super::*;
     use crate::transport::next_request_id;
     use ppms_crypto::cl::ClKeyPair;
+    use ppms_crypto::pairing::Point;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2215,6 +2221,122 @@ mod tests {
             panic!()
         };
         assert_eq!(b, 46);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn registration_refuses_keys_outside_g() {
+        let (svc, mut rng) = service(2);
+        let client = svc.client();
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let register =
+            |clpk: ClPublicKey| client.call(MaRequest::RegisterJoAccount { funds: 50, clpk });
+        let MaResponse::Account(first) = register(cl.public.clone()) else {
+            panic!("valid key refused")
+        };
+        let Point::Affine { x, y } = cl.public.y_pub.clone() else {
+            panic!("finite key")
+        };
+        let p = &svc.pairing.curve.fp.p;
+        let zero = BigUint::zero();
+        let bad_points = [
+            Point::Infinity,
+            Point::Affine {
+                x: x.clone(),
+                y: &y + p,
+            },
+            Point::Affine {
+                x: &x + p,
+                y: y.clone(),
+            },
+            Point::Affine {
+                x: BigUint::from(2u64),
+                y: BigUint::from(2u64),
+            },
+            Point::Affine {
+                x: zero.clone(),
+                y: zero,
+            },
+        ];
+        for bad in bad_points {
+            for clpk in [
+                ClPublicKey {
+                    x_pub: bad.clone(),
+                    y_pub: cl.public.y_pub.clone(),
+                },
+                ClPublicKey {
+                    x_pub: cl.public.x_pub.clone(),
+                    y_pub: bad.clone(),
+                },
+            ] {
+                let resp = register(clpk);
+                assert!(
+                    matches!(resp, MaResponse::Err(MarketError::BadKey)),
+                    "{bad:?}: {resp:?}"
+                );
+            }
+        }
+        // No refused registration opened an account.
+        let MaResponse::Account(next) = register(cl.public.clone()) else {
+            panic!("valid key refused")
+        };
+        assert_eq!(next.0, first.0 + 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn non_canonical_withdraw_auth_is_refused_without_a_respawn() {
+        // A coordinate shifted by p passes no curve check and reaches
+        // no field subtraction: the worker answers instead of dying,
+        // and the nonce stays fresh for the honest signature.
+        let (svc, mut rng) = service(2);
+        let client = svc.client();
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!()
+        };
+        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+        let p = &svc.pairing.curve.fp.p;
+        let respawns = svc.faults.shard_respawns();
+        for field in 0..3 {
+            for coord in 0..2 {
+                let mut bad = auth.clone();
+                let pt = match field {
+                    0 => &mut bad.a,
+                    1 => &mut bad.b,
+                    _ => &mut bad.c,
+                };
+                let Point::Affine { x, y } = pt else {
+                    panic!("finite signature")
+                };
+                if coord == 0 {
+                    *x = &*x + p;
+                } else {
+                    *y = &*y + p;
+                }
+                let resp = client.call(MaRequest::Withdraw {
+                    account: jo,
+                    nonce: 1,
+                    auth: bad,
+                    blinded: BigUint::one(),
+                });
+                assert!(
+                    matches!(resp, MaResponse::Err(MarketError::BadAuthentication)),
+                    "field {field}, coordinate {coord}: {resp:?}"
+                );
+            }
+        }
+        assert_eq!(svc.faults.shard_respawns(), respawns);
+        let resp = client.call(MaRequest::Withdraw {
+            account: jo,
+            nonce: 1,
+            auth,
+            blinded: BigUint::one(),
+        });
+        assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
         svc.shutdown();
     }
 

@@ -509,6 +509,7 @@ impl WireEncode for MarketError {
             }
             MarketError::Timeout => w.u8(9),
             MarketError::CircuitOpen => w.u8(10),
+            MarketError::BadKey => w.u8(11),
         }
     }
 }
@@ -527,6 +528,7 @@ impl WireDecode for MarketError {
             8 => MarketError::Transport(r.str()?),
             9 => MarketError::Timeout,
             10 => MarketError::CircuitOpen,
+            11 => MarketError::BadKey,
             t => return Err(WireError::BadTag("market-error", t)),
         })
     }

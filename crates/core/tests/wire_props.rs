@@ -73,15 +73,16 @@ fn dec_error(k: u64, text: &str) -> DecError {
 }
 
 fn market_error(k: u64, text: &str) -> MarketError {
-    match k % 9 {
+    match k % 10 {
         0 => MarketError::NoSuchAccount,
         1 => MarketError::InsufficientFunds,
         2 => MarketError::BadAuthentication,
         3 => MarketError::BadPayload(text.to_string()),
         4 => MarketError::BadCoin(text.to_string()),
         5 => MarketError::StaleSerial,
-        6 => MarketError::Dec(dec_error(k / 9, text)),
+        6 => MarketError::Dec(dec_error(k / 10, text)),
         7 => MarketError::NoSuchJob,
+        8 => MarketError::BadKey,
         _ => MarketError::Transport(text.to_string()),
     }
 }

@@ -1,7 +1,7 @@
 //! The supersingular curve `E: y² = x³ + x` over `F_p` and its group
 //! law. With `p ≡ 3 (mod 4)` this curve has exactly `p + 1` points.
 
-use super::fp::Fp;
+use super::fp::{with_width, Fp, FpL};
 use ppms_bigint::{random_below, BigUint};
 use rand::Rng;
 
@@ -41,6 +41,164 @@ impl Point {
     }
 }
 
+/// A point in Jacobian coordinates `(X : Y : Z)` over [`FpL`]
+/// residues, standing for the affine `(X/Z², Y/Z³)`; `Z = 0` is the
+/// point at infinity. Doubling and mixed addition need no inversion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Jacobian<const L: usize> {
+    pub(crate) x: [u64; L],
+    pub(crate) y: [u64; L],
+    pub(crate) z: [u64; L],
+}
+
+impl<const L: usize> Jacobian<L> {
+    pub(crate) fn infinity() -> Jacobian<L> {
+        Jacobian {
+            x: [0; L],
+            y: [0; L],
+            z: [0; L],
+        }
+    }
+
+    pub(crate) fn from_affine(f: &FpL<L>, x: &[u64; L], y: &[u64; L]) -> Jacobian<L> {
+        Jacobian {
+            x: *x,
+            y: *y,
+            z: f.one(),
+        }
+    }
+
+    pub(crate) fn is_infinity(&self) -> bool {
+        FpL::is_zero(&self.z)
+    }
+}
+
+/// What a doubling step computes on the way that Miller's tangent line
+/// reuses: the slope numerator `M = 3X² + Z⁴`, `Z²` and `Y²`.
+pub(crate) struct Tangent<const L: usize> {
+    pub(crate) m: [u64; L],
+    pub(crate) zz: [u64; L],
+    pub(crate) yy: [u64; L],
+}
+
+/// The outcome of a mixed addition `T + P`.
+pub(crate) enum Chord<const L: usize> {
+    /// `T + P`, and the chord's slope numerator `R` (slope `R / Z₃`,
+    /// with `Z₃` the sum's `Z`).
+    Sum(Jacobian<L>, [u64; L]),
+    /// `T = −P`: the chord is vertical and the sum is `O`.
+    Vertical,
+    /// `T = P`: the chord degenerates to the tangent at `P`.
+    Tangent,
+}
+
+/// `2T` for `T ≠ O`, with the tangent's ingredients, or `None` when
+/// `2T = O` (`T = O` or the vertical tangent at `y = 0`). The slope of
+/// the tangent is `M / (2·Y·Z)`. Costs 6 squarings and 3
+/// multiplications (`a = 1`).
+pub(crate) fn double_jacobian<const L: usize>(
+    f: &FpL<L>,
+    t: &Jacobian<L>,
+) -> Option<(Jacobian<L>, Tangent<L>)> {
+    if t.is_infinity() || FpL::is_zero(&t.y) {
+        return None;
+    }
+    let xx = f.sqr(&t.x);
+    let yy = f.sqr(&t.y);
+    let zz = f.sqr(&t.z);
+    let s = f.dbl(&f.dbl(&f.mul(&t.x, &yy)));
+    // M = 3X² + a·Z⁴ with a = 1.
+    let m = f.add(&f.add(&xx, &f.dbl(&xx)), &f.sqr(&zz));
+    let x3 = f.sub(&f.sqr(&m), &f.dbl(&s));
+    let yyyy8 = f.dbl(&f.dbl(&f.dbl(&f.sqr(&yy))));
+    let y3 = f.sub(&f.mul(&m, &f.sub(&s, &x3)), &yyyy8);
+    let z3 = f.mul(&f.dbl(&t.y), &t.z);
+    Some((
+        Jacobian {
+            x: x3,
+            y: y3,
+            z: z3,
+        },
+        Tangent { m, zz, yy },
+    ))
+}
+
+/// `T + P` for `T ≠ O` and affine `P = (x2, y2)` (mixed addition: 3
+/// squarings and 8 multiplications).
+pub(crate) fn add_mixed<const L: usize>(
+    f: &FpL<L>,
+    t: &Jacobian<L>,
+    x2: &[u64; L],
+    y2: &[u64; L],
+) -> Chord<L> {
+    let z1z1 = f.sqr(&t.z);
+    let u2 = f.mul(x2, &z1z1);
+    let s2 = f.mul(&f.mul(y2, &t.z), &z1z1);
+    let h = f.sub(&u2, &t.x);
+    let r = f.sub(&s2, &t.y);
+    if FpL::is_zero(&h) {
+        return if FpL::is_zero(&r) {
+            Chord::Tangent
+        } else {
+            Chord::Vertical
+        };
+    }
+    let hh = f.sqr(&h);
+    let hhh = f.mul(&h, &hh);
+    let v = f.mul(&t.x, &hh);
+    let x3 = f.sub(&f.sub(&f.sqr(&r), &hhh), &f.dbl(&v));
+    let y3 = f.sub(&f.mul(&r, &f.sub(&v, &x3)), &f.mul(&t.y, &hhh));
+    let z3 = f.mul(&t.z, &h);
+    Chord::Sum(
+        Jacobian {
+            x: x3,
+            y: y3,
+            z: z3,
+        },
+        r,
+    )
+}
+
+/// `k·P` for affine `P = (px, py)` by double-and-add.
+fn jacobian_mul<const L: usize>(
+    f: &FpL<L>,
+    k: &BigUint,
+    px: &[u64; L],
+    py: &[u64; L],
+) -> Jacobian<L> {
+    let double =
+        |t: &Jacobian<L>| double_jacobian(f, t).map_or_else(Jacobian::infinity, |(t2, _)| t2);
+    let mut acc = Jacobian::infinity();
+    for i in (0..k.bits()).rev() {
+        acc = double(&acc);
+        if k.bit(i) {
+            acc = if acc.is_infinity() {
+                Jacobian::from_affine(f, px, py)
+            } else {
+                match add_mixed(f, &acc, px, py) {
+                    Chord::Sum(t, _) => t,
+                    Chord::Vertical => Jacobian::infinity(),
+                    Chord::Tangent => double(&acc),
+                }
+            };
+        }
+    }
+    acc
+}
+
+/// `(X/Z², Y/Z³)`, the one inversion of a Jacobian computation.
+fn to_affine<const L: usize>(f: &FpL<L>, t: &Jacobian<L>) -> Point {
+    if t.is_infinity() {
+        return Point::Infinity;
+    }
+    let zinv = f.inv(&t.z);
+    let zinv2 = f.sqr(&zinv);
+    Point::Affine {
+        x: f.leave(&f.mul(&t.x, &zinv2)),
+        y: f.leave(&f.mul(&t.y, &f.mul(&zinv2, &zinv))),
+    }
+}
+
 /// Curve context: the base field (the curve constant is fixed, `a=1`,
 /// `b=0`).
 #[derive(Debug, Clone)]
@@ -57,11 +215,15 @@ impl Curve {
         Curve { fp }
     }
 
-    /// `true` iff `(x, y)` satisfies `y² = x³ + x`.
+    /// `true` iff `pt` is the point at infinity or `(x, y)` has
+    /// canonical coordinates (`x, y < p`) satisfying `y² = x³ + x`.
     pub fn is_on_curve(&self, pt: &Point) -> bool {
         match pt {
             Point::Infinity => true,
             Point::Affine { x, y } => {
+                if x >= &self.fp.p || y >= &self.fp.p {
+                    return false;
+                }
                 let lhs = self.fp.square(y);
                 let rhs = self.fp.add(&self.fp.mul(&self.fp.square(x), x), x);
                 lhs == rhs
@@ -120,16 +282,14 @@ impl Curve {
         Point::Affine { x: x3, y: y3 }
     }
 
-    /// Scalar multiplication (double-and-add).
+    /// Scalar multiplication: double-and-add in Jacobian coordinates
+    /// on fixed-width residues, with the one inversion in the final
+    /// conversion to affine.
     pub fn mul(&self, k: &BigUint, p: &Point) -> Point {
-        let mut acc = Point::Infinity;
-        for i in (0..k.bits()).rev() {
-            acc = self.add(&acc, &acc);
-            if k.bit(i) {
-                acc = self.add(&acc, p);
-            }
-        }
-        acc
+        let Point::Affine { x, y } = p else {
+            return Point::Infinity;
+        };
+        with_width!(self.fp, f => to_affine(f, &jacobian_mul(f, k, &f.enter(x), &f.enter(y))))
     }
 
     /// Samples a uniformly random curve point (excluding infinity).

@@ -13,7 +13,8 @@
 //! * [`fp`] — arithmetic in `F_p`,
 //! * [`fp2`] — arithmetic in `F_p²`,
 //! * [`curve`] — points of `E(F_p)` and scalar multiplication,
-//! * [`miller`] — Miller's algorithm + final exponentiation,
+//! * [`miller`] — Miller's algorithm in Jacobian coordinates + the
+//!   split final exponentiation,
 //! * [`typea`] — parameter generation and the [`typea::TypeAPairing`]
 //!   front-end used by the CL signature.
 
@@ -21,6 +22,8 @@ pub mod curve;
 pub mod fp;
 pub mod fp2;
 pub mod miller;
+#[cfg(test)]
+pub(crate) mod oracle;
 pub mod typea;
 
 pub use curve::Point;

@@ -10,7 +10,7 @@
 use super::curve::{Curve, Point};
 use super::fp::Fp;
 use super::fp2::{Fp2, Fp2Ctx};
-use super::miller::tate_pairing;
+use super::miller::{final_exp, miller_loop, tate_pairing};
 use ppms_bigint::{random_below, BigUint};
 use ppms_primes::gen::random_prime;
 use ppms_primes::miller_rabin::is_probable_prime_rounds;
@@ -72,7 +72,24 @@ impl TypeAPairing {
 
     /// The symmetric pairing `ê(P, Q)` for `P, Q ∈ G`.
     pub fn pairing(&self, p: &Point, q: &Point) -> Fp2 {
-        tate_pairing(&self.curve, &self.fp2, p, q, &self.r)
+        tate_pairing(&self.curve, &self.fp2, p, q, &self.r, &self.h)
+    }
+
+    /// Whether `ê(P₁, Q₁) = ê(P₂, Q₂)`, as a product of pairings with
+    /// one final exponentiation: `(f_{P₁}(Q₁)·conj(f_{P₂}(Q₂)))` reduces
+    /// to `ê(P₁, Q₁)·ê(P₂, Q₂)⁻¹`, since conjugation commutes with the
+    /// final exponentiation and inverts the norm-one reduced values.
+    pub fn pairings_equal(&self, (p1, q1): (&Point, &Point), (p2, q2): (&Point, &Point)) -> bool {
+        let f1 = miller_loop(&self.curve, p1, q1, &self.r);
+        let f2 = miller_loop(&self.curve, p2, q2, &self.r);
+        let ratio = self.fp2.mul(&f1, &self.fp2.conj(&f2));
+        final_exp(&self.fp2, &ratio, &self.h).is_one()
+    }
+
+    /// Whether `pt` lies in `G`: on the curve with canonical
+    /// coordinates, and `r·pt = O`. Bilinearity holds only on `G`.
+    pub fn in_g(&self, pt: &Point) -> bool {
+        self.curve.is_on_curve(pt) && self.curve.mul(&self.r, pt).is_infinity()
     }
 
     /// Scalar multiplication in `G`.
@@ -109,9 +126,12 @@ impl TypeAPairing {
 
 #[cfg(test)]
 mod tests {
+    use super::super::oracle::{affine_mul, affine_tate_pairing};
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
 
     fn pairing() -> TypeAPairing {
         let mut rng = StdRng::seed_from_u64(7);
@@ -192,5 +212,112 @@ mod tests {
         let lhs = e.pairing(&e.curve.add(&p1, &p2), &q);
         let rhs = e.fp2.mul(&e.pairing(&p1, &q), &e.pairing(&p2, &q));
         assert_eq!(lhs, rhs, "e(P1 + P2, Q) = e(P1, Q)·e(P2, Q)");
+    }
+
+    #[test]
+    fn pairings_equal_is_the_pairing_comparison() {
+        let e = pairing();
+        let mut rng = StdRng::seed_from_u64(5);
+        let p = e.random_torsion_point(&mut rng);
+        let q = e.random_torsion_point(&mut rng);
+        let k = e.random_scalar(&mut rng);
+        let kq = e.mul(&k, &q);
+        assert!(e.pairings_equal((&e.mul(&k, &p), &q), (&p, &kq)));
+        assert!(e.pairings_equal((&p, &Point::Infinity), (&Point::Infinity, &q)));
+        assert!(!e.pairings_equal((&p, &q), (&p, &e.curve.add(&q, &q))));
+        assert!(!e.pairings_equal((&p, &q), (&e.g, &Point::Infinity)));
+    }
+
+    #[test]
+    fn in_g_refuses_points_outside_the_subgroup() {
+        let e = pairing();
+        let two_torsion = Point::Affine {
+            x: BigUint::zero(),
+            y: BigUint::zero(),
+        };
+        assert!(e.in_g(&e.g) && e.in_g(&Point::Infinity));
+        assert!(e.curve.is_on_curve(&two_torsion) && !e.in_g(&two_torsion));
+        assert!(!e.in_g(&e.curve.add(&e.g, &two_torsion)));
+        let Point::Affine { x, y } = &e.g else {
+            unreachable!()
+        };
+        for (x, y) in [
+            (x + &e.curve.fp.p, y.clone()),
+            (x.clone(), y + &e.curve.fp.p),
+        ] {
+            let shifted = Point::Affine { x, y };
+            assert!(!e.curve.is_on_curve(&shifted), "non-canonical coordinates");
+            assert!(!e.in_g(&shifted));
+        }
+    }
+
+    #[test]
+    fn jacobian_mul_matches_affine_double_and_add() {
+        let e = pairing();
+        let mut rng = StdRng::seed_from_u64(6);
+        let two_torsion = Point::Affine {
+            x: BigUint::zero(),
+            y: BigUint::zero(),
+        };
+        let off_g = e.curve.random_point(&mut rng);
+        let points = [
+            e.g.clone(),
+            e.random_torsion_point(&mut rng),
+            off_g,
+            two_torsion,
+        ];
+        let scalars = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from(2u64),
+            e.r.clone(),
+            &e.r + 3u64,
+            &e.curve.fp.p + 1u64,
+            e.random_scalar(&mut rng),
+        ];
+        for p in &points {
+            for k in &scalars {
+                assert_eq!(
+                    e.curve.mul(k, p),
+                    affine_mul(&e.curve, k, p),
+                    "k = {k:?}, P = {p:?}"
+                );
+            }
+        }
+    }
+
+    fn oracle_pairing() -> &'static TypeAPairing {
+        static E: OnceLock<TypeAPairing> = OnceLock::new();
+        E.get_or_init(pairing)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn pairing_matches_affine_oracle(seed in any::<u64>()) {
+            let e = oracle_pairing();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = e.random_scalar(&mut rng);
+            let b = e.random_scalar(&mut rng);
+            let (p, q) = (e.g_mul(&a), e.g_mul(&b));
+            prop_assert_eq!(e.pairing(&p, &q), affine_tate_pairing(&e.curve, &e.fp2, &p, &q, &e.r));
+            let p = e.random_torsion_point(&mut rng);
+            prop_assert_eq!(
+                e.pairing(&p, &e.g),
+                affine_tate_pairing(&e.curve, &e.fp2, &p, &e.g, &e.r)
+            );
+        }
+
+        #[test]
+        fn jacobian_mul_matches_affine_oracle(seed in any::<u64>()) {
+            let e = oracle_pairing();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = random_below(&mut rng, &(&e.curve.fp.p + 1u64));
+            let p = e.curve.random_point(&mut rng);
+            prop_assert_eq!(e.curve.mul(&k, &p), affine_mul(&e.curve, &k, &p));
+            let q = e.random_torsion_point(&mut rng);
+            prop_assert_eq!(e.curve.mul(&k, &q), affine_mul(&e.curve, &k, &q));
+        }
     }
 }

@@ -105,6 +105,9 @@ cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
 echo "==> fixed-width ablation bench smoke (Straus = Pippenger verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
 
+echo "==> bignum + pairing ablation bench smoke (A18: CL verdicts at r = 40 and r = 160)"
+cargo bench -p ppms-bench --bench ablation_bigint -- --test >/dev/null
+
 echo "==> cargo test"
 cargo test --workspace -q
 

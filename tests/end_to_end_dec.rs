@@ -228,3 +228,95 @@ fn jo_job_pk(market: &ppms_core::ppmsdec::DecMarket) -> ppms_crypto::rsa::RsaPub
     let job = market.bulletin.list().pop().expect("job published");
     ppms_crypto::rsa::RsaPublicKey::from_bytes(&job.pseudonym).expect("valid key")
 }
+
+/// A key that is not a pair of finite points of `G` is refused by the
+/// in-process market and by the service with the same typed error,
+/// and neither opens an account for it.
+#[test]
+fn market_and_service_refuse_the_same_keys() {
+    use ppms_bigint::BigUint;
+    use ppms_core::service::{MaRequest, MaResponse, MaService};
+    use ppms_core::MarketError;
+    use ppms_crypto::cl::{ClKeyPair, ClPublicKey};
+    use ppms_crypto::pairing::{Point, TypeAPairing};
+    use ppms_integration::TEST_PAIRING_BITS;
+
+    /// The valid key of a fresh pair, then the same key with `X` or
+    /// `Y` replaced by each kind of bad point.
+    fn keys(rng: &mut rand::rngs::StdRng, pairing: &TypeAPairing) -> Vec<ClPublicKey> {
+        let good = ClKeyPair::generate(rng, pairing).public;
+        let Point::Affine { x, y } = good.x_pub.clone() else {
+            panic!("finite key")
+        };
+        let p = &pairing.curve.fp.p;
+        let bad = [
+            Point::Infinity,
+            Point::Affine {
+                x: &x + p,
+                y: y.clone(),
+            },
+            Point::Affine {
+                x: x.clone(),
+                y: &y + p,
+            },
+            Point::Affine {
+                x: BigUint::from(2u64),
+                y: BigUint::from(2u64),
+            },
+            Point::Affine {
+                x: BigUint::zero(),
+                y: BigUint::zero(),
+            },
+        ];
+        let mut out = vec![good.clone()];
+        for pt in bad {
+            out.push(ClPublicKey {
+                x_pub: pt.clone(),
+                y_pub: good.y_pub.clone(),
+            });
+            out.push(ClPublicKey {
+                x_pub: good.x_pub.clone(),
+                y_pub: pt,
+            });
+        }
+        out
+    }
+
+    let (mut market, mut rng) = dec_market(9, 3);
+    let market_keys = keys(&mut rng, &market.pairing);
+    let opened: Vec<_> = market_keys
+        .iter()
+        .map(|k| market.register_jo_key(10, k))
+        .collect();
+    let in_process: Vec<Result<(), MarketError>> =
+        opened.iter().map(|r| r.clone().map(|_| ())).collect();
+
+    let svc = MaService::spawn(
+        &mut rng,
+        market.params().clone(),
+        TEST_RSA_BITS,
+        TEST_PAIRING_BITS,
+    );
+    let client = svc.client();
+    let service_keys = keys(&mut rng, &svc.pairing);
+    let served: Vec<Result<(), MarketError>> = service_keys
+        .into_iter()
+        .map(
+            |clpk| match client.call(MaRequest::RegisterJoAccount { funds: 10, clpk }) {
+                MaResponse::Account(_) => Ok(()),
+                MaResponse::Err(e) => Err(e),
+                other => panic!("unexpected response {other:?}"),
+            },
+        )
+        .collect();
+    svc.shutdown();
+
+    assert_eq!(in_process, served);
+    assert_eq!(in_process[0], Ok(()));
+    assert!(in_process[1..]
+        .iter()
+        .all(|v| *v == Err(MarketError::BadKey)));
+    // Only the valid key opened an account: the next one follows it.
+    let next = market.register_jo_key(10, &market_keys[0]).unwrap();
+    assert_eq!(next.0, opened[0].clone().unwrap().0 + 1);
+}
