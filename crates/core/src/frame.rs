@@ -75,7 +75,7 @@ impl FrameDecoder {
     /// the previous frame and comes back with more input. The buffer
     /// therefore reaches a steady-state capacity and `push` +
     /// `next_frame` allocate nothing on the warmed hot path (pinned
-    /// by `tests/frame_alloc.rs`).
+    /// by `crates/core/tests/frame_alloc.rs`).
     pub fn push(&mut self, chunk: &[u8]) {
         if self.start >= self.buf.len() {
             self.buf.clear();

@@ -37,12 +37,15 @@
 
 use crate::bank::AccountId;
 use crate::error::MarketError;
+use crate::poll::Waker;
 use crate::service::{MaRequest, MaResponse, RequestKey};
 use crate::wire::{put_list, read_list, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use ppms_ecash::Spend;
 use ppms_obs::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::Duration;
 
 /// What a connection may say to the front door. The market protocol
 /// proper ([`MaRequest`]) rides inside [`GateRequest::App`], so one
@@ -543,10 +546,10 @@ pub fn denied_error(reason: &str) -> MarketError {
 /// Rendezvous between the service's checkpoint protocol and the TCP
 /// front door's reactor, which owns the [`AdmissionGate`] outright
 /// (no lock). At checkpoint time the dispatcher [`request`]s an
-/// export; the reactor polls [`pending`] once per tick and answers
-/// with [`fulfill`]; the dispatcher collects it via [`take_blob`]
-/// under a bounded wait, so a stopped reactor only costs the
-/// checkpoint its gate section, never wedges it.
+/// export, which wakes the reactor; the reactor checks [`pending`]
+/// once per tick and answers with [`fulfill`]; the dispatcher waits
+/// for it in [`take_blob`] under a bound, so a stopped reactor only
+/// costs the checkpoint its gate section, never wedges it.
 ///
 /// [`request`]: GateCheckpoint::request
 /// [`pending`]: GateCheckpoint::pending
@@ -554,36 +557,58 @@ pub fn denied_error(reason: &str) -> MarketError {
 /// [`take_blob`]: GateCheckpoint::take_blob
 #[derive(Debug, Default)]
 pub struct GateCheckpoint {
-    requested: std::sync::atomic::AtomicBool,
-    blob: parking_lot::Mutex<Option<Vec<u8>>>,
+    requested: AtomicBool,
+    blob: std::sync::Mutex<Option<Vec<u8>>>,
+    fulfilled: Condvar,
+    /// The reactor's waker; `None` for a hook no reactor serves.
+    waker: Option<Arc<Waker>>,
 }
 
 impl GateCheckpoint {
-    /// Fresh hook with no request outstanding.
+    /// Fresh hook with no request outstanding and no reactor to wake.
     pub fn new() -> GateCheckpoint {
         GateCheckpoint::default()
     }
 
-    /// Dispatcher side: ask the reactor for a gate export.
+    /// A hook whose [`request`](GateCheckpoint::request) wakes the
+    /// reactor blocked on `waker`.
+    pub(crate) fn waking(waker: Arc<Waker>) -> GateCheckpoint {
+        GateCheckpoint {
+            waker: Some(waker),
+            ..GateCheckpoint::default()
+        }
+    }
+
+    /// Dispatcher side: ask the reactor for a gate export. An answer
+    /// left over from an earlier request that timed out is discarded.
     pub fn request(&self) {
-        self.requested
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        *self.blob.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        self.requested.store(true, Ordering::SeqCst);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
     }
 
     /// Reactor side: is an export wanted? Clears the flag.
     pub fn pending(&self) -> bool {
-        self.requested
-            .swap(false, std::sync::atomic::Ordering::SeqCst)
+        self.requested.swap(false, Ordering::SeqCst)
     }
 
     /// Reactor side: publish the exported gate state.
     pub fn fulfill(&self, blob: Vec<u8>) {
-        *self.blob.lock() = Some(blob);
+        *self.blob.lock().unwrap_or_else(PoisonError::into_inner) = Some(blob);
+        self.fulfilled.notify_all();
     }
 
-    /// Dispatcher side: collect the export, if the reactor answered.
-    pub fn take_blob(&self) -> Option<Vec<u8>> {
-        self.blob.lock().take()
+    /// Dispatcher side: collect the export, waiting up to `timeout`
+    /// for the reactor to answer.
+    pub fn take_blob(&self, timeout: Duration) -> Option<Vec<u8>> {
+        let blob = self.blob.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut blob, _) = self
+            .fulfilled
+            .wait_timeout_while(blob, timeout, |b| b.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        blob.take()
     }
 }
 

@@ -37,6 +37,12 @@
 //! [`sim`] (multi-round, threaded and chaos market simulation → paper
 //! Fig. 5), and [`attack`] (the denomination / linkage attack
 //! evaluation behind the paper's §IV-B analysis).
+//!
+//! The crate forbids `unsafe` except in `poll`, whose one block calls
+//! `poll(2)` for the front door's readiness wait (DESIGN.md §19).
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod attack;
 pub mod bank;
@@ -46,6 +52,8 @@ pub mod frame;
 pub mod gate;
 pub mod metrics;
 pub mod mixnet;
+#[allow(unsafe_code)]
+mod poll;
 pub mod ppmsdec;
 pub mod ppmspbs;
 pub mod retry;
@@ -71,8 +79,8 @@ pub use ppmsdec::{DecMarket, DecRoundOutcome};
 pub use ppmspbs::{PbsMarket, PbsRoundOutcome};
 pub use retry::{RetryPolicy, RetryingTransport};
 pub use service::{
-    CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport, RequestKey,
-    ServiceConfig,
+    CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport, Reply,
+    RequestKey, ServiceConfig,
 };
 pub use storage::{
     DiskStorage, DurabilityConfig, DurableLog, FaultyStorage, SimStorage, SnapshotState, Storage,

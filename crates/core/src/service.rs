@@ -51,6 +51,7 @@ use crate::bulletin::{Bulletin, JobProfile};
 use crate::error::MarketError;
 use crate::gate::GateCheckpoint;
 use crate::metrics::{FaultMetrics, Party};
+use crate::poll::Waker;
 use crate::retry::{RetryPolicy, RetryingTransport};
 use crate::storage::{
     load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SimStorage,
@@ -234,7 +235,54 @@ pub struct Inbound {
     /// The request.
     pub request: MaRequest,
     /// Where the handling shard sends the response.
-    pub reply: Sender<MaResponse>,
+    pub reply: Reply,
+}
+
+/// The reply half of an [`Inbound`]: a response channel plus, for
+/// requests from the TCP front door, the door's waker. The wake
+/// fires when the reply is dropped, sent or not, so a worker that
+/// dies holding a request wakes the reactor as surely as an answer
+/// does (DESIGN.md §19).
+pub struct Reply {
+    /// `Some` until sent; taken so the channel closes before the wake.
+    tx: Option<Sender<MaResponse>>,
+    waker: Option<Arc<Waker>>,
+}
+
+impl Reply {
+    /// A reply that wakes `waker` once it is sent or dropped.
+    pub(crate) fn waking(tx: Sender<MaResponse>, waker: Arc<Waker>) -> Reply {
+        Reply {
+            tx: Some(tx),
+            waker: Some(waker),
+        }
+    }
+
+    /// Sends the response; `Err` when the caller has gone away.
+    pub fn send(mut self, response: MaResponse) -> Result<(), MaResponse> {
+        let tx = self.tx.take().expect("a reply is sent at most once");
+        tx.send(response).map_err(|e| e.0)
+    }
+}
+
+impl From<Sender<MaResponse>> for Reply {
+    fn from(tx: Sender<MaResponse>) -> Reply {
+        Reply {
+            tx: Some(tx),
+            waker: None,
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        // Close the channel first: a woken reactor must find the
+        // answer or the hang-up, never an empty, still-open channel.
+        drop(self.tx.take());
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
 }
 
 /// Crash-injection point for the supervision tests: the chosen shard
@@ -989,7 +1037,7 @@ impl ShardWorker {
         let mut last_arrival = std::time::Instant::now();
         // Reusable batch scratch, reclaimed across iterations.
         let mut batch: Vec<Inbound> = Vec::with_capacity(max_batch);
-        let mut held: Vec<(Sender<MaResponse>, MaResponse)> = Vec::with_capacity(max_batch);
+        let mut held: Vec<(Reply, MaResponse)> = Vec::with_capacity(max_batch);
         let mut preverified: Vec<Vec<Result<u64, DecError>>> = Vec::with_capacity(max_batch);
 
         loop {
@@ -1642,13 +1690,7 @@ impl Dispatcher {
     fn request_gate_blob(&self) -> Option<Vec<u8>> {
         let hook = self.durable.gate_hook.lock().clone()?;
         hook.request();
-        for _ in 0..500 {
-            if let Some(blob) = hook.take_blob() {
-                return Some(blob);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        None
+        hook.take_blob(std::time::Duration::from_millis(500))
     }
 
     fn run(mut self, rx: Receiver<Inbound>, ctrl_rx: Receiver<Control>) {
@@ -2126,7 +2168,7 @@ impl Drop for MaService {
                 key: None,
                 span: SpanContext::NONE,
                 request: MaRequest::Shutdown,
-                reply: reply_tx,
+                reply: reply_tx.into(),
             });
             let _ = h.join();
         }
@@ -3020,7 +3062,7 @@ mod tests {
                 auth,
                 blinded: BigUint::from(12345u64),
             },
-            reply,
+            reply: reply.into(),
         };
         std::thread::scope(|scope| {
             let checkpoint = scope.spawn(|| svc.checkpoint());

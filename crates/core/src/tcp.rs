@@ -2,17 +2,21 @@
 //! actually cross a socket, plus the matching client-side
 //! [`Transport`].
 //!
-//! ## Server: a hand-rolled non-blocking reactor
+//! ## Server: a hand-rolled event-driven reactor
 //!
-//! The offline crate allowlist has no tokio/mio, so readiness is a
-//! polling loop over `std::net` sockets in non-blocking mode: each
-//! tick accepts new connections (up to `max_connections`), reads
-//! every socket until `WouldBlock` feeding the per-connection
-//! stratum-2 [`FrameDecoder`], dispatches complete frames, polls the
-//! in-flight replies from the shard workers, and drains the
-//! per-connection [`WriteQueue`]s. When a full tick makes no
-//! progress, the reactor sleeps `idle_sleep` — busy enough for
-//! loopback latency, idle enough not to burn a core.
+//! One thread owns every socket, in non-blocking mode. Each tick
+//! accepts new connections (up to `max_connections`), reads every
+//! socket until `WouldBlock` feeding the per-connection stratum-2
+//! [`FrameDecoder`], dispatches complete frames, collects the replies
+//! the shard workers have sent, and drains the per-connection
+//! [`WriteQueue`]s. Ticks run back to back while they make progress.
+//! After a tick that makes none, the reactor blocks in `poll(2)` with
+//! no timeout on the listener, every connection (`POLLOUT` too while
+//! its write queue holds bytes) and a wake socket. Everything else
+//! that can give the reactor work writes to the wake socket: a shard
+//! reply sent or dropped, [`TcpFrontDoor::shutdown`], and a
+//! checkpoint's gate export (DESIGN.md §19). An idle door therefore
+//! costs no CPU, and a request never waits out a sleep.
 //!
 //! Overload policy (all observable via the service registry):
 //!
@@ -44,7 +48,8 @@ use crate::gate::{
     GateResponse, OpsRequest,
 };
 use crate::metrics::Party;
-use crate::service::{Inbound, MaRequest, MaResponse, MaService, RequestKey, ShardRouter};
+use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
+use crate::service::{Inbound, MaRequest, MaResponse, MaService, Reply, RequestKey, ShardRouter};
 use crate::stream::{ByteStream, FlakyConfig, FlakyStream, TcpByteStream};
 use crate::transport::{next_request_id, next_trace_id, request_label, response_label};
 use crate::transport::{TrafficLog, Transport};
@@ -56,6 +61,7 @@ use ppms_obs::{Span, SpanContext};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,8 +88,6 @@ pub struct TcpConfig {
     pub max_inflight_per_conn: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
-    /// Reactor sleep when a tick makes no progress.
-    pub idle_sleep: Duration,
     /// Sustained [`GateRequest::Ops`] rate allowed per second (token
     /// bucket). Ops queries skip admission, so without a limit they
     /// would be a free flood vector.
@@ -110,7 +114,6 @@ impl Default for TcpConfig {
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_inflight_per_conn: 32,
             admission: AdmissionConfig::default(),
-            idle_sleep: Duration::from_micros(200),
             ops_rate_per_sec: 100,
             ops_burst: 20,
             slow_request_threshold: Duration::from_millis(250),
@@ -162,6 +165,8 @@ struct Pending {
 pub struct TcpFrontDoor {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Ends the reactor's idle wait so it sees `stop`.
+    waker: Arc<Waker>,
     handle: Option<JoinHandle<()>>,
     obs: ppms_obs::Registry,
     /// Crash-dump files written by the reactor on panic, in order.
@@ -211,8 +216,9 @@ impl TcpFrontDoor {
 
         // Checkpoints want the gate's state in the snapshot; the
         // reactor owns the gate outright, so hand the dispatcher a
-        // polling rendezvous instead of a lock.
-        let gate_hook = Arc::new(GateCheckpoint::new());
+        // rendezvous that wakes the reactor instead of a lock.
+        let waker = Arc::new(Waker::new()?);
+        let gate_hook = Arc::new(GateCheckpoint::waking(waker.clone()));
         svc.attach_gate_checkpoint(gate_hook.clone());
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -224,6 +230,8 @@ impl TcpFrontDoor {
             router: svc.router(),
             gate,
             gate_hook,
+            waker: waker.clone(),
+            poll_fds: Vec::new(),
             traffic: svc.traffic.clone(),
             conns: HashMap::new(),
             pending: Vec::new(),
@@ -246,6 +254,7 @@ impl TcpFrontDoor {
             ops_limited: svc.obs.counter("tcp.ops_limited"),
             slow_requests: svc.obs.counter("tcp.slow_requests"),
             reactor_panics: svc.obs.counter("tcp.reactor_panics"),
+            idle_waits: svc.obs.counter("tcp.idle_waits"),
             connections: svc.obs.gauge("tcp.connections"),
             request_ns: svc.obs.histogram("tcp.request_ns"),
             queue_fill: svc.obs.histogram("tcp.write_queue_fill"),
@@ -257,6 +266,7 @@ impl TcpFrontDoor {
         Ok(TcpFrontDoor {
             addr,
             stop,
+            waker,
             handle: Some(handle),
             obs: svc.obs.clone(),
             dumps,
@@ -287,6 +297,7 @@ impl TcpFrontDoor {
     /// explicit form for tests that want the join to finish first.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -308,9 +319,14 @@ struct Reactor {
     /// thread hop on the hot path.
     router: ShardRouter,
     gate: AdmissionGate,
-    /// Checkpoint rendezvous: polled once per tick; when the
+    /// Checkpoint rendezvous: checked once per tick; when the
     /// dispatcher requests it, the reactor exports the gate state.
     gate_hook: Arc<GateCheckpoint>,
+    /// Wake socket: every reply, the gate hook and `shutdown` write to
+    /// it, so the idle wait ends when any of them has work.
+    waker: Arc<Waker>,
+    /// Reusable descriptor set for the idle wait.
+    poll_fds: Vec<PollFd>,
     traffic: TrafficLog,
     conns: HashMap<u64, Conn>,
     pending: Vec<Pending>,
@@ -339,6 +355,9 @@ struct Reactor {
     ops_limited: Arc<ppms_obs::Counter>,
     slow_requests: Arc<ppms_obs::Counter>,
     reactor_panics: Arc<ppms_obs::Counter>,
+    /// Returns from the idle wait: an idle door adds one per wake, not
+    /// one per spin.
+    idle_waits: Arc<ppms_obs::Counter>,
     connections: Arc<ppms_obs::Gauge>,
     request_ns: Arc<ppms_obs::Histogram>,
     queue_fill: Arc<ppms_obs::Histogram>,
@@ -360,7 +379,7 @@ impl Reactor {
             match std::panic::catch_unwind(AssertUnwindSafe(|| self.tick())) {
                 Ok(progress) => {
                     if !progress {
-                        std::thread::sleep(self.config.idle_sleep);
+                        self.wait_idle();
                     }
                 }
                 Err(_) => {
@@ -385,6 +404,31 @@ impl Reactor {
         }
         self.conns.clear();
         self.connections.set(0);
+    }
+
+    /// Blocks until a socket is ready or something wakes the reactor.
+    /// Called only after a tick with no progress: by then every socket
+    /// has been read and written until `WouldBlock` and every sent
+    /// reply collected, so each source of new work is in the set.
+    fn wait_idle(&mut self) {
+        self.poll_fds.clear();
+        self.poll_fds.push(PollFd::new(self.waker.fd(), POLLIN));
+        self.poll_fds
+            .push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        for conn in self.conns.values() {
+            let events = if conn.outq.is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
+            self.poll_fds
+                .push(PollFd::new(conn.stream.0.as_raw_fd(), events));
+        }
+        // An error (EINTR) ends the wait like a wake: the next tick
+        // finds whatever there is to do.
+        let _ = poll::wait(&mut self.poll_fds);
+        self.idle_waits.inc();
+        self.waker.drain();
     }
 
     /// One reactor iteration; `true` when any sub-tick made progress.
@@ -471,8 +515,8 @@ impl Reactor {
             // from the connection buffer: `next_frame` yields a slice
             // borrowed from the decoder's reassembly buffer (no
             // per-frame copy — the zero-copy hot path pinned by
-            // `tests/frame_alloc.rs`), and only the owned envelope
-            // leaves the borrow before dispatch.
+            // `crates/core/tests/frame_alloc.rs`), and only the owned
+            // envelope leaves the borrow before dispatch.
             let mut frames = 0u64;
             loop {
                 let conn = self.conns.get_mut(&id).expect("conn exists");
@@ -575,7 +619,7 @@ impl Reactor {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: reply_tx,
+                    reply: Reply::waking(reply_tx, self.waker.clone()),
                 };
                 match self.submit(inbound) {
                     Ok(()) => self.pending.push(Pending {
@@ -643,7 +687,7 @@ impl Reactor {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: reply_tx,
+                    reply: Reply::waking(reply_tx, self.waker.clone()),
                 };
                 match self.submit(inbound) {
                     Ok(()) => {
@@ -1204,6 +1248,10 @@ impl Transport for TcpTransport {
                         "service busy (load shed); retry later".into(),
                     ));
                 }
+                // The door's own transport failures (a shard that hung
+                // up, a stopped service) are retryable errors here, as
+                // they are on the in-process transports.
+                GateResponse::App(MaResponse::Err(e @ MarketError::Transport(_))) => return Err(e),
                 GateResponse::App(resp) => return Ok(resp),
                 GateResponse::Challenge { .. } => {
                     // Token exhausted or expelled: re-admit and replay

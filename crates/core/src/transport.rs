@@ -407,7 +407,7 @@ impl Transport for InProcTransport {
                 }),
                 span: ctx,
                 request,
-                reply: reply_tx,
+                reply: reply_tx.into(),
             })
             .map_err(|_| MarketError::Transport("MA service unavailable".into()))?;
         reply_rx
@@ -610,7 +610,7 @@ impl SimNetTransport {
                 // the ids its original client minted.
                 span: envelope.span_ctx(),
                 request: envelope.payload,
-                reply: reply_tx,
+                reply: reply_tx.into(),
             })
             .map_err(|_| MarketError::Transport("MA service unavailable".into()))?;
         reply_rx

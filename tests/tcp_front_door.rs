@@ -6,21 +6,28 @@
 //! bound, and overload is shed with `Busy` instead of queuing
 //! unboundedly. Every policy decision is asserted through the obs
 //! counters the reactor records (`tcp.*`, `gate.*`).
+//!
+//! The idle reactor blocks in `poll(2)` with no timeout, so every
+//! source of work must wake it. One test per wake source (a request
+//! after an idle spell, `shutdown`, a reply dropped by a crashed shard,
+//! a checkpoint's gate export) runs under a [`watchdog`], so a missing
+//! wake fails the suite with a message instead of hanging it.
 
+use ppms_core::bank::BankSnapshot;
 use ppms_core::gate::{AdmissionConfig, OpsRequest};
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
-    next_request_id, next_trace_id, DurabilityConfig, Envelope, FramedConn, GateRequest,
-    GateResponse, MarketError, Party, SimStorage, TcpByteStream, TcpClientConfig, TcpConfig,
-    TcpFrontDoor, TcpTransport,
+    next_request_id, next_trace_id, CrashPoint, DurabilityConfig, Envelope, FramedConn,
+    GateRequest, GateResponse, MarketError, Party, RetryPolicy, RetryingTransport, SimStorage,
+    TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
 };
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn spawn_service(seed: u64, shards: usize, queue_depth: usize) -> MaService {
@@ -74,6 +81,43 @@ fn ask(conn: &mut FramedConn, party: Party, payload: &GateRequest) -> GateRespon
         let env = Envelope::<GateResponse>::from_bytes(&reply).expect("gate reply decodes");
         if env.correlation_id == msg_id {
             return env.payload;
+        }
+    }
+}
+
+/// Exits the test binary with a message unless dropped within its
+/// limit. A wake the reactor misses leaves a client blocked on a reply
+/// (or a join blocked on the reactor) for good; this turns that hang
+/// into a failure naming the wake.
+struct Watchdog {
+    done: Option<mpsc::Sender<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+fn watchdog(what: &'static str, limit: Duration) -> Watchdog {
+    let (done, finished) = mpsc::channel::<()>();
+    let thread = std::thread::spawn(move || {
+        if finished.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
+            // Straight to the stream: the test harness captures
+            // `eprintln!`, and the exit below would discard it.
+            let _ = writeln!(
+                std::io::stderr(),
+                "watchdog: {what} did not finish within {limit:?}"
+            );
+            std::process::exit(1);
+        }
+    });
+    Watchdog {
+        done: Some(done),
+        thread: Some(thread),
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        drop(self.done.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -563,6 +607,16 @@ fn scheduled_checkpoints_fire_for_traffic_served_through_the_door() {
         svc.obs.snapshot().counter("ma.direct_routed") > 0,
         "the traffic must take the direct route"
     );
+    // One more checkpoint once the door has gone idle: its reactor is
+    // blocked in `poll`, and only the hook's wake gets the gate state
+    // into the snapshot within the export's 500 ms bound.
+    let guard = watchdog(
+        "a checkpoint taken while the door idles",
+        Duration::from_secs(20),
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    svc.checkpoint().expect("checkpoint while the door idles");
+    drop(guard);
     let ledger = svc.bank.snapshot();
     drop(door);
     svc.shutdown();
@@ -581,6 +635,10 @@ fn scheduled_checkpoints_fire_for_traffic_served_through_the_door() {
     .expect("recover from the scheduled checkpoint");
     assert!(report.snapshot.is_some(), "{report:?}");
     assert_eq!(recovered.bank.snapshot(), ledger);
+    assert!(
+        recovered.take_recovered_gate().is_some(),
+        "the checkpoint taken while the door idled carries no gate section"
+    );
     recovered.shutdown();
 }
 
@@ -747,4 +805,134 @@ fn slow_requests_land_in_the_slow_log_with_their_span_tree() {
 
     drop(door);
     svc.shutdown();
+}
+
+#[test]
+fn an_idle_door_blocks_and_wakes_for_the_next_request() {
+    let _guard = watchdog("a request after 300 ms of silence", Duration::from_secs(30));
+    let svc = spawn_service(0xD008, 1, 64);
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let client = MaClient::new(
+        Arc::new(TcpTransport::new(TcpClientConfig::new(door.addr()))),
+        Party::Sp,
+    );
+    let register = |client: &MaClient| {
+        let resp = client
+            .try_call(MaRequest::RegisterSpAccount)
+            .expect("served through the door");
+        assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
+    };
+    register(&client);
+
+    // 300 ms without traffic: a door that sleeps and re-polls would
+    // return from its wait hundreds of times; a blocked one at most a
+    // couple of times, for wakes still in flight from the last reply.
+    std::thread::sleep(Duration::from_millis(20));
+    let before = svc.obs.snapshot().counter("tcp.idle_waits");
+    std::thread::sleep(Duration::from_millis(300));
+    let idle = svc.obs.snapshot().counter("tcp.idle_waits") - before;
+    assert!(
+        idle <= 3,
+        "the idle door returned from its wait {idle} times"
+    );
+
+    // Both socket wakes: a readable connection, then a new one on the
+    // listener.
+    register(&client);
+    let fresh = MaClient::new(
+        Arc::new(TcpTransport::new(TcpClientConfig::new(door.addr()))),
+        Party::Sp,
+    );
+    register(&fresh);
+
+    let json = TcpTransport::new(TcpClientConfig::new(door.addr()))
+        .ops(OpsRequest::MetricsJson)
+        .expect("metrics json");
+    assert!(json.contains("\"tcp.idle_waits\""), "{json}");
+    drop(door);
+    svc.shutdown();
+}
+
+#[test]
+fn shutdown_of_an_idle_door_returns() {
+    let _guard = watchdog("shutdown of an idle door", Duration::from_secs(30));
+    let svc = spawn_service(0xD009, 1, 64);
+    let mut door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", TcpConfig::default()).expect("door");
+    // An open connection too, so the reactor waits on more than the
+    // listener.
+    let _conn = gate_conn(door.addr());
+    std::thread::sleep(Duration::from_millis(50));
+    door.shutdown();
+    svc.shutdown();
+}
+
+/// Runs one deposit and one balance query through the door, behind the
+/// retry layer, on a one-shard service that crashes (or not) before
+/// its `at_request`-th executed request. Returns the final ledger and
+/// how many times the shard was respawned.
+fn deposit_through_the_door(crash: Option<CrashPoint>) -> (BankSnapshot, u64) {
+    let svc = MaService::spawn_with_config(
+        &mut StdRng::seed_from_u64(0xD00A),
+        DecParams::fixture(2, 6),
+        512,
+        40,
+        ServiceConfig {
+            shards: 1,
+            crash,
+            ..ServiceConfig::default()
+        },
+    );
+    // Executed requests 1-3: the JO account, the SP account, the
+    // withdrawal.
+    let (account, spends) = mint_deposit_batches(&svc, 0xD00B, 1)
+        .expect("mint")
+        .remove(0);
+    // Executed request 4: the gate's revenue account.
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let tcp = Arc::new(TcpTransport::new(TcpClientConfig::new(door.addr())));
+    let retrying = RetryingTransport::new(tcp, RetryPolicy::aggressive(0xD00C), svc.faults.clone());
+    let client = MaClient::new(Arc::new(retrying), Party::Sp);
+    // Executed requests 5 and 6.
+    let resp = client
+        .try_call(MaRequest::DepositBatch { account, spends })
+        .expect("the deposit converges");
+    assert!(
+        matches!(resp, MaResponse::BatchDeposited { rejected: 0, .. }),
+        "{resp:?}"
+    );
+    let resp = client
+        .try_call(MaRequest::Balance { account })
+        .expect("balance");
+    assert!(matches!(resp, MaResponse::Balance(b) if b > 0), "{resp:?}");
+    let ledger = svc.bank.snapshot();
+    let respawns = svc.faults.shard_respawns();
+    drop(door);
+    svc.shutdown();
+    (ledger, respawns)
+}
+
+#[test]
+fn a_reply_dropped_by_a_crashed_shard_wakes_the_door() {
+    // The shard dies holding the deposit and drops its reply unsent.
+    // Only that drop wakes the blocked reactor, which answers the
+    // client with a retryable hang-up; the retry respawns the shard.
+    // Well inside the client's 30 s reply timeout, so a missing wake
+    // trips the watchdog before any retry could mask it.
+    let _guard = watchdog("a deposit whose shard crashed", Duration::from_secs(20));
+    let (expected, respawns) = deposit_through_the_door(None);
+    assert_eq!(respawns, 0);
+    let (ledger, respawns) = deposit_through_the_door(Some(CrashPoint {
+        shard: 0,
+        at_request: 5,
+    }));
+    assert_eq!(respawns, 1, "the crash must fire on the door's deposit");
+    assert_eq!(ledger, expected, "the crash changed the ledger");
 }
