@@ -4,7 +4,9 @@
 //! generation: the residue-sieve walk against the walk that
 //! trial-divides every candidate. **A18** — the Type-A pairing and the
 //! CL signature on it, at the reproduction's `r = 40` bits and the
-//! paper's `r = 160` (`-- --test` also checks each verdict).
+//! paper's `r = 160` (`-- --test` also checks each verdict). **A20** —
+//! hybrid RSA encryption of the market's 1 533-byte payment bundle at
+//! 512 bits (`-- --test` also checks the roundtrip).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppms_bigint::{
@@ -215,8 +217,27 @@ fn bench_pairing(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_rsa_encrypt(c: &mut Criterion) {
+    use ppms_crypto::rsa;
+    let mut rng = StdRng::seed_from_u64(12);
+    let key = rsa::keygen(&mut rng, 512);
+    let payment: Vec<u8> = (0..1533u32).map(|i| i as u8).collect();
+    let ct = rsa::encrypt(&mut rng, &key.public, &payment);
+    assert_eq!(rsa::decrypt(&key, &ct).unwrap(), payment);
+    let mut group = c.benchmark_group("rsa_encrypt");
+    group.sample_size(20);
+    group.bench_function("encrypt_1533B_512", |b| {
+        b.iter(|| std::hint::black_box(rsa::encrypt(&mut rng, &key.public, &payment)));
+    });
+    group.bench_function("decrypt_1533B_512", |b| {
+        b.iter(|| std::hint::black_box(rsa::decrypt(&key, &ct)));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_rsa_encrypt,
     bench_pairing,
     bench_prime_generation,
     bench_modpow,

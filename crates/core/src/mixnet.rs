@@ -6,6 +6,9 @@
 //! Chaumian decryption mix: the sender onion-encrypts its message
 //! under the mix nodes' RSA keys (innermost layer = last node), each
 //! node collects a batch, strips one layer, **shuffles**, and forwards.
+//! Each layer is one hybrid [`rsa::encrypt`](fn@rsa::encrypt) — a `k`-byte KEM block in
+//! front, a 32-byte tag behind — so an `h`-hop onion is exactly
+//! `h·(k + 32)` bytes longer than its message.
 //! With at least one honest node, the input-to-output permutation is
 //! hidden from everyone else; the MA receives plaintexts it cannot map
 //! back to senders.
@@ -144,6 +147,39 @@ mod tests {
         out.sort();
         expected.sort();
         assert_eq!(out, expected, "all messages delivered exactly once");
+    }
+
+    #[test]
+    fn onion_grows_by_one_kem_block_and_tag_per_layer() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let cascade = MixCascade::new(&mut rng, 3, 512);
+        let layer = cascade.nodes[0].public_key().size_bytes() + 32;
+        let messages: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 40 + i as usize]).collect();
+        let mut batch: Vec<Vec<u8>> = messages
+            .iter()
+            .map(|m| cascade.build_onion(&mut rng, m))
+            .collect();
+        for (onion, m) in batch.iter().zip(&messages) {
+            assert_eq!(onion.len(), m.len() + 3 * layer);
+        }
+        // Each hop strips exactly one layer from every onion; the
+        // shuffle hides which is which, so compare sorted lengths.
+        for (hop, node) in cascade.nodes.iter().enumerate() {
+            batch = node.process_batch(&mut rng, &batch).unwrap();
+            let layers_left = cascade.hops() - hop - 1;
+            let mut lens: Vec<usize> = batch.iter().map(Vec::len).collect();
+            let mut expected: Vec<usize> = messages
+                .iter()
+                .map(|m| m.len() + layers_left * layer)
+                .collect();
+            lens.sort();
+            expected.sort();
+            assert_eq!(lens, expected, "after hop {hop}");
+        }
+        let mut expected = messages;
+        batch.sort();
+        expected.sort();
+        assert_eq!(batch, expected, "all messages delivered exactly once");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hashing utilities over SHA-256: domain separation, hash-to-integer,
-//! and MGF1 (the mask generation function used by OAEP and FDH).
+//! MGF1 (the mask generation function used by OAEP and FDH), and
+//! HMAC-SHA256 (the MAC of the hybrid [`rsa::encrypt`](fn@crate::rsa::encrypt)).
 
 use crate::sha256::Sha256;
 use ppms_bigint::BigUint;
@@ -41,6 +42,26 @@ pub fn mgf1(seed: &[u8], len: usize) -> Vec<u8> {
     out
 }
 
+/// HMAC-SHA256 (RFC 2104): `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ data))`,
+/// with a key longer than the 64-byte block hashed first.
+pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
+    const BLOCK: usize = 64;
+    let mut block = [0u8; BLOCK];
+    if key.len() > BLOCK {
+        block[..32].copy_from_slice(&Sha256::digest(key));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let pad = |byte: u8| block.map(|b| b ^ byte);
+    let mut inner = Sha256::new();
+    inner.update(&pad(0x36));
+    inner.update(data);
+    let mut outer = Sha256::new();
+    outer.update(&pad(0x5c));
+    outer.update(&inner.finalize());
+    outer.finalize()
+}
+
 /// Hashes parts to a uniformly-distributed integer in `[0, bound)` by
 /// expanding with MGF1 to `bound.bits() + 64` bits and reducing — the
 /// 64 extra bits make the modular bias negligible.
@@ -79,6 +100,37 @@ mod tests {
         assert_eq!(&a[..40], &b[..]);
         assert_eq!(a.len(), 100);
         assert_ne!(mgf1(b"seed1", 32), mgf1(b"seed2", 32));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn hmac_sha256_rfc4231_case_1() {
+        assert_eq!(
+            hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        );
+    }
+
+    #[test]
+    fn hmac_sha256_rfc4231_case_2() {
+        assert_eq!(
+            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
+    }
+
+    #[test]
+    fn hmac_sha256_rfc4231_case_6_hashes_a_long_key() {
+        assert_eq!(
+            hex(&hmac_sha256(
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First"
+            )),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (the workspace's only hash),
 //! * [`hash`] — domain-separated hashing into integers/groups, MGF1,
-//! * [`rsa`] — key generation, OAEP-style encryption, FDH signatures,
+//!   HMAC-SHA256,
+//! * [`rsa`] — key generation, hybrid encryption (an OAEP-wrapped seed
+//!   keying an encrypt-then-MAC body), FDH signatures,
 //!   Chaum blind signatures and the RSA **partially blind signature**
 //!   used by PPMSpbs (paper ref \[40\]),
 //! * [`group`] — prime-order subgroups of `Z_p*` (Schnorr groups),

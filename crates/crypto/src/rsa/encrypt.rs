@@ -1,11 +1,15 @@
-//! RSA-OAEP encryption (PKCS#1 v2.2 style, SHA-256 + MGF1).
+//! Hybrid RSA encryption: an RSA-OAEP KEM (PKCS#1 v2.2 style,
+//! SHA-256 + MGF1) wrapping one 16-byte seed, and an encrypt-then-MAC
+//! DEM (MGF1 keystream + HMAC-SHA256) carrying the body.
 //!
 //! The PPMS protocols wrap payments and identity tokens in
-//! `RSA_ENC_rpk(...)`; long payloads (a whole broken-up e-cash bundle)
-//! are chunked across multiple OAEP blocks.
+//! `RSA_ENC_rpk(...)`. A ciphertext is `kem_block ‖ body ‖ tag`, of
+//! length `k + |msg| + 32` for a `k`-byte modulus, so opening one costs
+//! a single private-key exponentiation whatever the message length
+//! (a whole broken-up e-cash bundle included).
 
 use super::{RsaPrivateKey, RsaPublicKey};
-use crate::hash::mgf1;
+use crate::hash::{hash_tagged, hmac_sha256, mgf1};
 use crate::sha256::Sha256;
 use ppms_bigint::BigUint;
 use rand::Rng;
@@ -14,6 +18,13 @@ use rand::Rng;
 /// padding (`2·HLEN + 2` bytes) fits the 512-bit moduli the tests and
 /// the paper-scale benchmarks use.
 pub(crate) const HLEN: usize = 16;
+
+/// Length of the seed the KEM block carries; the DEM keys are derived
+/// from it.
+pub(crate) const SEED_LEN: usize = 16;
+
+/// Length of the HMAC-SHA256 tag closing every ciphertext.
+const TAG_LEN: usize = 32;
 
 /// The (truncated) label hash.
 fn lhash() -> [u8; HLEN] {
@@ -26,11 +37,17 @@ pub fn max_block_len(pk: &RsaPublicKey) -> usize {
 }
 
 /// Errors from decryption.
+///
+/// Once the length is plausible, every failure — a KEM block out of
+/// range, bad OAEP padding, a seed of the wrong length, a tag mismatch
+/// — is the one [`DecryptError::BadPadding`], so a caller (or an
+/// adversary watching it) learns only that the ciphertext was refused,
+/// never which check refused it: decrypt is not a padding oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecryptError {
-    /// Ciphertext length is not a multiple of the modulus size.
+    /// Ciphertext is shorter than one KEM block plus a tag.
     BadLength,
-    /// OAEP padding check failed (tampered or wrong-key ciphertext).
+    /// The ciphertext did not open (tampered, wrong key or malformed).
     BadPadding,
 }
 
@@ -38,7 +55,7 @@ impl std::fmt::Display for DecryptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DecryptError::BadLength => write!(f, "ciphertext length mismatch"),
-            DecryptError::BadPadding => write!(f, "OAEP padding check failed"),
+            DecryptError::BadPadding => write!(f, "ciphertext failed to open"),
         }
     }
 }
@@ -89,6 +106,10 @@ fn decrypt_block(sk: &RsaPrivateKey, block: &[u8]) -> Result<Vec<u8>, DecryptErr
         return Err(DecryptError::BadLength);
     }
     let c = BigUint::from_bytes_be(block);
+    // RFC 8017 §7.1.2: ciphertext representative out of range.
+    if c >= sk.public.n {
+        return Err(DecryptError::BadPadding);
+    }
     let em = sk.crt().pow_secret(&c).to_bytes_be_padded(k);
     if em[0] != 0 {
         return Err(DecryptError::BadPadding);
@@ -115,40 +136,58 @@ fn decrypt_block(sk: &RsaPrivateKey, block: &[u8]) -> Result<Vec<u8>, DecryptErr
     Ok(rest[sep + 1..].to_vec())
 }
 
-/// Encrypts an arbitrary-length message, chunking across OAEP blocks.
-/// The output length is a multiple of the modulus size; an explicit
-/// 8-byte length header keeps the chunking reversible.
+/// The DEM's keystream and MAC keys, derived from the KEM seed under
+/// separate domain tags.
+fn dem_keys(seed: &[u8]) -> ([u8; 32], [u8; 32]) {
+    (
+        hash_tagged("ppms.rsa.dem.enc", seed),
+        hash_tagged("ppms.rsa.dem.mac", seed),
+    )
+}
+
+/// Compares two byte strings in time independent of where they differ.
+fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
+}
+
+/// Encrypts an arbitrary-length message: one OAEP block carries a fresh
+/// seed, the body is XORed with an MGF1 keystream, and an HMAC over
+/// `kem_block ‖ body` closes it. Output length is `k + |msg| + 32`.
 pub fn encrypt<R: Rng + ?Sized>(rng: &mut R, pk: &RsaPublicKey, msg: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(8 + msg.len());
-    framed.extend_from_slice(&(msg.len() as u64).to_be_bytes());
-    framed.extend_from_slice(msg);
-    let block_len = max_block_len(pk);
-    let mut out = Vec::new();
-    for chunk in framed.chunks(block_len) {
-        out.extend_from_slice(&encrypt_block(rng, pk, chunk));
-    }
+    let mut seed = [0u8; SEED_LEN];
+    rng.fill_bytes(&mut seed);
+    let (k_enc, k_mac) = dem_keys(&seed);
+    let mut out = Vec::with_capacity(pk.size_bytes() + msg.len() + TAG_LEN);
+    out.extend_from_slice(&encrypt_block(rng, pk, &seed));
+    let body = out.len();
+    out.extend_from_slice(msg);
+    xor_into(&mut out[body..], &mgf1(&k_enc, msg.len()));
+    let tag = hmac_sha256(&k_mac, &out);
+    out.extend_from_slice(&tag);
     out
 }
 
-/// Decrypts a message produced by [`encrypt`].
+/// Decrypts a message produced by [`encrypt`]. The tag is checked
+/// before the body is unmasked; see [`DecryptError`] for why every
+/// refusal past the length check is the same error.
 pub fn decrypt(sk: &RsaPrivateKey, ct: &[u8]) -> Result<Vec<u8>, DecryptError> {
     let k = sk.public.size_bytes();
-    if ct.is_empty() || !ct.len().is_multiple_of(k) {
+    if ct.len() < k + TAG_LEN {
         return Err(DecryptError::BadLength);
     }
-    let mut framed = Vec::new();
-    for block in ct.chunks(k) {
-        framed.extend_from_slice(&decrypt_block(sk, block)?);
-    }
-    if framed.len() < 8 {
+    let (sealed, tag) = ct.split_at(ct.len() - TAG_LEN);
+    let (kem_block, body) = sealed.split_at(k);
+    let seed = decrypt_block(sk, kem_block)?;
+    if seed.len() != SEED_LEN {
         return Err(DecryptError::BadPadding);
     }
-    let len = u64::from_be_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
-    if framed.len() - 8 < len {
+    let (k_enc, k_mac) = dem_keys(&seed);
+    if !ct_eq(&hmac_sha256(&k_mac, sealed), tag) {
         return Err(DecryptError::BadPadding);
     }
-    framed.truncate(8 + len);
-    Ok(framed.split_off(8))
+    let mut msg = body.to_vec();
+    xor_into(&mut msg, &mgf1(&k_enc, body.len()));
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -214,5 +253,78 @@ mod tests {
             let ct = encrypt(&mut rng, &key.public, &msg);
             assert_eq!(decrypt(&key, &ct).unwrap(), msg, "len {len}");
         }
+    }
+
+    #[test]
+    fn ciphertext_is_one_block_plus_body_plus_tag() {
+        let key = test_key(22);
+        let mut rng = StdRng::seed_from_u64(23);
+        let k = key.public.size_bytes();
+        for len in [0usize, 1, 1533, 4096] {
+            let msg = vec![0xA5u8; len];
+            let ct = encrypt(&mut rng, &key.public, &msg);
+            assert_eq!(ct.len(), k + len + TAG_LEN, "len {len}");
+            assert_eq!(decrypt(&key, &ct).unwrap(), msg, "len {len}");
+        }
+    }
+
+    #[test]
+    fn flipped_bit_in_each_part_rejected() {
+        let key = test_key(24);
+        let mut rng = StdRng::seed_from_u64(25);
+        let k = key.public.size_bytes();
+        let ct = encrypt(&mut rng, &key.public, b"a broken-up e-cash bundle");
+        let (kem, body, tag) = (k / 2, k + 3, ct.len() - 1);
+        for pos in [kem, body, tag] {
+            let mut bad = ct.clone();
+            bad[pos] ^= 0x01;
+            assert_eq!(
+                decrypt(&key, &bad),
+                Err(DecryptError::BadPadding),
+                "pos {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn swapped_kem_blocks_rejected() {
+        let key = test_key(26);
+        let mut rng = StdRng::seed_from_u64(27);
+        let k = key.public.size_bytes();
+        let a = encrypt(&mut rng, &key.public, b"payment for task A");
+        let b = encrypt(&mut rng, &key.public, b"payment for task B");
+        let mut a_with_b = b[..k].to_vec();
+        a_with_b.extend_from_slice(&a[k..]);
+        let mut b_with_a = a[..k].to_vec();
+        b_with_a.extend_from_slice(&b[k..]);
+        assert_eq!(decrypt(&key, &a_with_b), Err(DecryptError::BadPadding));
+        assert_eq!(decrypt(&key, &b_with_a), Err(DecryptError::BadPadding));
+    }
+
+    #[test]
+    fn truncated_tag_rejected() {
+        let key = test_key(28);
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut ct = encrypt(&mut rng, &key.public, b"sensitive payment");
+        ct.pop();
+        assert!(decrypt(&key, &ct).is_err());
+    }
+
+    #[test]
+    fn out_of_range_kem_block_rejected() {
+        // `c + n` is congruent to a valid block `c`, so only the range
+        // check tells them apart.
+        let key = test_key(30);
+        let mut rng = StdRng::seed_from_u64(31);
+        let k = key.public.size_bytes();
+        let (block, shifted) = loop {
+            let block = encrypt_block(&mut rng, &key.public, b"seed");
+            let shifted = &BigUint::from_bytes_be(&block) + &key.public.n;
+            if shifted.bits() <= 8 * k {
+                break (block, shifted.to_bytes_be_padded(k));
+            }
+        };
+        assert_eq!(decrypt_block(&key, &block).unwrap(), b"seed");
+        assert_eq!(decrypt_block(&key, &shifted), Err(DecryptError::BadPadding));
     }
 }

@@ -1,5 +1,5 @@
 //! RSA: key generation plus the four operations the PPMS protocols
-//! need — OAEP [`encryption`](mod@encrypt), FDH [`signatures`](mod@sign),
+//! need — hybrid OAEP-KEM [`encryption`](mod@encrypt), FDH [`signatures`](mod@sign),
 //! Chaum [`blind signatures`](mod@blind) (DEC withdrawal), and
 //! [`partially blind signatures`](mod@pbs) (the PPMSpbs digital coin).
 
@@ -21,9 +21,10 @@ pub use sign::{batch_verify, sign, verify};
 /// The standard public exponent.
 pub const E: u64 = 65537;
 
-/// The shortest modulus, in bytes, that holds one OAEP block of at
-/// least one byte (`2·HLEN + 2` bytes of padding).
-const MIN_MODULUS_BYTES: usize = 2 * encrypt::HLEN + 3;
+/// The shortest modulus, in bytes, whose OAEP block (`2·HLEN + 2`
+/// bytes of padding) holds the hybrid encryption's seed: 50 bytes,
+/// 400 bits.
+const MIN_MODULUS_BYTES: usize = 2 * encrypt::HLEN + 2 + encrypt::SEED_LEN;
 
 /// An RSA public key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +64,8 @@ impl RsaPublicKey {
 
     /// Decodes [`Self::to_bytes`]. Returns `None` on malformed input,
     /// and on a modulus the key operations cannot serve: even, wider
-    /// than [`ModRing::MAX_BITS`], or too short for one OAEP block.
+    /// than [`ModRing::MAX_BITS`], or too short for the OAEP block that
+    /// carries an encryption's seed.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (n, rest) = read_lv(bytes)?;
         let (e, rest) = read_lv(rest)?;
@@ -120,7 +122,7 @@ impl RsaPrivateKey {
 
 /// Generates an RSA key pair with a modulus of (about) `bits` bits.
 ///
-/// `280 < bits <= 2048`; tests in this workspace use 512, the report
+/// `400 < bits <= 2048`; tests in this workspace use 512, the report
 /// harness 1024 — the paper's Java implementation also used short
 /// moduli for its timing study.
 pub fn keygen<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> RsaPrivateKey {

@@ -69,6 +69,32 @@ proptest! {
     }
 
     #[test]
+    fn decrypt_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..=3 * 64)) {
+        // The SP decrypts whatever bytes the MA hands it: every shape
+        // is refused with an error, never a panic. Each case tries the
+        // drawn bytes, the two lengths around the minimum `k + 32`,
+        // and a KEM block of all 0xff (an integer above `n`).
+        let key = rsa_key();
+        let k = key.public.size_bytes();
+        prop_assert_eq!(k, 64);
+        let resized = |len: usize| {
+            let mut v = bytes.clone();
+            v.resize(len, 0x3C);
+            v
+        };
+        let mut high_kem = resized(bytes.len().max(k + 32));
+        high_kem[..k].fill(0xFF);
+        for ct in [bytes.clone(), resized(k + 31), resized(k + 32), high_kem] {
+            let expected = if ct.len() < k + 32 {
+                rsa::encrypt::DecryptError::BadLength
+            } else {
+                rsa::encrypt::DecryptError::BadPadding
+            };
+            prop_assert_eq!(rsa::decrypt(key, &ct), Err(expected), "len {}", ct.len());
+        }
+    }
+
+    #[test]
     fn fdh_sign_verify(msg in prop::collection::vec(any::<u8>(), 0..200)) {
         let key = rsa_key();
         let sig = rsa::sign(key, &msg);

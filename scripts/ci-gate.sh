@@ -105,7 +105,7 @@ cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
 echo "==> fixed-width ablation bench smoke (Straus = Pippenger verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
 
-echo "==> bignum + pairing ablation bench smoke (A18: CL verdicts at r = 40 and r = 160)"
+echo "==> bignum + pairing + hybrid RSA ablation bench smoke (A18: CL verdicts at r = 40 and r = 160; A20: 1 533-byte payment roundtrip)"
 cargo bench -p ppms-bench --bench ablation_bigint -- --test >/dev/null
 
 echo "==> cargo test"
