@@ -21,7 +21,9 @@ use std::time::Instant;
 fn bench_modpow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("ablation_modpow");
-    for bits in [256usize, 512, 1024] {
+    // 64 and 2048 bits are the narrowest (1-limb) and widest (32-limb)
+    // `FpMont` instantiations behind `ModRing`.
+    for bits in [64usize, 256, 512, 1024, 2048] {
         let m = random_odd_bits(&mut rng, bits);
         let base = random_bits(&mut rng, bits - 1);
         let exp = random_bits(&mut rng, bits);

@@ -16,6 +16,14 @@
 //! width equal to their limb count. The pairing field picks its own
 //! width the same way and runs its curve loops on the residues.
 //!
+//! Squaring is the product: [`FpMont::mont_sqr`] is
+//! `mont_mul(a, a)`. A dedicated kernel (cross products once into a
+//! double-width buffer, then a separate REDC pass) measured slower than
+//! the interleaved CIOS product at every instantiated width — about
+//! 15 vs 9 ns at 1 limb, 77 vs 39 ns at 4, 200 vs 105 ns at 8,
+//! 490–640 vs 330–460 ns at 16 and 2.0–3.9 vs 1.8–3.1 µs at 32 limbs
+//! (2-vCPU Xeon VM) — so every ladder squares with the one product.
+//!
 //! Allocation discipline, mechanically enforced by
 //! `tests/alloc_free.rs` with a counting global allocator:
 //!
@@ -208,47 +216,11 @@ impl<const LIMBS: usize> FpMont<LIMBS> {
         self.sub_n_if_needed(t, t_hi)
     }
 
-    /// `a² · R⁻¹ mod n`: dedicated squaring (halved partial products)
-    /// into a stack double-width buffer, then word-by-word REDC.
+    /// `a² · R⁻¹ mod n`, as the interleaved product `a · a` (see the
+    /// module doc for why there is no dedicated squaring kernel).
+    #[inline]
     pub fn mont_sqr(&self, a: &[u64; LIMBS]) -> [u64; LIMBS] {
-        let mut prod = [[0u64; LIMBS]; 2];
-        sqr_into(a, prod.as_flattened_mut());
-        self.redc_flat(prod.as_flattened_mut())
-    }
-
-    /// Word-by-word Montgomery reduction of a `2·LIMBS`-limb
-    /// accumulator (`t < n·R`): computes `t · R⁻¹ mod n` in place, with
-    /// the single possible overflow limb held in a scalar.
-    fn redc_flat(&self, acc: &mut [u64]) -> [u64; LIMBS] {
-        debug_assert_eq!(acc.len(), 2 * LIMBS);
-        let mut top = 0u64; // acc[2·LIMBS]
-        for i in 0..LIMBS {
-            let m = acc[i].wrapping_mul(self.n_prime);
-            if m == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for j in 0..LIMBS {
-                let x = acc[i + j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                acc[i + j] = x as u64;
-                carry = x >> 64;
-            }
-            let mut idx = i + LIMBS;
-            while carry != 0 {
-                if idx < 2 * LIMBS {
-                    let x = acc[idx] as u128 + carry;
-                    acc[idx] = x as u64;
-                    carry = x >> 64;
-                    idx += 1;
-                } else {
-                    top = top.wrapping_add(carry as u64);
-                    carry = 0;
-                }
-            }
-        }
-        let mut out = [0u64; LIMBS];
-        out.copy_from_slice(&acc[LIMBS..]);
-        self.sub_n_if_needed(out, top)
+        self.mont_mul(a, a)
     }
 
     /// Enters the Montgomery domain. Reduced operands (`x < n`, the
@@ -562,53 +534,6 @@ fn to_arr<const LIMBS: usize>(x: &BigUint) -> [u64; LIMBS] {
     a
 }
 
-/// Schoolbook squaring of `a` into the zeroed double-width buffer
-/// `out` (`len == 2·a.len()`): cross products once, doubled by a shift,
-/// diagonal added last. No allocations.
-fn sqr_into(a: &[u64], out: &mut [u64]) {
-    let k = a.len();
-    debug_assert_eq!(out.len(), 2 * k);
-    debug_assert!(out.iter().all(|&l| l == 0));
-    // Cross products a[i]·a[j] for i < j.
-    for i in 0..k {
-        let ai = a[i];
-        if ai == 0 {
-            continue;
-        }
-        let mut carry = 0u128;
-        for j in (i + 1)..k {
-            let x = out[i + j] as u128 + ai as u128 * a[j] as u128 + carry;
-            out[i + j] = x as u64;
-            carry = x >> 64;
-        }
-        let mut idx = i + k;
-        while carry != 0 {
-            let x = out[idx] as u128 + carry;
-            out[idx] = x as u64;
-            carry = x >> 64;
-            idx += 1;
-        }
-    }
-    // Double (2·Σ a_i a_j 2^{64(i+j)} < 2^{128k}, so no carry out).
-    let mut carry = 0u64;
-    for limb in out.iter_mut() {
-        let next = *limb >> 63;
-        *limb = (*limb << 1) | carry;
-        carry = next;
-    }
-    debug_assert_eq!(carry, 0);
-    // Diagonal a[i]².
-    let mut carry = 0u128;
-    for i in 0..k {
-        let x = out[2 * i] as u128 + a[i] as u128 * a[i] as u128 + carry;
-        out[2 * i] = x as u64;
-        let x2 = out[2 * i + 1] as u128 + (x >> 64);
-        out[2 * i + 1] = x2 as u64;
-        carry = x2 >> 64;
-    }
-    debug_assert_eq!(carry, 0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,20 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn sqr_matches_mul() {
-        let n = n192();
-        let fp = FpMont::<3>::new(&n).unwrap();
-        let mut x = BigUint::from(0x9E37_79B9_7F4A_7C15u64);
-        for _ in 0..40 {
-            let xm = fp.to_mont(&x);
-            assert_eq!(fp.mont_sqr(&xm), fp.mont_mul(&xm, &xm), "x = {x:?}");
-            x = fp.mul(&x, &BigUint::from(0xDEAD_BEEFu64)) + BigUint::one();
-        }
-        let zero = [0u64; 3];
-        assert_eq!(fp.mont_sqr(&zero), fp.mont_mul(&zero, &zero));
-    }
-
-    #[test]
     fn mont_round_trip() {
         let n = n192();
         let fp = FpMont::<3>::new(&n).unwrap();
@@ -800,14 +711,5 @@ mod tests {
                 "e = {e:?}"
             );
         }
-    }
-
-    #[test]
-    fn sqr_into_matches_mul() {
-        let a = [0xFFFF_FFFF_FFFF_FFFFu64, 0x1234_5678_9ABC_DEF0, 0xCAFE];
-        let mut out = [0u64; 6];
-        sqr_into(&a, &mut out);
-        let big = BigUint::from_limbs(a.to_vec());
-        assert_eq!(BigUint::from_limbs(out.to_vec()), &big * &big);
     }
 }

@@ -235,11 +235,9 @@ impl<const L: usize> FpL<L> {
         self.mont.mont_mul(a, b)
     }
 
-    /// `a²` as `a · a`: at these small widths the interleaved product
-    /// is faster than `FpMont::mont_sqr` (the `pairing` group of the
-    /// `ablation_bigint` bench shows it).
+    /// `a²`.
     pub(crate) fn sqr(&self, a: &[u64; L]) -> [u64; L] {
-        self.mont.mont_mul(a, a)
+        self.mont.mont_sqr(a)
     }
 
     /// `a⁻¹ = a^(p−2)`; panics on zero.

@@ -206,6 +206,18 @@ mod tests {
     }
 
     #[test]
+    fn keygen_is_pinned_for_seed_2() {
+        // Computed before the four-prime grouping of the residue sieve
+        // and the switch of squaring to the Montgomery product.
+        let mut rng = StdRng::seed_from_u64(2);
+        assert_eq!(
+            keygen(&mut rng, 512).public.n.to_hex(),
+            "b0425eb2a02cacbc3e2a44f3bb7fa83060fd58e9f89fb6d5e9dbbaae952e226a\
+             76a5ef2ab4b294b30e3263e6be8ee1829c597b718a3a47b9f7d38b937478bfe3"
+        );
+    }
+
+    #[test]
     fn distinct_seeds_distinct_keys() {
         assert_ne!(test_key(1).public.n, test_key(2).public.n);
     }

@@ -107,8 +107,14 @@ pub(crate) fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut 
     true
 }
 
-/// Probabilistic primality test with the default round count and a
-/// fresh deterministic-per-call RNG seeded from the OS.
+/// Probabilistic primality test with the default round count.
+///
+/// The bases come from `rand::make_rng`, which the vendored `rand`
+/// seeds from a process-wide counter, not from OS entropy: the bases
+/// are predictable, so an adversary can craft a composite that passes.
+/// Use this only in tests and on trusted inputs; for adversarial
+/// inputs, call [`is_probable_prime_rounds`] with an RNG the caller
+/// controls.
 pub fn is_probable_prime(n: &BigUint) -> bool {
     let mut rng = rand::make_rng::<StdRng>();
     is_probable_prime_rounds(n, DEFAULT_ROUNDS, &mut rng)
