@@ -1,6 +1,5 @@
 //! **Ablation A4** — bignum design choices: `ModRing` exponentiation
-//! against the naive square-and-multiply reference, and Karatsuba vs
-//! schoolbook multiplication around the crossover. **A17** — prime
+//! against the naive square-and-multiply reference. **A17** — prime
 //! generation: the residue-sieve walk against the walk that
 //! trial-divides every candidate. **A18** — the Type-A pairing and the
 //! CL signature on it, at the reproduction's `r = 40` bits and the
@@ -9,10 +8,7 @@
 //! 512 bits (`-- --test` also checks the roundtrip).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppms_bigint::{
-    modpow_plain, mul_karatsuba_pub, mul_karatsuba_ws_pub, mul_schoolbook_pub, random_bits,
-    random_odd_bits, sqr_karatsuba_pub, sqr_schoolbook_pub, BigUint, ModRing,
-};
+use ppms_bigint::{modpow_plain, random_bits, random_odd_bits, BigUint, ModRing};
 use ppms_primes::miller_rabin::is_probable_prime_rounds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,82 +29,6 @@ fn bench_modpow(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("plain", bits), &bits, |b, _| {
             b.iter(|| std::hint::black_box(modpow_plain(&base, &exp, &m)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_mul(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(8);
-    let mut group = c.benchmark_group("ablation_mul");
-    for limbs in [16usize, 32, 64, 128] {
-        let a = random_bits(&mut rng, limbs * 64);
-        let b_ = random_bits(&mut rng, limbs * 64);
-        group.bench_with_input(BenchmarkId::new("schoolbook", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(mul_schoolbook_pub(&a, &b_)));
-        });
-        group.bench_with_input(BenchmarkId::new("karatsuba", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(mul_karatsuba_pub(&a, &b_)));
-        });
-        // Workspace-slice recursion: same algorithm, scratch reused
-        // down the tree instead of a fresh allocation per level.
-        group.bench_with_input(BenchmarkId::new("karatsuba_ws", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(mul_karatsuba_ws_pub(&a, &b_)));
-        });
-        group.bench_with_input(BenchmarkId::new("dispatching", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(&a * &b_));
-        });
-    }
-    group.finish();
-}
-
-fn bench_sqr(c: &mut Criterion) {
-    // The dedicated squaring kernel against plain multiplication —
-    // the Montgomery pow ladder spends most of its muls on squares.
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut group = c.benchmark_group("ablation_sqr");
-    for limbs in [16usize, 32, 64, 128] {
-        let a = random_bits(&mut rng, limbs * 64);
-        group.bench_with_input(BenchmarkId::new("mul_self", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(&a * &a));
-        });
-        group.bench_with_input(BenchmarkId::new("sqr_schoolbook", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(sqr_schoolbook_pub(&a)));
-        });
-        group.bench_with_input(BenchmarkId::new("sqr_karatsuba", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(sqr_karatsuba_pub(&a)));
-        });
-        group.bench_with_input(BenchmarkId::new("dispatching", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(a.square()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_karatsuba_threshold(c: &mut Criterion) {
-    // Probes the mul and sqr recursion cutoffs: KARATSUBA_THRESHOLD
-    // (32) and KARATSUBA_SQR_THRESHOLD (48) in mul.rs are set where
-    // the schoolbook and workspace-Karatsuba curves cross here.
-    let mut rng = StdRng::seed_from_u64(10);
-    let mut group = c.benchmark_group("ablation_karatsuba_threshold");
-    for limbs in [16usize, 24, 32, 40, 48, 64] {
-        let a = random_bits(&mut rng, limbs * 64);
-        let b_ = random_bits(&mut rng, limbs * 64);
-        group.bench_with_input(BenchmarkId::new("mul_schoolbook", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(mul_schoolbook_pub(&a, &b_)));
-        });
-        group.bench_with_input(
-            BenchmarkId::new("mul_karatsuba_ws", limbs),
-            &limbs,
-            |b, _| {
-                b.iter(|| std::hint::black_box(mul_karatsuba_ws_pub(&a, &b_)));
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("sqr_schoolbook", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(sqr_schoolbook_pub(&a)));
-        });
-        group.bench_with_input(BenchmarkId::new("sqr_karatsuba", limbs), &limbs, |b, _| {
-            b.iter(|| std::hint::black_box(sqr_karatsuba_pub(&a)));
         });
     }
     group.finish();
@@ -243,9 +163,6 @@ criterion_group!(
     bench_pairing,
     bench_prime_generation,
     bench_modpow,
-    bench_mul,
-    bench_sqr,
-    bench_karatsuba_threshold,
     bench_sha_hash_to_int
 );
 criterion_main!(benches);

@@ -71,12 +71,6 @@ pub(crate) fn checked_sub(a: &BigUint, b: &BigUint) -> Option<BigUint> {
 }
 
 impl BigUint {
-    /// `self + other` by reference (no clone of either operand).
-    #[inline]
-    pub fn add_ref(&self, other: &BigUint) -> BigUint {
-        add(self, other)
-    }
-
     /// `self - other`, or `None` if the result would be negative.
     #[inline]
     pub fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
@@ -87,20 +81,6 @@ impl BigUint {
     #[inline]
     pub fn saturating_sub(&self, other: &BigUint) -> BigUint {
         checked_sub(self, other).unwrap_or_default()
-    }
-
-    /// `|self - other|`.
-    pub fn abs_diff(&self, other: &BigUint) -> BigUint {
-        if self >= other {
-            checked_sub(self, other).expect("self >= other")
-        } else {
-            checked_sub(other, self).expect("other > self")
-        }
-    }
-
-    /// Increment in place.
-    pub fn incr(&mut self) {
-        add_assign(self, &BigUint::one());
     }
 }
 
@@ -236,21 +216,6 @@ mod tests {
         let b = BigUint::from(6u64);
         assert_eq!(a.checked_sub(&b), None);
         assert_eq!(a.saturating_sub(&b), BigUint::zero());
-    }
-
-    #[test]
-    fn abs_diff_symmetric() {
-        let a = BigUint::from(100u64);
-        let b = BigUint::from(58u64);
-        assert_eq!(a.abs_diff(&b), BigUint::from(42u64));
-        assert_eq!(b.abs_diff(&a), BigUint::from(42u64));
-    }
-
-    #[test]
-    fn incr_carries() {
-        let mut a = BigUint::from(u64::MAX);
-        a.incr();
-        assert_eq!(a, BigUint::from(1u128 << 64));
     }
 
     #[test]

@@ -142,29 +142,6 @@ impl BigUint {
     pub(crate) fn debug_check(&self) {
         debug_assert!(self.limbs.last() != Some(&0), "unnormalized BigUint");
     }
-
-    /// `self^2` through the dedicated squaring kernel (halved partial
-    /// products; Karatsuba recursion above the square crossover).
-    pub fn square(&self) -> BigUint {
-        crate::mul::sqr(self)
-    }
-
-    /// `self^exp` by binary exponentiation (no modulus — use with care,
-    /// results grow quickly).
-    pub fn pow(&self, mut exp: u64) -> BigUint {
-        let mut base = self.clone();
-        let mut acc = BigUint::one();
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = crate::mul::mul(&acc, &base);
-            }
-            exp >>= 1;
-            if exp > 0 {
-                base = base.square();
-            }
-        }
-        acc
-    }
 }
 
 impl From<u64> for BigUint {
@@ -292,17 +269,5 @@ mod tests {
         assert_eq!(BigUint::from(42u64).to_u64(), Some(42));
         assert_eq!(BigUint::from(1u128 << 90).to_u64(), None);
         assert_eq!(BigUint::from(1u128 << 90).to_u128(), Some(1u128 << 90));
-    }
-
-    #[test]
-    fn pow_small() {
-        assert_eq!(BigUint::from(3u64).pow(5), BigUint::from(243u64));
-        assert_eq!(
-            BigUint::from(2u64).pow(100),
-            BigUint::from_limbs(vec![0, 1 << 36])
-        );
-        assert_eq!(BigUint::from(7u64).pow(0), BigUint::one());
-        assert_eq!(BigUint::zero().pow(0), BigUint::one());
-        assert_eq!(BigUint::zero().pow(3), BigUint::zero());
     }
 }

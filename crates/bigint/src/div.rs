@@ -98,12 +98,6 @@ impl BigUint {
         divrem(self, d)
     }
 
-    /// `self % m` (alias for the `%` operator, handy in chained calls).
-    #[inline]
-    pub fn rem_ref(&self, m: &BigUint) -> BigUint {
-        divrem(self, m).1
-    }
-
     /// Divides by a `u64`, returning `(quotient, remainder)`.
     pub fn divrem_u64(&self, d: u64) -> (BigUint, u64) {
         assert!(d != 0, "division by zero");

@@ -10,8 +10,8 @@
 //!
 //! * [`BigUint`]: little-endian `u64`-limb unsigned integers, always
 //!   normalized (no trailing zero limbs),
-//! * schoolbook and Karatsuba multiplication with an empirically chosen
-//!   crossover,
+//! * one schoolbook product for every operand size (no caller comes near
+//!   the 64-limb operands where a recursive product would pay),
 //! * Knuth Algorithm D division,
 //! * [`FpMont`]: the one modular-arithmetic backend — Montgomery
 //!   kernels monomorphized over `const LIMBS` widths (stack-resident
@@ -62,9 +62,5 @@ pub use crate::convert::ParseBigUintError;
 pub use crate::fixed::FpMont;
 pub use crate::gcd::{ext_gcd, gcd, jacobi, lcm};
 pub use crate::modular::modpow_plain;
-pub use crate::mul::{
-    mul_karatsuba_pub, mul_karatsuba_ws_pub, mul_schoolbook_pub, sqr_karatsuba_pub,
-    sqr_schoolbook_pub,
-};
 pub use crate::random::{random_below, random_bits, random_odd_bits, random_unit_range};
 pub use crate::ring::{ModRing, RsaCrt};

@@ -44,11 +44,6 @@ impl BigUint {
         &(self * other) % m
     }
 
-    /// `self + other mod m`.
-    pub fn modadd(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        &(self + other) % m
-    }
-
     /// `self - other mod m` (wrapping into `[0, m)`).
     pub fn modsub(&self, other: &BigUint, m: &BigUint) -> BigUint {
         let a = self % m;

@@ -1,7 +1,7 @@
 //! Property-based tests for `ppms-bigint`, cross-checked against `u128`
 //! reference arithmetic and against algebraic identities on large values.
 
-use ppms_bigint::{ext_gcd, gcd, jacobi, BigInt, BigUint};
+use ppms_bigint::{ext_gcd, gcd, jacobi, BigInt, BigUint, ModRing};
 use proptest::prelude::*;
 
 /// Strategy: a BigUint from 0..4 random limbs (up to 256 bits).
@@ -91,16 +91,27 @@ proptest! {
     }
 
     #[test]
-    fn karatsuba_equals_schoolbook(
+    fn product_matches_division_and_ring(
         av in prop::collection::vec(any::<u64>(), 0..80),
         bv in prop::collection::vec(any::<u64>(), 0..80),
+        mut mv in prop::collection::vec(any::<u64>(), 1..=32),
     ) {
+        // Checked against two independent paths: Knuth D division and
+        // the Montgomery product of `FpMont`.
         let a = BigUint::from_limbs(av);
         let b = BigUint::from_limbs(bv);
-        prop_assert_eq!(
-            ppms_bigint::mul_karatsuba_pub(&a, &b),
-            ppms_bigint::mul_schoolbook_pub(&a, &b)
-        );
+        let p = &a * &b;
+        if !b.is_zero() {
+            let (q, r) = p.divrem(&b);
+            prop_assert_eq!(q, a.clone());
+            prop_assert!(r.is_zero());
+        }
+        mv[0] |= 1;
+        let m = BigUint::from_limbs(mv);
+        if !m.is_one() {
+            let ring = ModRing::new(&m);
+            prop_assert_eq!(&p % &m, ring.mul(&(&a % &m), &(&b % &m)));
+        }
     }
 
     #[test]

@@ -102,11 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn square_matches_self_mul(a in big()) {
-        prop_assert_eq!(a.square(), &a * &a);
-    }
-
-    #[test]
     fn pow_crt_matches_plain_exponent(
         pi in 0usize..6,
         qoff in 0usize..5,

@@ -345,9 +345,6 @@ pub struct ServiceConfig {
     /// Capacity of the inbox and of each shard queue (backpressure:
     /// senders block when a queue is full).
     pub queue_depth: usize,
-    /// Entries each shard's idempotency cache holds before evicting
-    /// the oldest (0 disables replay — every retransmit re-executes).
-    pub dedup_capacity: usize,
     /// Cross-client batching flush triggers.
     pub batch: BatchConfig,
     /// Optional crash injection for the supervision tests.
@@ -362,7 +359,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 1,
             queue_depth: 128,
-            dedup_capacity: 1024,
             batch: BatchConfig::default(),
             crash: None,
             crash_mid_batch: None,
@@ -550,6 +546,10 @@ struct HeldPayments {
     received: HashSet<Vec<u8>>,
 }
 
+/// Entries each shard's idempotency cache holds before evicting the
+/// oldest.
+const DEDUP_CAPACITY: usize = 1024;
+
 /// Bounded FIFO map of `RequestKey → cached response` — the
 /// exactly-once replay table. Insertion order is eviction order; a
 /// replayed key is *not* refreshed (retransmits arrive close together,
@@ -574,9 +574,6 @@ impl DedupCache {
     }
 
     fn insert(&mut self, key: RequestKey, response: MaResponse) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.map.insert(key, response).is_none() {
             self.order.push_back(key);
             if self.order.len() > self.capacity {
@@ -934,7 +931,6 @@ struct ShardWorker {
     queue_depth: Arc<ppms_obs::Gauge>,
     /// Where dead workers leave their crash-dump paths.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
-    dedup_capacity: usize,
     /// This worker's shard index (names its per-shard gauges).
     shard_idx: usize,
     /// Cross-client batching flush triggers.
@@ -985,7 +981,7 @@ impl ShardWorker {
         // Per-op latency histograms, resolved once per label instead of
         // a `format!` + registry lookup on every request.
         let mut op_hists: HashMap<&'static str, Arc<ppms_obs::Histogram>> = HashMap::new();
-        let mut dedup = DedupCache::new(self.dedup_capacity);
+        let mut dedup = DedupCache::new(DEDUP_CAPACITY);
         let mut shard = Shard {
             shared: self.shared.clone(),
             obs: self.obs.clone(),
@@ -1465,7 +1461,6 @@ struct Dispatcher {
     faults: FaultMetrics,
     obs: Registry,
     dumps: Arc<Mutex<Vec<PathBuf>>>,
-    dedup_capacity: usize,
     depth: usize,
     n_shards: usize,
     /// One checkpointed base per shard, swapped at each checkpoint.
@@ -1501,7 +1496,6 @@ impl Dispatcher {
             obs: self.obs.clone(),
             queue_depth: self.queue_gauges[idx].clone(),
             dumps: self.dumps.clone(),
-            dedup_capacity: self.dedup_capacity,
             crash: self.crashes[idx].clone(),
             shard_idx: idx,
             batch: self.batch,
@@ -1620,14 +1614,8 @@ impl Dispatcher {
                 }
             }
         }
-        let (log, storage, keep) = {
-            let d = &self.durable;
-            (
-                d.log.clone(),
-                d.config.storage.clone(),
-                d.config.keep_snapshots,
-            )
-        };
+        let log = self.durable.log.clone();
+        let storage = self.durable.config.storage.clone();
         // Everything the snapshot will cover must be durable *before*
         // the snapshot claims to cover it.
         log.flush()?;
@@ -1664,7 +1652,7 @@ impl Dispatcher {
                 gate,
             }
         };
-        if let Err(e) = save_snapshot(&storage, &state, keep) {
+        if let Err(e) = save_snapshot(&storage, &state) {
             // The snapshot never became durable: keep the old covered
             // point, skip compaction, leave the old bases in place.
             // The log still holds the full tail, so nothing is lost.
@@ -1845,7 +1833,6 @@ impl MaService {
 
         let n_shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
-        let dedup_capacity = config.dedup_capacity;
 
         let bases: Vec<Arc<Mutex<ShardSection>>> = (0..n_shards)
             .map(|_| Arc::new(Mutex::new(ShardSection::default())))
@@ -1986,7 +1973,6 @@ impl MaService {
             faults: faults.clone(),
             obs: obs.clone(),
             dumps: dumps.clone(),
-            dedup_capacity,
             depth,
             n_shards,
             bases,
@@ -2696,10 +2682,6 @@ mod tests {
         assert!(cache.get(&mk(1)).is_none(), "oldest evicted");
         assert!(cache.get(&mk(2)).is_some());
         assert!(cache.get(&mk(3)).is_some());
-        // Capacity 0 disables caching entirely.
-        let mut off = DedupCache::new(0);
-        off.insert(mk(1), MaResponse::Ok);
-        assert!(off.get(&mk(1)).is_none());
     }
 
     #[test]

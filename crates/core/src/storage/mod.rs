@@ -69,21 +69,16 @@ pub struct DurabilityConfig {
     /// accumulate past the last snapshot; `0` = manual checkpoints
     /// only ([`crate::service::MaService::checkpoint`]).
     pub checkpoint_every: u64,
-    /// Snapshot generations to retain (`>= 2` keeps a fallback for a
-    /// torn checkpoint publication).
-    pub keep_snapshots: usize,
 }
 
 impl DurabilityConfig {
-    /// Defaults: fsync-always, 64 KiB segments, manual checkpoints,
-    /// two snapshot generations.
+    /// Defaults: fsync-always, 64 KiB segments, manual checkpoints.
     pub fn new(storage: Arc<dyn Storage>) -> DurabilityConfig {
         DurabilityConfig {
             storage,
             sync: SyncPolicy::default(),
             segment_bytes: 64 * 1024,
             checkpoint_every: 0,
-            keep_snapshots: 2,
         }
     }
 }
@@ -94,7 +89,6 @@ impl fmt::Debug for DurabilityConfig {
             .field("sync", &self.sync)
             .field("segment_bytes", &self.segment_bytes)
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("keep_snapshots", &self.keep_snapshots)
             .finish_non_exhaustive()
     }
 }

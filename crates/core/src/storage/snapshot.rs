@@ -31,6 +31,11 @@ const SNAPSHOT_MAGIC: u32 = 0x5050_534e;
 /// Snapshot format version.
 const SNAPSHOT_VERSION: u16 = 1;
 
+/// Snapshot generations [`save_snapshot`] retains, the new one
+/// included: the second is the fallback for a torn checkpoint
+/// publication.
+const KEEP_SNAPSHOTS: usize = 2;
+
 /// One shard's private projection — what its respawn replay would
 /// otherwise rebuild from the full log.
 #[derive(Debug, Clone, Default)]
@@ -233,13 +238,11 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
 }
 
 /// Publishes `state` atomically and durably, then prunes old
-/// generations down to `keep` (the new one included — `keep >= 2`
-/// retains a fallback for the next torn checkpoint). Returns the file
-/// name written.
+/// generations down to `KEEP_SNAPSHOTS` (2). Returns the file name
+/// written.
 pub fn save_snapshot(
     storage: &Arc<dyn Storage>,
     state: &SnapshotState,
-    keep: usize,
 ) -> Result<String, StorageError> {
     let body = state.to_wire_bytes();
     let mut framed = Vec::with_capacity(body.len() + 12);
@@ -252,7 +255,7 @@ pub fn save_snapshot(
         .filter_map(|n| parse_snapshot_name(n))
         .collect();
     existing.sort_unstable_by(|a, b| b.cmp(a)); // newest first
-    for &old in existing.iter().skip(keep.max(1)) {
+    for &old in existing.iter().skip(KEEP_SNAPSHOTS) {
         storage.remove(&snapshot_name(old))?;
     }
     Ok(name)
@@ -372,7 +375,7 @@ mod tests {
     fn save_load_and_prune() {
         let s = storage();
         for covered in [10u64, 20, 30] {
-            save_snapshot(&s, &sample(covered), 2).expect("save");
+            save_snapshot(&s, &sample(covered)).expect("save");
         }
         let mut files = s.list().unwrap();
         files.sort();
@@ -390,8 +393,8 @@ mod tests {
     #[test]
     fn torn_newest_snapshot_falls_back_to_predecessor() {
         let s = storage();
-        save_snapshot(&s, &sample(10), 2).unwrap();
-        save_snapshot(&s, &sample(20), 2).unwrap();
+        save_snapshot(&s, &sample(10)).unwrap();
+        save_snapshot(&s, &sample(20)).unwrap();
         // Tear the newest: keep only half its bytes (a checkpoint
         // publication the crash interrupted).
         let newest = snapshot_name(20);
@@ -405,8 +408,8 @@ mod tests {
     #[test]
     fn flipped_bit_in_snapshot_is_skipped_not_trusted() {
         let s = storage();
-        save_snapshot(&s, &sample(10), 2).unwrap();
-        save_snapshot(&s, &sample(20), 2).unwrap();
+        save_snapshot(&s, &sample(10)).unwrap();
+        save_snapshot(&s, &sample(20)).unwrap();
         let newest = snapshot_name(20);
         let mut bytes = s.read(&newest).unwrap();
         let mid = bytes.len() / 2;

@@ -96,8 +96,8 @@ cargo test -p ppms-bigint --test ring_props -q
 cargo test -p ppms-crypto --test props -q
 cargo test -p ppms-ecash --lib -q batch::
 
-echo "==> fixed-width core: FpMont = plain-reference equivalence (exact + padded widths) + zero-allocation proof"
-cargo test -p ppms-bigint --test fixed_props --test alloc_free -q
+echo "==> fixed-width core: FpMont = plain-reference equivalence (exact + padded widths) + zero-allocation proof + heap product = division and FpMont"
+cargo test -p ppms-bigint --test fixed_props --test alloc_free --test props -q
 
 echo "==> batch_verify bench smoke (correctness pass, no timing gates)"
 cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
