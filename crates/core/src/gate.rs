@@ -594,6 +594,12 @@ impl GateCheckpoint {
         self.requested.swap(false, Ordering::SeqCst)
     }
 
+    /// Reactor side: is an export wanted? Leaves the flag for the next
+    /// tick (the pre-park re-check).
+    pub fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
     /// Reactor side: publish the exported gate state.
     pub fn fulfill(&self, blob: Vec<u8>) {
         *self.blob.lock().unwrap_or_else(PoisonError::into_inner) = Some(blob);

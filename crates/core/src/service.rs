@@ -238,50 +238,97 @@ pub struct Inbound {
     pub reply: Reply,
 }
 
-/// The reply half of an [`Inbound`]: a response channel plus, for
-/// requests from the TCP front door, the door's waker. The wake
-/// fires when the reply is dropped, sent or not, so a worker that
-/// dies holding a request wakes the reactor as surely as an answer
-/// does (DESIGN.md §19).
-pub struct Reply {
-    /// `Some` until sent; taken so the channel closes before the wake.
-    tx: Option<Sender<MaResponse>>,
-    waker: Option<Arc<Waker>>,
+/// The reply half of an [`Inbound`]: a response channel for in-process
+/// callers, or a slot in the TCP front door's `ReplyQueue`. A door
+/// reply posts to the queue when it is dropped, sent or not, so a
+/// worker that dies holding a request wakes the reactor with a "shard
+/// hung up" answer as surely as a real one does (DESIGN.md §19).
+pub struct Reply(ReplyTo);
+
+enum ReplyTo {
+    Channel(Sender<MaResponse>),
+    Door {
+        slot: usize,
+        queue: Arc<ReplyQueue>,
+    },
+    /// Sent, or withdrawn by the door before the request was taken.
+    Done,
 }
 
 impl Reply {
-    /// A reply that wakes `waker` once it is sent or dropped.
-    pub(crate) fn waking(tx: Sender<MaResponse>, waker: Arc<Waker>) -> Reply {
-        Reply {
-            tx: Some(tx),
-            waker: Some(waker),
-        }
+    /// A reply that posts to the door's `queue` under `slot`.
+    pub(crate) fn to_door(slot: usize, queue: Arc<ReplyQueue>) -> Reply {
+        Reply(ReplyTo::Door { slot, queue })
     }
 
     /// Sends the response; `Err` when the caller has gone away.
     pub fn send(mut self, response: MaResponse) -> Result<(), MaResponse> {
-        let tx = self.tx.take().expect("a reply is sent at most once");
-        tx.send(response).map_err(|e| e.0)
+        match std::mem::replace(&mut self.0, ReplyTo::Done) {
+            ReplyTo::Channel(tx) => tx.send(response).map_err(|e| e.0),
+            ReplyTo::Door { slot, queue } => {
+                queue.post(slot, response);
+                Ok(())
+            }
+            ReplyTo::Done => panic!("a reply is sent at most once"),
+        }
+    }
+
+    /// Drops the reply without posting: the door calls this for a
+    /// request the service refused to take, whose slot it never used.
+    pub(crate) fn withdraw(mut self) {
+        self.0 = ReplyTo::Done;
     }
 }
 
 impl From<Sender<MaResponse>> for Reply {
     fn from(tx: Sender<MaResponse>) -> Reply {
-        Reply {
-            tx: Some(tx),
-            waker: None,
-        }
+        Reply(ReplyTo::Channel(tx))
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        // Close the channel first: a woken reactor must find the
-        // answer or the hang-up, never an empty, still-open channel.
-        drop(self.tx.take());
-        if let Some(waker) = &self.waker {
-            waker.wake();
+        if let ReplyTo::Door { slot, queue } = std::mem::replace(&mut self.0, ReplyTo::Done) {
+            queue.post(
+                slot,
+                MaResponse::Err(MarketError::Transport("shard hung up".into())),
+            );
         }
+    }
+}
+
+/// The TCP front door's one completion queue: every shard posts its
+/// door replies here as `(slot, response)`, and the reactor takes the
+/// whole batch with one lock per tick. Posting wakes the reactor only
+/// if it is parked ([`Waker::wake`]).
+pub(crate) struct ReplyQueue {
+    posted: Mutex<Vec<(usize, MaResponse)>>,
+    waker: Arc<Waker>,
+}
+
+impl ReplyQueue {
+    pub(crate) fn new(waker: Arc<Waker>) -> ReplyQueue {
+        ReplyQueue {
+            posted: Mutex::new(Vec::new()),
+            waker,
+        }
+    }
+
+    fn post(&self, slot: usize, response: MaResponse) {
+        self.posted.lock().push((slot, response));
+        self.waker.wake();
+    }
+
+    /// Swaps every posted reply into `out`, which must be empty; the
+    /// two buffers trade places, so neither allocates once warm.
+    pub(crate) fn take(&self, out: &mut Vec<(usize, MaResponse)>) {
+        debug_assert!(out.is_empty());
+        std::mem::swap(&mut *self.posted.lock(), out);
+    }
+
+    /// Whether any reply is waiting (the reactor's pre-park re-check).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.posted.lock().is_empty()
     }
 }
 

@@ -4,19 +4,22 @@
 //!
 //! ## Server: a hand-rolled event-driven reactor
 //!
-//! One thread owns every socket, in non-blocking mode. Each tick
-//! accepts new connections (up to `max_connections`), reads every
-//! socket until `WouldBlock` feeding the per-connection stratum-2
-//! [`FrameDecoder`], dispatches complete frames, collects the replies
-//! the shard workers have sent, and drains the per-connection
-//! [`WriteQueue`]s. Ticks run back to back while they make progress.
-//! After a tick that makes none, the reactor blocks in `poll(2)` with
-//! no timeout on the listener, every connection (`POLLOUT` too while
-//! its write queue holds bytes) and a wake socket. Everything else
-//! that can give the reactor work writes to the wake socket: a shard
-//! reply sent or dropped, [`TcpFrontDoor::shutdown`], and a
-//! checkpoint's gate export (DESIGN.md §19). An idle door therefore
-//! costs no CPU, and a request never waits out a sleep.
+//! One thread owns every connection, in non-blocking mode. A second
+//! thread blocks on the listener and hands each accepted socket over.
+//! Each tick adopts handed-over connections (up to `max_connections`),
+//! reads every socket until a short read feeding the per-connection
+//! stratum-2 [`FrameDecoder`], dispatches complete frames, takes the
+//! replies the shard workers have posted to the door's one
+//! `ReplyQueue`, and drains the per-connection [`WriteQueue`]s.
+//! Ticks run back to back while they make progress. After a tick that
+//! makes none, the reactor parks: it blocks in `poll(2)` with no
+//! timeout on every connection (`POLLOUT` too while its write queue
+//! holds bytes) and a wake socket. Everything else that can give the
+//! reactor work wakes it: a handed-over connection, a shard reply sent
+//! or dropped, [`TcpFrontDoor::shutdown`], and a checkpoint's gate
+//! export. A wake writes the socket only while the reactor is parked
+//! (DESIGN.md §19). An idle door therefore costs no CPU, a busy one
+//! no wake-up syscalls, and a request never waits out a sleep.
 //!
 //! Overload policy (all observable via the service registry):
 //!
@@ -49,12 +52,14 @@ use crate::gate::{
 };
 use crate::metrics::Party;
 use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
-use crate::service::{Inbound, MaRequest, MaResponse, MaService, Reply, RequestKey, ShardRouter};
+use crate::service::{
+    Inbound, MaRequest, MaResponse, MaService, Reply, ReplyQueue, RequestKey, ShardRouter,
+};
 use crate::stream::{ByteStream, FlakyConfig, FlakyStream, TcpByteStream};
 use crate::transport::{next_request_id, next_trace_id, request_label, response_label};
 use crate::transport::{TrafficLog, Transport};
 use crate::wire::Envelope;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::Mutex;
 use ppms_ecash::Spend;
 use ppms_obs::{Span, SpanContext};
@@ -62,6 +67,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,9 +162,46 @@ struct Pending {
     /// to the reactor's internal read span.
     ctx: SpanContext,
     kind: PendingKind,
-    rx: Receiver<MaResponse>,
     started: Instant,
 }
+
+/// The requests in the service, indexed by the slot their [`Reply`]
+/// posts under. A slot is freed when its one reply is taken, and only
+/// then reused.
+#[derive(Default)]
+struct Slots {
+    entries: Vec<Option<Pending>>,
+    free: Vec<usize>,
+    len: usize,
+}
+
+impl Slots {
+    /// The slot the next [`insert`](Slots::insert) will fill.
+    fn next(&self) -> usize {
+        self.free.last().copied().unwrap_or(self.entries.len())
+    }
+
+    /// Fills `slot`, which must be what [`next`](Slots::next) returned.
+    fn insert(&mut self, slot: usize, pending: Pending) {
+        debug_assert_eq!(slot, self.next());
+        self.len += 1;
+        match self.free.pop() {
+            Some(_) => self.entries[slot] = Some(pending),
+            None => self.entries.push(Some(pending)),
+        }
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<Pending> {
+        let pending = self.entries.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        self.len -= 1;
+        Some(pending)
+    }
+}
+
+/// Accepted sockets on their way from the acceptor thread to the
+/// reactor.
+type Handoff = Arc<Mutex<Vec<TcpStream>>>;
 
 /// Handle to a running TCP front door. Dropping it stops the reactor
 /// and joins the thread.
@@ -168,6 +211,8 @@ pub struct TcpFrontDoor {
     /// Ends the reactor's idle wait so it sees `stop`.
     waker: Arc<Waker>,
     handle: Option<JoinHandle<()>>,
+    /// The acceptor thread; it exits when the reactor does.
+    acceptor: Option<JoinHandle<()>>,
     obs: ppms_obs::Registry,
     /// Crash-dump files written by the reactor on panic, in order.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
@@ -180,6 +225,8 @@ impl TcpFrontDoor {
     /// registry (`tcp.*`, `gate.*`), so one
     /// [`MaService::obs_snapshot`] covers the whole stack.
     pub fn spawn(svc: &MaService, bind: &str, config: TcpConfig) -> io::Result<TcpFrontDoor> {
+        // Nonblocking so the acceptor drains a burst of connections
+        // per readiness report; it blocks in `poll`, not in `accept`.
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -217,24 +264,43 @@ impl TcpFrontDoor {
         // Checkpoints want the gate's state in the snapshot; the
         // reactor owns the gate outright, so hand the dispatcher a
         // rendezvous that wakes the reactor instead of a lock.
-        let waker = Arc::new(Waker::new()?);
+        let waker = Arc::new(Waker::new(svc.obs.counter("tcp.wake_writes"))?);
         let gate_hook = Arc::new(GateCheckpoint::waking(waker.clone()));
         svc.attach_gate_checkpoint(gate_hook.clone());
+
+        // The acceptor holds one end of this pair and the reactor the
+        // other: the reactor's exit, however it happens, closes its end
+        // and so stops the acceptor.
+        let (acceptor_stop, reactor_alive) = UnixStream::pair()?;
+        let handoff: Handoff = Arc::default();
+        let acceptor = {
+            let handoff = handoff.clone();
+            let waker = waker.clone();
+            let refused = svc.obs.counter("tcp.refused");
+            std::thread::Builder::new()
+                .name("tcp-acceptor".into())
+                .spawn(move || accept_loop(listener, acceptor_stop, handoff, waker, refused))?
+        };
 
         let stop = Arc::new(AtomicBool::new(false));
         let dumps = Arc::new(Mutex::new(Vec::new()));
         let mut reactor = Reactor {
-            listener,
+            handoff,
+            adopted: Vec::new(),
+            _alive: reactor_alive,
             config,
             inbox: svc.inbox(),
             router: svc.router(),
             gate,
             gate_hook,
+            replies: Arc::new(ReplyQueue::new(waker.clone())),
+            completed: Vec::new(),
             waker: waker.clone(),
             poll_fds: Vec::new(),
             traffic: svc.traffic.clone(),
             conns: HashMap::new(),
-            pending: Vec::new(),
+            conn_ids: Vec::new(),
+            pending: Slots::default(),
             next_conn_id: 1,
             next_msg_id: 1,
             reply_scratch: Vec::new(),
@@ -268,6 +334,7 @@ impl TcpFrontDoor {
             stop,
             waker,
             handle: Some(handle),
+            acceptor: Some(acceptor),
             obs: svc.obs.clone(),
             dumps,
         })
@@ -298,7 +365,10 @@ impl TcpFrontDoor {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
-        if let Some(h) = self.handle.take() {
+        for h in [self.handle.take(), self.acceptor.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
     }
@@ -310,8 +380,61 @@ impl Drop for TcpFrontDoor {
     }
 }
 
-struct Reactor {
+/// The acceptor thread: blocks in `poll` on the listener and `alive`,
+/// accepts every waiting connection, readies it for the reactor and
+/// hands it over. Returns when the reactor's end of `alive` closes.
+fn accept_loop(
     listener: TcpListener,
+    alive: UnixStream,
+    handoff: Handoff,
+    waker: Arc<Waker>,
+    refused: Arc<ppms_obs::Counter>,
+) {
+    let mut fds = [
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+        PollFd::new(alive.as_raw_fd(), POLLIN),
+    ];
+    loop {
+        // An error (EINTR) ends the wait like a readiness report.
+        let _ = poll::wait(&mut fds);
+        if fds[1].ready() {
+            return;
+        }
+        let mut accepted = false;
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                        refused.inc();
+                        continue;
+                    }
+                    handoff.lock().push(stream);
+                    accepted = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // Out of descriptors, say: the listener stays
+                    // readable, so pause instead of spinning on it.
+                    std::thread::sleep(Duration::from_millis(10));
+                    break;
+                }
+            }
+        }
+        if accepted {
+            waker.wake();
+        }
+    }
+}
+
+struct Reactor {
+    /// Connections the acceptor has handed over, not yet adopted.
+    handoff: Handoff,
+    /// Reused buffer the handoff is swapped into.
+    adopted: Vec<TcpStream>,
+    /// Held only to close when the reactor goes, which stops the
+    /// acceptor.
+    _alive: UnixStream,
     config: TcpConfig,
     /// Supervised fallback path for whatever the router hands back.
     inbox: Sender<Inbound>,
@@ -322,14 +445,21 @@ struct Reactor {
     /// Checkpoint rendezvous: checked once per tick; when the
     /// dispatcher requests it, the reactor exports the gate state.
     gate_hook: Arc<GateCheckpoint>,
-    /// Wake socket: every reply, the gate hook and `shutdown` write to
-    /// it, so the idle wait ends when any of them has work.
+    /// Where every shard posts this door's replies.
+    replies: Arc<ReplyQueue>,
+    /// Reused buffer the posted replies are swapped into.
+    completed: Vec<(usize, MaResponse)>,
+    /// Wake socket: the acceptor, every reply, the gate hook and
+    /// `shutdown` wake it, so the idle wait ends when any of them has
+    /// work.
     waker: Arc<Waker>,
     /// Reusable descriptor set for the idle wait.
     poll_fds: Vec<PollFd>,
     traffic: TrafficLog,
     conns: HashMap<u64, Conn>,
-    pending: Vec<Pending>,
+    /// Reused buffer of connection ids for `read_tick`.
+    conn_ids: Vec<u64>,
+    pending: Slots,
     next_conn_id: u64,
     next_msg_id: u64,
     /// Reusable reply-encoding scratch (see `send_gate`).
@@ -408,13 +538,25 @@ impl Reactor {
 
     /// Blocks until a socket is ready or something wakes the reactor.
     /// Called only after a tick with no progress: by then every socket
-    /// has been read and written until `WouldBlock` and every sent
-    /// reply collected, so each source of new work is in the set.
+    /// has been read until a short read and written until `WouldBlock`,
+    /// and every posted reply taken, so each source of new work is a
+    /// descriptor in the set or a caller of [`Waker::wake`].
     fn wait_idle(&mut self) {
+        // The handshake: park, then re-check what every waker publishes
+        // before waking. Work published before `park` is seen here;
+        // work published after it finds the reactor parked and writes
+        // the wake socket.
+        self.waker.park();
+        if self.stop.load(Ordering::SeqCst)
+            || self.gate_hook.requested()
+            || !self.replies.is_empty()
+            || !self.handoff.lock().is_empty()
+        {
+            self.waker.unpark();
+            return;
+        }
         self.poll_fds.clear();
         self.poll_fds.push(PollFd::new(self.waker.fd(), POLLIN));
-        self.poll_fds
-            .push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
         for conn in self.conns.values() {
             let events = if conn.outq.is_empty() {
                 POLLIN
@@ -427,8 +569,11 @@ impl Reactor {
         // An error (EINTR) ends the wait like a wake: the next tick
         // finds whatever there is to do.
         let _ = poll::wait(&mut self.poll_fds);
+        self.waker.unpark();
         self.idle_waits.inc();
-        self.waker.drain();
+        if self.poll_fds[0].ready() {
+            self.waker.drain();
+        }
     }
 
     /// One reactor iteration; `true` when any sub-tick made progress.
@@ -437,7 +582,7 @@ impl Reactor {
             self.gate_hook.fulfill(self.gate.export_state());
         }
         let mut progress = false;
-        progress |= self.accept_tick();
+        progress |= self.adopt_tick();
         progress |= self.read_tick();
         progress |= self.reply_tick();
         progress |= self.write_tick();
@@ -445,50 +590,46 @@ impl Reactor {
         progress
     }
 
-    fn accept_tick(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    if self.conns.len() >= self.config.max_connections {
-                        self.refused.inc();
-                        drop(stream); // refused: close immediately
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        self.refused.inc();
-                        continue;
-                    }
-                    let id = self.next_conn_id;
-                    self.next_conn_id += 1;
-                    self.conns.insert(
-                        id,
-                        Conn {
-                            stream: TcpByteStream(stream),
-                            decoder: FrameDecoder::new(self.config.max_frame_bytes),
-                            outq: WriteQueue::new(self.config.write_queue_bytes),
-                            inflight: 0,
-                            dead: false,
-                        },
-                    );
-                    self.accepted.inc();
-                    self.connections.set(self.conns.len() as i64);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+    /// Adopts the connections the acceptor handed over, refusing those
+    /// beyond `max_connections`.
+    fn adopt_tick(&mut self) -> bool {
+        std::mem::swap(&mut *self.handoff.lock(), &mut self.adopted);
+        let progress = !self.adopted.is_empty();
+        for stream in self.adopted.drain(..) {
+            if self.conns.len() >= self.config.max_connections {
+                self.refused.inc();
+                continue; // refused: dropping closes it
             }
+            let id = self.next_conn_id;
+            self.next_conn_id += 1;
+            self.conns.insert(
+                id,
+                Conn {
+                    stream: TcpByteStream(stream),
+                    decoder: FrameDecoder::new(self.config.max_frame_bytes),
+                    outq: WriteQueue::new(self.config.write_queue_bytes),
+                    inflight: 0,
+                    dead: false,
+                },
+            );
+            self.accepted.inc();
+        }
+        if progress {
+            self.connections.set(self.conns.len() as i64);
         }
         progress
     }
 
     fn read_tick(&mut self) -> bool {
         let mut progress = false;
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        let mut ids = std::mem::take(&mut self.conn_ids);
+        ids.clear();
+        ids.extend(self.conns.keys().copied());
         let mut buf = [0u8; 8192];
-        for id in ids {
-            // Read until WouldBlock.
+        for &id in &ids {
+            // Read until a short read: the kernel had nothing more
+            // buffered, and `poll` reports the socket again if more
+            // arrives before the reactor next looks.
             loop {
                 let conn = self.conns.get_mut(&id).expect("conn exists");
                 if conn.dead {
@@ -502,6 +643,9 @@ impl Reactor {
                     Ok(n) => {
                         progress = true;
                         conn.decoder.push(&buf[..n]);
+                        if n < buf.len() {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -551,6 +695,7 @@ impl Reactor {
                 self.frames_per_tick.record(frames);
             }
         }
+        self.conn_ids = ids;
         progress
     }
 
@@ -614,23 +759,28 @@ impl Reactor {
                 let presented = spends.len();
                 let request = self.gate.deposit_request(spends);
                 drop(gate_span);
-                let (reply_tx, reply_rx) = channel::bounded(1);
+                let slot = self.pending.next();
                 let inbound = Inbound {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: Reply::waking(reply_tx, self.waker.clone()),
+                    reply: Reply::to_door(slot, self.replies.clone()),
                 };
                 match self.submit(inbound) {
-                    Ok(()) => self.pending.push(Pending {
-                        conn_id,
-                        key,
-                        ctx,
-                        kind: PendingKind::Admit { presented },
-                        rx: reply_rx,
-                        started: Instant::now(),
-                    }),
-                    Err(_) => {
+                    Ok(()) => {
+                        self.pending.insert(
+                            slot,
+                            Pending {
+                                conn_id,
+                                key,
+                                ctx,
+                                kind: PendingKind::Admit { presented },
+                                started: Instant::now(),
+                            },
+                        );
+                    }
+                    Err(TrySendError::Full(refused) | TrySendError::Disconnected(refused)) => {
+                        refused.reply.withdraw();
                         self.shed.inc();
                         self.send_gate(conn_id, party, key.request_id, ctx, GateResponse::Busy);
                     }
@@ -682,28 +832,31 @@ impl Reactor {
                     );
                     return;
                 }
-                let (reply_tx, reply_rx) = channel::bounded(1);
+                let slot = self.pending.next();
                 let inbound = Inbound {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: Reply::waking(reply_tx, self.waker.clone()),
+                    reply: Reply::to_door(slot, self.replies.clone()),
                 };
                 match self.submit(inbound) {
                     Ok(()) => {
                         if let Some(conn) = self.conns.get_mut(&conn_id) {
                             conn.inflight += 1;
                         }
-                        self.pending.push(Pending {
-                            conn_id,
-                            key,
-                            ctx,
-                            kind: PendingKind::App,
-                            rx: reply_rx,
-                            started: Instant::now(),
-                        });
+                        self.pending.insert(
+                            slot,
+                            Pending {
+                                conn_id,
+                                key,
+                                ctx,
+                                kind: PendingKind::App,
+                                started: Instant::now(),
+                            },
+                        );
                     }
-                    Err(TrySendError::Full(_)) => {
+                    Err(TrySendError::Full(refused)) => {
+                        refused.reply.withdraw();
                         self.gate.refund(token);
                         self.shed.inc();
                         self.send_gate(
@@ -714,7 +867,8 @@ impl Reactor {
                             GateResponse::App(MaResponse::Busy),
                         );
                     }
-                    Err(TrySendError::Disconnected(_)) => {
+                    Err(TrySendError::Disconnected(refused)) => {
+                        refused.reply.withdraw();
                         self.send_gate(
                             conn_id,
                             party,
@@ -788,28 +942,20 @@ impl Reactor {
             status,
             self.started.elapsed().as_millis(),
             self.conns.len(),
-            self.pending.len(),
+            self.pending.len,
             self.slow_log.len()
         )
     }
 
+    /// Answers every reply the shards have posted since the last tick.
     fn reply_tick(&mut self) -> bool {
-        let mut progress = false;
-        let mut done = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            match p.rx.try_recv() {
-                Ok(resp) => done.push((i, resp)),
-                Err(channel::TryRecvError::Empty) => {}
-                Err(channel::TryRecvError::Disconnected) => done.push((
-                    i,
-                    MaResponse::Err(MarketError::Transport("shard hung up".into())),
-                )),
-            }
-        }
-        // Remove back-to-front so the collected indices stay valid.
-        for (i, resp) in done.into_iter().rev() {
-            progress = true;
-            let p = self.pending.swap_remove(i);
+        let mut done = std::mem::take(&mut self.completed);
+        self.replies.take(&mut done);
+        let progress = !done.is_empty();
+        for (slot, resp) in done.drain(..) {
+            let Some(p) = self.pending.remove(slot) else {
+                continue;
+            };
             let elapsed = p.started.elapsed();
             let gate_resp = match p.kind {
                 PendingKind::App => {
@@ -828,6 +974,7 @@ impl Reactor {
             }
             self.send_gate(p.conn_id, p.key.party, p.key.request_id, p.ctx, gate_resp);
         }
+        self.completed = done;
         progress
     }
 

@@ -20,7 +20,7 @@ cargo test -p ppms-obs -q
 echo "==> wire protocol property tests (v4 frames, foreign versions refused, split reassembly)"
 cargo test -p ppms-core --test wire_props -q
 
-echo "==> tcp front door (admission gate, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export) + transport equivalence"
+echo "==> tcp front door (admission gate, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts) + transport equivalence"
 # transport_equivalence includes the batching-equivalence harness: batched concurrent interleavings
 # (cheater + same-key retransmit in-batch) ≡ sequential ledgers, in-process and through the
 # TCP door, where cross-client batches must actually form.

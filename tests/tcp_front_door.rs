@@ -11,23 +11,27 @@
 //! source of work must wake it. One test per wake source (a request
 //! after an idle spell, `shutdown`, a reply dropped by a crashed shard,
 //! a checkpoint's gate export) runs under a [`watchdog`], so a missing
-//! wake fails the suite with a message instead of hanging it.
+//! wake fails the suite with a message instead of hanging it. So do
+//! pipelined clients whose replies race the reactor's parking, and a
+//! dial into a door too busy ever to park.
 
 use ppms_core::bank::BankSnapshot;
 use ppms_core::gate::{AdmissionConfig, OpsRequest};
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
-    next_request_id, next_trace_id, CrashPoint, DurabilityConfig, Envelope, FramedConn,
+    next_request_id, next_trace_id, AccountId, CrashPoint, DurabilityConfig, Envelope, FramedConn,
     GateRequest, GateResponse, MarketError, Party, RetryPolicy, RetryingTransport, SimStorage,
     TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
 };
+use ppms_crypto::cl::ClKeyPair;
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn spawn_service(seed: u64, shards: usize, queue_depth: usize) -> MaService {
@@ -120,6 +124,63 @@ impl Drop for Watchdog {
             let _ = thread.join();
         }
     }
+}
+
+/// A raw connection admitted by an open door, with its session token.
+fn admitted_conn(addr: SocketAddr) -> (FramedConn, u64) {
+    let mut conn = gate_conn(addr);
+    match ask(&mut conn, Party::Sp, &GateRequest::Hello) {
+        GateResponse::Admitted { token, .. } => (conn, token),
+        other => panic!("open door must admit, got {other:?}"),
+    }
+}
+
+/// Pipelines one `Balance` query without waiting; returns its id.
+fn send_balance(conn: &mut FramedConn, token: u64, account: AccountId) -> u64 {
+    let msg_id = next_request_id();
+    let request = MaRequest::Balance { account };
+    conn.send_frame(&gate_frame(
+        Party::Sp,
+        msg_id,
+        &GateRequest::App { token, request },
+    ))
+    .expect("pipelined send");
+    msg_id
+}
+
+/// The next reply on a pipelined connection: `(correlation id, answer)`.
+fn next_reply(conn: &mut FramedConn) -> (u64, GateResponse) {
+    let reply = conn
+        .recv_frame(Instant::now() + Duration::from_secs(120))
+        .expect("pipelined reply");
+    let env = Envelope::<GateResponse>::from_bytes(&reply).expect("reply decodes");
+    (env.correlation_id, env.payload)
+}
+
+/// A JO account registered in process with `funds`, so a `Balance`
+/// answer can be checked exactly.
+fn funded_account(svc: &MaService, seed: u64, funds: u64) -> AccountId {
+    let cl = ClKeyPair::generate(&mut StdRng::seed_from_u64(seed), &svc.pairing);
+    match svc.client().try_call(MaRequest::RegisterJoAccount {
+        funds,
+        clpk: cl.public,
+    }) {
+        Ok(MaResponse::Account(account)) => account,
+        other => panic!("register a funded account: {other:?}"),
+    }
+}
+
+/// The in-flight count the door's Health body reports.
+fn health_inflight(addr: SocketAddr) -> u64 {
+    let body = TcpTransport::new(TcpClientConfig::new(addr))
+        .ops(OpsRequest::Health)
+        .expect("health");
+    let tail = body
+        .split("\"inflight\":")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no inflight in {body}"));
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("inflight is a count")
 }
 
 fn open_door(price_zero: bool) -> AdmissionConfig {
@@ -872,8 +933,11 @@ fn shutdown_of_an_idle_door_returns() {
 
 /// Runs one deposit and one balance query through the door, behind the
 /// retry layer, on a one-shard service that crashes (or not) before
-/// its `at_request`-th executed request. Returns the final ledger and
-/// how many times the shard was respawned.
+/// its `at_request`-th executed request. Then pipelines `Balance`
+/// bursts into the shard's two-deep queue until some are shed, and
+/// checks that the door's in-flight count is back to 0: neither the
+/// reply the crash dropped nor a shed request holds a slot. Returns
+/// the final ledger and how many times the shard was respawned.
 fn deposit_through_the_door(crash: Option<CrashPoint>) -> (BankSnapshot, u64) {
     let svc = MaService::spawn_with_config(
         &mut StdRng::seed_from_u64(0xD00A),
@@ -882,6 +946,7 @@ fn deposit_through_the_door(crash: Option<CrashPoint>) -> (BankSnapshot, u64) {
         40,
         ServiceConfig {
             shards: 1,
+            queue_depth: 2,
             crash,
             ..ServiceConfig::default()
         },
@@ -911,7 +976,39 @@ fn deposit_through_the_door(crash: Option<CrashPoint>) -> (BankSnapshot, u64) {
     let resp = client
         .try_call(MaRequest::Balance { account })
         .expect("balance");
-    assert!(matches!(resp, MaResponse::Balance(b) if b > 0), "{resp:?}");
+    let MaResponse::Balance(balance) = resp else {
+        panic!("{resp:?}");
+    };
+    assert!(balance > 0);
+
+    let (mut conn, token) = admitted_conn(door.addr());
+    let mut shed = 0;
+    for round in 0.. {
+        assert!(
+            round < 50,
+            "32-request bursts never overflowed a 2-deep queue"
+        );
+        let mut ids: Vec<u64> = (0..32)
+            .map(|_| send_balance(&mut conn, token, account))
+            .collect();
+        while !ids.is_empty() {
+            let (id, resp) = next_reply(&mut conn);
+            ids.retain(|&sent| sent != id);
+            match resp {
+                GateResponse::App(MaResponse::Busy) => shed += 1,
+                GateResponse::App(MaResponse::Balance(b)) => assert_eq!(b, balance),
+                other => panic!("unexpected burst reply: {other:?}"),
+            }
+        }
+        if shed > 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        health_inflight(door.addr()),
+        0,
+        "a pending slot leaked ({shed} requests shed)"
+    );
     let ledger = svc.bank.snapshot();
     let respawns = svc.faults.shard_respawns();
     drop(door);
@@ -925,7 +1022,8 @@ fn a_reply_dropped_by_a_crashed_shard_wakes_the_door() {
     // Only that drop wakes the blocked reactor, which answers the
     // client with a retryable hang-up; the retry respawns the shard.
     // Well inside the client's 30 s reply timeout, so a missing wake
-    // trips the watchdog before any retry could mask it.
+    // trips the watchdog before any retry could mask it. Each run ends
+    // with shed bursts and checks that no pending slot leaked.
     let _guard = watchdog("a deposit whose shard crashed", Duration::from_secs(20));
     let (expected, respawns) = deposit_through_the_door(None);
     assert_eq!(respawns, 0);
@@ -935,4 +1033,129 @@ fn a_reply_dropped_by_a_crashed_shard_wakes_the_door() {
     }));
     assert_eq!(respawns, 1, "the crash must fire on the door's deposit");
     assert_eq!(ledger, expected, "the crash changed the ledger");
+}
+
+#[test]
+fn no_wake_is_lost_while_the_reactor_parks_and_unparks() {
+    // Clients pipeline bursts in lockstep rounds with a pause between
+    // them, so the reactor parks and unparks hundreds of times while
+    // shard replies race its parking. The barrier means no client's
+    // next burst can rescue another's reply whose wake was lost: that
+    // round never ends, and the watchdog fires.
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 300;
+    let _guard = watchdog(
+        "pipelined rounds racing the reactor's parking",
+        Duration::from_secs(60),
+    );
+    let svc = spawn_service(0xD00D, 2, 64);
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let account = funded_account(&svc, 0xD00E, 4242);
+    let before = svc.obs.snapshot();
+    let barrier = Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let (addr, barrier) = (door.addr(), &barrier);
+            s.spawn(move || {
+                let (mut conn, token) = admitted_conn(addr);
+                let mut rng = StdRng::seed_from_u64(0xD00F + client as u64);
+                for _ in 0..ROUNDS {
+                    let burst = rng.random_range(1..=6usize);
+                    let mut ids: Vec<u64> = (0..burst)
+                        .map(|_| send_balance(&mut conn, token, account))
+                        .collect();
+                    while !ids.is_empty() {
+                        let (id, resp) = next_reply(&mut conn);
+                        ids.retain(|&sent| sent != id);
+                        assert!(
+                            matches!(resp, GateResponse::App(MaResponse::Balance(4242))),
+                            "{resp:?}"
+                        );
+                    }
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_micros(rng.random_range(0..300)));
+                }
+            });
+        }
+    });
+    let after = svc.obs.snapshot();
+    let parks = after.counter("tcp.idle_waits") - before.counter("tcp.idle_waits");
+    let writes = after.counter("tcp.wake_writes") - before.counter("tcp.wake_writes");
+    assert!(
+        parks >= ROUNDS as u64 / 2,
+        "the reactor parked only {parks} times"
+    );
+    assert!(writes > 0, "no reply ever woke the parked reactor");
+    assert_eq!(health_inflight(door.addr()), 0);
+    drop(door);
+    svc.shutdown();
+}
+
+#[test]
+fn a_saturated_door_still_accepts() {
+    // One client keeps a full window of 32 requests in flight, so the
+    // reactor always has work and never parks. A door that accepted
+    // only when `poll` reported its listener would never see a second
+    // client dial.
+    const WINDOW: usize = 32;
+    let _guard = watchdog("a dial into a saturated door", Duration::from_secs(60));
+    let svc = spawn_service(0xD010, 2, 64);
+    let config = TcpConfig {
+        admission: open_door(true),
+        max_inflight_per_conn: WINDOW,
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let account = funded_account(&svc, 0xD011, 777);
+    let stop = AtomicBool::new(false);
+    let answered = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let (addr, stop, answered) = (door.addr(), &stop, &answered);
+        let pump = s.spawn(move || {
+            let (mut conn, token) = admitted_conn(addr);
+            let mut inflight = 0;
+            while inflight > 0 || !stop.load(Ordering::SeqCst) {
+                while inflight < WINDOW && !stop.load(Ordering::SeqCst) {
+                    send_balance(&mut conn, token, account);
+                    inflight += 1;
+                }
+                let (_, resp) = next_reply(&mut conn);
+                assert!(
+                    matches!(resp, GateResponse::App(MaResponse::Balance(777))),
+                    "the window must never be shed: {resp:?}"
+                );
+                inflight -= 1;
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // Long enough for the reactor to park and be woken thousands of
+        // times between replies: a lost wake stalls the window here.
+        while answered.load(Ordering::SeqCst) < 20_000 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dialed = Instant::now();
+        let fresh = MaClient::new(
+            Arc::new(TcpTransport::new(TcpClientConfig::new(addr))),
+            Party::Sp,
+        );
+        let resp = fresh.try_call(MaRequest::Balance { account });
+        let waited = dialed.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        pump.join().expect("the saturating client");
+        assert!(
+            matches!(resp, Ok(MaResponse::Balance(777))),
+            "the second client: {resp:?}"
+        );
+        assert!(
+            waited < Duration::from_secs(10),
+            "admitted and answered after {waited:?}"
+        );
+    });
+    assert_eq!(door.obs_snapshot().counter("tcp.accepted"), 2);
+    drop(door);
+    svc.shutdown();
 }
