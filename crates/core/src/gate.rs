@@ -545,9 +545,9 @@ pub fn denied_error(reason: &str) -> MarketError {
 
 /// Rendezvous between the service's checkpoint protocol and the TCP
 /// front door's reactor, which owns the [`AdmissionGate`] outright
-/// (no lock). At checkpoint time the dispatcher [`request`]s an
+/// (no lock). At checkpoint time the checkpointer [`request`]s an
 /// export, which wakes the reactor; the reactor checks [`pending`]
-/// once per tick and answers with [`fulfill`]; the dispatcher waits
+/// once per tick and answers with [`fulfill`]; the checkpointer waits
 /// for it in [`take_blob`] under a bound, so a stopped reactor only
 /// costs the checkpoint its gate section, never wedges it.
 ///
@@ -579,7 +579,7 @@ impl GateCheckpoint {
         }
     }
 
-    /// Dispatcher side: ask the reactor for a gate export. An answer
+    /// Checkpointer side: ask the reactor for a gate export. An answer
     /// left over from an earlier request that timed out is discarded.
     pub fn request(&self) {
         *self.blob.lock().unwrap_or_else(PoisonError::into_inner) = None;
@@ -606,7 +606,7 @@ impl GateCheckpoint {
         self.fulfilled.notify_all();
     }
 
-    /// Dispatcher side: collect the export, waiting up to `timeout`
+    /// Checkpointer side: collect the export, waiting up to `timeout`
     /// for the reactor to answer.
     pub fn take_blob(&self, timeout: Duration) -> Option<Vec<u8>> {
         let blob = self.blob.lock().unwrap_or_else(PoisonError::into_inner);

@@ -194,7 +194,7 @@ pub struct FaultMetrics {
     /// Retransmits answered from the service's dedup cache instead of
     /// re-executing (the exactly-once replay path).
     dedup_replays: Arc<Counter>,
-    /// Shard workers respawned by the supervisor after a crash.
+    /// Shard incarnations restarted after a crash.
     shard_respawns: Arc<Counter>,
     /// Journal records appended (one per executed write).
     wal_commits: Arc<Counter>,
@@ -225,7 +225,7 @@ pub struct FaultSnapshot {
     pub circuit_rejections: u64,
     /// Retransmits answered from the dedup cache.
     pub dedup_replays: u64,
-    /// Shard workers respawned by the supervisor.
+    /// Shard incarnations restarted after a crash.
     pub shard_respawns: u64,
     /// Journal records appended (one per executed write).
     pub wal_commits: u64,
@@ -256,8 +256,8 @@ impl FaultMetrics {
             shard_respawns: registry.counter("fault.shard_respawns"),
             wal_commits: registry.counter("fault.wal_commits"),
             // Shared names with the durable tier: `DurableLog` and the
-            // dispatcher's checkpoint path increment the same
-            // registry-owned counters, so this view needs no wiring.
+            // checkpointer increment the same registry-owned counters,
+            // so this view needs no wiring.
             wal_snapshots: registry.counter("wal.snapshots"),
             wal_compactions: registry.counter("wal.compactions"),
         }

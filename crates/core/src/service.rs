@@ -5,16 +5,20 @@
 //! protocol rules (publish, forward, hold payments until data arrives,
 //! verify deposits).
 //!
-//! Internally the service is a **supervisor plus N shard workers**:
-//! the dispatcher routes each request to a shard by its affinity key
-//! (`AccountId` for ledger operations, `job_id` for job-scoped ones,
-//! the SP pseudonym for payment forwarding), so all per-key state
-//! lives in exactly one shard and never needs a lock. Cross-cutting
-//! state (ledger, bulletin, DEC bank, held payments) is shared behind
-//! the existing thread-safe types. Channels are bounded end to end,
-//! so a flood of clients exerts backpressure instead of growing
-//! queues without limit. `Shutdown` drains the shards and reports how
-//! many held payments were never delivered.
+//! Internally the service is **N self-supervising shard workers plus
+//! a checkpointer**. Every caller places its requests through one
+//! [`ShardRouter`], straight into the shard that owns the request's
+//! affinity key (`AccountId` for ledger operations, `job_id` for
+//! job-scoped ones, the SP pseudonym for payment forwarding), so all
+//! per-key state lives in exactly one shard and never needs a lock.
+//! In-process and simulated-network clients send blocking; the TCP
+//! door uses [`ShardRouter::try_route`] and sheds when a shard queue is
+//! full. Cross-cutting state (ledger, bulletin, DEC bank, held
+//! payments) is shared behind the existing thread-safe types. Shard
+//! queues are bounded, so a flood of clients exerts backpressure
+//! instead of growing queues without limit. [`MaService::shutdown`]
+//! sends each shard a stop message behind its queued requests, joins
+//! the shards and reports how many held payments were never delivered.
 //!
 //! Three mechanisms make the service survive a lossy network and
 //! crashing workers (the fault model of DESIGN.md §8):
@@ -36,11 +40,14 @@
 //!   retransmitted read re-executes. The log sits on the caller's storage
 //!   ([`MaService::spawn_durable`]) or on an in-process
 //!   [`SimStorage`] ([`MaService::spawn_with_config`]), whose bytes
-//!   outlive any worker thread.
-//! * **Supervision.** The dispatcher doubles as supervisor: when a
-//!   send to a shard fails (the worker panicked or was
-//!   crash-injected), it joins the corpse, respawns the worker over
-//!   the same journal, and redelivers the request.
+//!   outlive any worker incarnation.
+//! * **Supervision.** Each shard thread supervises itself: after an
+//!   injected crash, a handler panic or a failed journal write it
+//!   writes a crash dump, rebuilds its state from its checkpointed
+//!   base plus the journal tail, and keeps reading the same queue, so
+//!   requests queued behind the crash survive. A journal that no
+//!   longer replays stops the shard for good: its queue closes and
+//!   callers get [`MarketError::Transport`].
 //!
 //! This is the concurrent twin of [`crate::ppmsdec::DecMarket`]'s
 //! single-threaded driver; the integration tests run both and expect
@@ -71,7 +78,7 @@ use ppms_obs::{Registry, Snapshot, Span, SpanContext, Timed, TimedOwned};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -161,9 +168,6 @@ pub enum MaRequest {
         /// The account.
         account: AccountId,
     },
-    /// Stop the service: the dispatcher drains every shard, then
-    /// reports how many held payments were never delivered.
-    Shutdown,
 }
 
 /// The MA's answer.
@@ -196,11 +200,6 @@ pub enum MaResponse {
     Balance(u64),
     /// A rejection.
     Err(MarketError),
-    /// Shutdown complete; the shards are drained.
-    Drained {
-        /// Held payments that were never picked up by their SP.
-        undelivered_payments: usize,
-    },
     /// Load-shed marker minted by the TCP front door (never by a
     /// shard): the request was refused *before* entering the service
     /// pipeline because the server is saturated. Clients treat it as
@@ -220,11 +219,11 @@ pub struct RequestKey {
     pub request_id: u64,
 }
 
-/// One request plus its reply channel — the unit the dispatcher
-/// routes to a shard.
+/// One request plus its reply channel — the unit a [`ShardRouter`]
+/// places on a shard queue.
 pub struct Inbound {
-    /// Idempotency key; `None` only for hand-built internal sends.
-    pub key: Option<RequestKey>,
+    /// Idempotency key.
+    pub key: RequestKey,
     /// Span context minted by the originating client
     /// ([`ppms_obs::SpanContext::NONE`] = untraced). The trace id is
     /// preserved verbatim across retransmits — one logical operation
@@ -332,12 +331,12 @@ impl ReplyQueue {
     }
 }
 
-/// Crash-injection point for the supervision tests: the chosen shard
-/// worker exits (as if panicked) just before its `at_request`-th
-/// executed request runs — the canonical "lost in flight" window,
-/// which leaves no journal record. Executed requests are those that
-/// missed the dedup cache, reads included. Fires at most once per
-/// service.
+/// Crash-injection point for the supervision tests: the chosen
+/// shard's incarnation restarts (as if panicked) just before its
+/// `at_request`-th executed request runs — the canonical "lost in
+/// flight" window, which leaves no journal record. Executed requests
+/// are those that missed the dedup cache, reads included. Fires at
+/// most once per service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// Which shard dies (taken modulo the shard count).
@@ -346,9 +345,9 @@ pub struct CrashPoint {
     pub at_request: u64,
 }
 
-/// Crash-injection point for the batching pipeline: the chosen shard
-/// worker exits after its `at_request`-th executed request ran and
-/// its record (if it is a write) was appended — *between* the batch's
+/// Crash-injection point for the batching pipeline: the chosen shard's
+/// incarnation restarts after its `at_request`-th executed request ran
+/// and its record (if it is a write) was appended — *between* the batch's
 /// verification/execution and its group-commit flush, before any held
 /// reply is released. Items executed earlier in the same cross-client
 /// batch have journal records but unanswered clients; the retries
@@ -389,8 +388,9 @@ impl Default for BatchConfig {
 pub struct ServiceConfig {
     /// Number of shard worker threads.
     pub shards: usize,
-    /// Capacity of the inbox and of each shard queue (backpressure:
-    /// senders block when a queue is full).
+    /// Capacity of each shard queue (backpressure: in-process and
+    /// simulated-network senders block when their shard's queue is
+    /// full, and the TCP door sheds).
     pub queue_depth: usize,
     /// Cross-client batching flush triggers.
     pub batch: BatchConfig,
@@ -413,13 +413,13 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Handle to a running MA service (dispatcher + shards).
+/// Handle to a running MA service (shard workers + checkpointer).
 pub struct MaService {
-    tx: Sender<Inbound>,
-    /// Service-level operations (checkpointing) — separate from the
-    /// request inbox so they skip request backpressure.
+    /// Checkpoint and shutdown requests for the checkpointer thread.
     ctrl: Sender<Control>,
-    handle: Option<JoinHandle<()>>,
+    /// The checkpointer thread; on shutdown it stops and joins the
+    /// shards and returns how many held payments were never delivered.
+    handle: Option<JoinHandle<usize>>,
     /// Shared ledger (read access for clients and ledger snapshots).
     pub bank: Bank,
     /// Shared bulletin board (read-only access for clients).
@@ -433,7 +433,7 @@ pub struct MaService {
     /// and WAL timings all live here, so one [`Registry::snapshot`]
     /// captures the whole service.
     pub obs: Registry,
-    /// Crash-dump files written by dead workers, in order of death.
+    /// Crash-dump files written by shard workers, in order of writing.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     /// The DEC public parameters (clients need them to mint/spend).
     pub params: DecParams,
@@ -446,70 +446,74 @@ pub struct MaService {
     /// Admission-gate state recovered from the snapshot, consumed
     /// once by the front door on spawn.
     recovered_gate: Mutex<Option<Vec<u8>>>,
-    /// The live shard inboxes (shared with the dispatcher, which
-    /// refreshes them on respawn) — what a [`ShardRouter`] sends into.
-    shard_txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
-    /// Set by the dispatcher while a checkpoint runs (see
-    /// [`ShardRouter`]).
-    routes_paused: Arc<AtomicBool>,
-    /// Queue-depth gauges, one per shard, for direct routers.
-    queue_gauges: Vec<Arc<ppms_obs::Gauge>>,
-    n_shards: usize,
+    /// The one way into the shards, cloned into every client and door.
+    router: ShardRouter,
 }
 
-/// A direct route into the shard queues, handed to the TCP reactor:
-/// the per-request hop through the dispatcher thread (one channel
-/// transfer plus a thread wake on an otherwise-parked core) is pure
-/// overhead on the hot path, so the reactor sends straight into the
-/// target shard's inbox. Anything the router cannot place — a full or
-/// disconnected shard queue, a `Shutdown`, a not-yet-spawned shard —
-/// is handed back for the supervised inbox path, where the dispatcher
-/// still owns respawn and backpressure. Sharing `shard_txs` with the
-/// dispatcher keeps direct routes valid across worker respawns. While
-/// a checkpoint runs the router places nothing: a request reaching a
-/// shard behind the checkpoint's barrier would fall outside the cut.
+/// The one way into the shard queues. Every caller places its
+/// requests through a router: the in-process and simulated-network
+/// transports with a blocking send, the TCP reactor with
+/// [`ShardRouter::try_route`], which gives a load-shedding server the
+/// non-blocking admission decision it needs. The senders never change:
+/// a crashed shard restarts on the same queue, and a shard that stops
+/// for good closes it, so a send to it fails.
+#[derive(Clone)]
 pub struct ShardRouter {
-    txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
-    paused: Arc<AtomicBool>,
-    gauges: Vec<Arc<ppms_obs::Gauge>>,
-    n_shards: usize,
-    rr: usize,
-    direct: Arc<ppms_obs::Counter>,
+    txs: Arc<[Sender<ShardMsg>]>,
+    /// Queue-depth gauges, one per shard: the router adds one per
+    /// placement, the worker subtracts one per dequeue.
+    gauges: Arc<[Arc<ppms_obs::Gauge>]>,
+    /// `ma.direct_routed`: every placement.
+    placed: Arc<ppms_obs::Counter>,
 }
 
 impl ShardRouter {
-    /// Places `inbound` on its shard's queue, or returns it when the
-    /// dispatcher must get involved instead.
-    // The Err variant is the *moved-back* request, not an error type:
-    // boxing it would put an allocation on the zero-alloc hot path.
+    /// Places `inbound` on its shard's queue without blocking; a full
+    /// queue or a stopped shard hands the request back.
+    // The Err variant carries the moved-back request: boxing it would
+    // put an allocation on the zero-alloc hot path.
     #[allow(clippy::result_large_err)]
-    pub fn try_route(&mut self, inbound: Inbound) -> Result<(), Inbound> {
-        if matches!(inbound.request, MaRequest::Shutdown) {
-            // Shutdown is a dispatcher-level protocol message, not a
-            // shard request.
-            return Err(inbound);
-        }
-        let idx = route(inbound.key, &inbound.request, self.n_shards, &mut self.rr);
-        // Send under the lock: the dispatcher raises `paused` under
-        // it too, so once a checkpoint starts no send is mid-flight.
-        let txs = self.txs.lock();
-        let tx = match txs.get(idx) {
-            Some(tx) if !self.paused.load(Ordering::SeqCst) => tx,
-            _ => return Err(inbound), // still spawning, or checkpointing
-        };
-        match tx.try_send(ShardMsg::Req(Box::new(inbound))) {
+    pub fn try_route(&self, inbound: Inbound) -> Result<(), TrySendError<Inbound>> {
+        let idx = route(&inbound, self.txs.len());
+        match self.txs[idx].try_send(ShardMsg::Req(Box::new(inbound))) {
             Ok(()) => {
                 self.gauges[idx].add(1);
-                self.direct.inc();
+                self.placed.inc();
                 Ok(())
             }
-            Err(TrySendError::Full(msg)) | Err(TrySendError::Disconnected(msg)) => {
-                let ShardMsg::Req(inbound) = msg else {
-                    unreachable!("router only sends requests")
-                };
-                Err(*inbound)
+            Err(TrySendError::Full(ShardMsg::Req(inbound))) => Err(TrySendError::Full(*inbound)),
+            Err(TrySendError::Disconnected(ShardMsg::Req(inbound))) => {
+                Err(TrySendError::Disconnected(*inbound))
             }
+            Err(_) => unreachable!("routers only send requests"),
         }
+    }
+
+    /// The blocking round trip of the in-process and simulated-network
+    /// transports: places the request on its shard's queue, waiting
+    /// while the queue is full, then waits for the answer.
+    pub(crate) fn call(
+        &self,
+        key: RequestKey,
+        span: SpanContext,
+        request: MaRequest,
+    ) -> Result<MaResponse, MarketError> {
+        let (reply, answer) = channel::bounded(1);
+        let inbound = Inbound {
+            key,
+            span,
+            request,
+            reply: reply.into(),
+        };
+        let idx = route(&inbound, self.txs.len());
+        self.txs[idx]
+            .send(ShardMsg::Req(Box::new(inbound)))
+            .map_err(|_| MarketError::Transport("MA service unavailable".into()))?;
+        self.gauges[idx].add(1);
+        self.placed.inc();
+        answer
+            .recv()
+            .map_err(|_| MarketError::Transport("MA service hung up".into()))
     }
 }
 
@@ -656,6 +660,7 @@ struct Shard {
     used_nonces: HashMap<AccountId, u64>,
     labor: HashMap<u64, Vec<Vec<u8>>>,
     data_reports: HashMap<u64, Vec<Vec<u8>>>,
+    dedup: DedupCache,
 }
 
 impl Shard {
@@ -819,11 +824,6 @@ impl Shard {
                 Ok(v) => MaResponse::Balance(v),
                 Err(e) => MaResponse::Err(e),
             },
-            // The dispatcher intercepts Shutdown; a shard seeing one
-            // means a routing bug, answered defensively.
-            Shutdown => MaResponse::Err(MarketError::Transport(
-                "shutdown must be handled by the dispatcher".into(),
-            )),
         }
     }
 
@@ -853,7 +853,7 @@ impl Shard {
             }
             (FetchData { job_id }, MaResponse::Data(_)) => {
                 // The fetch handed the reports out; they must not
-                // reappear after a respawn.
+                // reappear after a restart.
                 self.data_reports.remove(job_id);
             }
             _ => {}
@@ -862,7 +862,7 @@ impl Shard {
 
     /// Serializes this shard's private state (plus the idempotency
     /// cache) into the checkpoint form, deterministically ordered.
-    fn project(&self, dedup: &DedupCache) -> ShardSection {
+    fn project(&self) -> ShardSection {
         let mut nonces: Vec<(u64, u64)> = self
             .used_nonces
             .iter()
@@ -885,13 +885,13 @@ impl Shard {
             nonces,
             labor,
             reports,
-            dedup: dedup.entries_in_order(),
+            dedup: self.dedup.entries_in_order(),
         }
     }
 
     /// Loads a checkpointed projection as this shard's base state;
     /// the journal tail is replayed on top by the caller.
-    fn load_base(&mut self, base: &ShardSection, dedup: &mut DedupCache) {
+    fn load_base(&mut self, base: &ShardSection) {
         self.used_nonces = base
             .nonces
             .iter()
@@ -900,29 +900,38 @@ impl Shard {
         self.labor = base.labor.iter().cloned().collect();
         self.data_reports = base.reports.iter().cloned().collect();
         for (key, response) in &base.dedup {
-            dedup.insert(*key, response.clone());
+            self.dedup.insert(*key, response.clone());
         }
     }
 }
 
-/// What the dispatcher sends a shard worker: a routed request, or a
-/// checkpoint barrier asking for the shard's state projection. FIFO
-/// channel order is the correctness argument: by the time the worker
-/// answers `Project`, it has executed every request routed before the
-/// barrier, so the projection is a consistent prefix.
+/// What a shard worker reads from its queue: a routed request, a
+/// checkpoint barrier, or the stop message shutdown sends behind every
+/// queued request. FIFO order is the correctness argument: by the time
+/// the worker answers a barrier, it has executed every request placed
+/// before it, so its projection is a consistent prefix.
 enum ShardMsg {
     Req(Box<Inbound>),
-    Project(Sender<ShardSection>),
+    Barrier(CheckpointBarrier),
+    Stop,
+}
+
+/// A checkpoint barrier. The shard sends its projection on `section`,
+/// then waits on `resume` until the checkpoint has finished: `Some` is
+/// its new restart base (the snapshot covering it is published and the
+/// log compacted behind it), `None` means the checkpoint failed and
+/// the old base stands.
+struct CheckpointBarrier {
+    section: Sender<ShardSection>,
+    resume: Receiver<Option<ShardSection>>,
 }
 
 /// Which shard handles a request. Affinity-keyed requests always land
-/// on the same shard; everything else routes by its idempotency id —
-/// *not* round-robin — so a retransmit reaches the shard that cached
-/// the original answer. Round-robin via `rr` remains only for
-/// keyless internal sends.
-fn route(key: Option<RequestKey>, request: &MaRequest, shards: usize, rr: &mut usize) -> usize {
+/// on the same shard; everything else routes by its idempotency id,
+/// so a retransmit reaches the shard that cached the original answer.
+fn route(inbound: &Inbound, shards: usize) -> usize {
     use MaRequest::*;
-    match request {
+    match &inbound.request {
         Withdraw { account, .. } | DepositBatch { account, .. } | Balance { account } => {
             account.0 as usize % shards
         }
@@ -933,13 +942,9 @@ fn route(key: Option<RequestKey>, request: &MaRequest, shards: usize, rr: &mut u
         SubmitPayment { sp_pubkey, .. } | FetchPayment { sp_pubkey } => {
             crate::wire::fnv1a(sp_pubkey) as usize % shards
         }
-        RegisterJoAccount { .. } | RegisterSpAccount | PublishJob { .. } | Shutdown => match key {
-            Some(k) => k.request_id as usize % shards,
-            None => {
-                *rr = rr.wrapping_add(1);
-                (*rr - 1) % shards
-            }
-        },
+        RegisterJoAccount { .. } | RegisterSpAccount | PublishJob { .. } => {
+            inbound.key.request_id as usize % shards
+        }
     }
 }
 
@@ -956,41 +961,98 @@ fn is_write(request: &MaRequest) -> bool {
     )
 }
 
-/// Everything a shard worker thread needs; built once per incarnation
-/// by the supervisor, so a respawn reconstructs the worker over the
-/// same journal and crash bookkeeping.
+/// When the next scheduled checkpoint is due. Shards start it (the
+/// one whose append reaches the mark asks the checkpointer), and the
+/// checkpointer moves the mark after every checkpoint, failed ones
+/// included, so a failing checkpoint is retried only once another
+/// `every` records have been appended.
+struct CheckpointSchedule {
+    /// `DurabilityConfig::checkpoint_every`; `0` = manual only.
+    every: u64,
+    /// The log length at which the next scheduled checkpoint starts;
+    /// `u64::MAX` while one is requested and not yet finished.
+    due: AtomicU64,
+    /// `wal.records_since_snapshot`.
+    since_snapshot: Arc<ppms_obs::Gauge>,
+    ctrl: Sender<Control>,
+}
+
+impl CheckpointSchedule {
+    /// Notes a shard's append at `lsn`; the append that reaches the
+    /// mark asks the checkpointer for a checkpoint.
+    fn appended(&self, lsn: u64) {
+        self.since_snapshot.add(1);
+        let due = self.due.load(Ordering::Acquire);
+        if self.every > 0
+            && lsn + 1 >= due
+            && self
+                .due
+                .compare_exchange(due, u64::MAX, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            let _ = self.ctrl.send(Control::Checkpoint(None));
+        }
+    }
+
+    /// Sets the next mark `every` records past a log of `len` records.
+    fn rearm(&self, len: u64) {
+        self.due
+            .store(len.saturating_add(self.every), Ordering::Release);
+    }
+}
+
+/// Folds an arrival at now into the batching collector's Nagle state,
+/// an EWMA of inter-arrival gaps (DESIGN.md §16), and returns now.
+fn note_arrival(last: &mut std::time::Instant, ewma_gap_ns: &mut f64) -> std::time::Instant {
+    let now = std::time::Instant::now();
+    *ewma_gap_ns = 0.75 * *ewma_gap_ns + 0.25 * now.duration_since(*last).as_nanos() as f64;
+    *last = now;
+    now
+}
+
+/// Why an incarnation of a shard worker ended: `Crash` is what a
+/// restart cures; `Stop` is shutdown, or a journal that no longer
+/// replays.
+enum Exit {
+    Stop,
+    Crash,
+}
+
+/// A shard worker thread. It lives as long as its queue and
+/// supervises itself: a crash ends only the current incarnation, and
+/// the next one is rebuilt over the same journal and keeps reading the
+/// same queue.
 struct ShardWorker {
     shared: Arc<SharedState>,
     /// The service's journal, shared by every shard; this worker's
     /// records carry `shard_idx` as their tag.
     log: Arc<DurableLog>,
-    /// Checkpointed base state: the worker starts from this
-    /// projection and replays only the journal tail on top. The
-    /// dispatcher swaps in each checkpoint's projection, which is what
+    /// Checkpointed base state: each incarnation starts from this
+    /// projection and replays only the journal tail on top. The worker
+    /// adopts each successful checkpoint's projection, which is what
     /// makes log compaction sound.
-    base: Arc<Mutex<ShardSection>>,
+    base: ShardSection,
+    schedule: Arc<CheckpointSchedule>,
     faults: FaultMetrics,
     /// The service registry: per-op latency, dedup misses, WAL
     /// timings all land here.
     obs: Registry,
-    /// Shared with the dispatcher: it adds one per enqueue, the worker
+    /// Shared with the routers: they add one per enqueue, the worker
     /// subtracts one per dequeue, so the gauge reads the queue depth.
     queue_depth: Arc<ppms_obs::Gauge>,
-    /// Where dead workers leave their crash-dump paths.
+    /// Where crash dumps leave their paths.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     /// This worker's shard index (names its per-shard gauges).
     shard_idx: usize,
     /// Cross-client batching flush triggers.
     batch: BatchConfig,
-    /// `(at_request, fired)` — exit before executing the
-    /// `at_request`-th request (counting this incarnation's replayed
-    /// records as executed), unless a previous incarnation already
-    /// fired the crash.
-    crash: Option<(u64, Arc<AtomicBool>)>,
-    /// `(at_request, fired)` — exit after the matching request
-    /// executed and its record was appended, before the group commit
-    /// and before any held reply is sent.
-    crash_mid_batch: Option<(u64, Arc<AtomicBool>)>,
+    /// Crash before executing this executed-request count (replayed
+    /// records included); cleared when it fires, so it fires once.
+    crash: Option<u64>,
+    /// Crash after the matching request executed and its record was
+    /// appended, before the group commit and before any held reply is
+    /// sent; cleared when it fires.
+    crash_mid_batch: Option<u64>,
 }
 
 impl ShardWorker {
@@ -1006,43 +1068,51 @@ impl ShardWorker {
         }
     }
 
-    /// Appends one of this shard's records to the journal. An append
-    /// failure means the storage device is gone mid-flight; there is
-    /// no meaningful degraded mode for a write-ahead log, so fail the
-    /// worker (the supervisor respawns it, and if storage stays dead
-    /// the respawn loop surfaces the error to callers).
-    fn journal(&self, record: &WalRecord, ctx: SpanContext) {
-        self.log
-            .append_spanned(self.shard_idx as u32, record, ctx)
-            .expect("journal append failed");
+    fn run(mut self, srx: Receiver<ShardMsg>) {
+        // One incarnation per pass. Returning drops `srx`, which closes
+        // the queue: later sends fail instead of waiting on a dead shard.
+        while let Exit::Crash = self.incarnation(&srx) {
+            self.faults.shard_respawn();
+        }
     }
 
-    fn run(self, srx: Receiver<ShardMsg>) {
-        // Recover: load the checkpointed base, then rebuild private
-        // state and the idempotency cache from the journal tail. An
-        // undecodable journal is a bug, not a recoverable fault —
-        // fail loudly.
-        let wal_replay_ns = self.obs.histogram("wal.replay_ns");
-        let wal_append_ns = self.obs.histogram("wal.append_ns");
-        let dedup_misses = self.obs.counter("ma.dedup.misses");
-        // Per-op latency histograms, resolved once per label instead of
-        // a `format!` + registry lookup on every request.
-        let mut op_hists: HashMap<&'static str, Arc<ppms_obs::Histogram>> = HashMap::new();
-        let mut dedup = DedupCache::new(DEDUP_CAPACITY);
+    /// Answers a checkpoint barrier with this shard's projection, then
+    /// waits until the checkpoint has finished, adopting the
+    /// projection as the restart base if the checkpoint committed.
+    fn pause(&mut self, barrier: CheckpointBarrier, shard: &Shard) {
+        if barrier.section.send(shard.project()).is_ok() {
+            if let Ok(Some(base)) = barrier.resume.recv() {
+                self.base = base;
+            }
+        }
+    }
+
+    /// Runs one incarnation: rebuilds the shard from its checkpointed
+    /// base plus the journal tail, then serves the queue until
+    /// shutdown or a crash.
+    fn incarnation(&mut self, srx: &Receiver<ShardMsg>) -> Exit {
+        let replay_ns = self.obs.histogram("wal.replay_ns");
+        let replayed = {
+            let _span = Timed::new(&replay_ns);
+            self.log.replay_shard(self.shard_idx as u32)
+        };
+        let replayed = match replayed {
+            Ok(records) => records,
+            Err(e) => {
+                // Not a fault a restart can cure: stop the shard.
+                self.dump_crash(&format!("journal-replay-failed: {e}"));
+                return Exit::Stop;
+            }
+        };
         let mut shard = Shard {
             shared: self.shared.clone(),
             obs: self.obs.clone(),
             used_nonces: HashMap::new(),
             labor: HashMap::new(),
             data_reports: HashMap::new(),
+            dedup: DedupCache::new(DEDUP_CAPACITY),
         };
-        shard.load_base(&self.base.lock(), &mut dedup);
-        let replayed = {
-            let _span = Timed::new(&wal_replay_ns);
-            self.log
-                .replay_shard(self.shard_idx as u32)
-                .expect("shard journal must replay cleanly")
-        };
+        shard.load_base(&self.base);
         for record in &replayed {
             // Parented under the record's persisted span, so replayed
             // work stays attributed to the client operation that
@@ -1050,10 +1120,16 @@ impl ShardWorker {
             let _span = Span::child("wal.replay", record.span);
             shard.apply_committed(record);
             if let Some(k) = record.key {
-                dedup.insert(k, record.response.clone());
+                shard.dedup.insert(k, record.response.clone());
             }
         }
         let mut executed = replayed.len() as u64;
+
+        let wal_append_ns = self.obs.histogram("wal.append_ns");
+        let dedup_misses = self.obs.counter("ma.dedup.misses");
+        // Per-op latency histograms, resolved once per label instead of
+        // a `format!` + registry lookup on every request.
+        let mut op_hists: HashMap<&'static str, Arc<ppms_obs::Histogram>> = HashMap::new();
 
         // Batching instrumentation (DESIGN.md §16): how batches form
         // (`batch.drain_size`), why they flush (`batch.flush_*`), how
@@ -1073,9 +1149,8 @@ impl ShardWorker {
             .gauge(&format!("ma.shard{}.batch_delay_us", self.shard_idx));
         let max_batch = self.batch.max_batch.max(1);
         let max_delay_ns = self.batch.max_delay_micros.saturating_mul(1_000);
-        // Nagle state: an EWMA of inter-arrival gaps. It starts
-        // pessimistic (gaps far wider than any deadline budget — no
-        // wait) and only genuinely fast arrivals pull it down.
+        // The Nagle state starts pessimistic (gaps far wider than any
+        // deadline budget — no wait); only fast arrivals pull it down.
         let mut ewma_gap_ns: f64 = 1e9;
         let mut last_arrival = std::time::Instant::now();
         // Reusable batch scratch, reclaimed across iterations.
@@ -1087,32 +1162,29 @@ impl ShardWorker {
             batch.clear();
             held.clear();
             preverified.clear();
-            let mut barrier: Option<Sender<ShardSection>> = None;
-            let mut closed = false;
+            let mut barrier: Option<CheckpointBarrier> = None;
+            let mut stop = false;
 
             // Phase 1 — collect: block for the first item, then drain
             // greedily up to the cap N, Nagle-waiting out the adaptive
             // deadline D only while the observed arrival rate makes a
             // companion likely inside it. D collapses to zero at low
             // load, so a lone request is never delayed. A checkpoint
-            // barrier seals the batch: it is answered after the batch
-            // executes, preserving the FIFO consistent-prefix
+            // barrier or a stop seals the batch: it is honored after
+            // the batch executes, preserving the FIFO consistent-prefix
             // argument.
             match srx.recv() {
                 Ok(ShardMsg::Req(inbound)) => batch.push(*inbound),
-                Ok(ShardMsg::Project(reply)) => {
-                    // Everything routed before this message has
+                Ok(ShardMsg::Barrier(b)) => {
+                    // Everything placed before this message has
                     // already executed (FIFO), so the projection is a
                     // consistent prefix of this shard.
-                    let _ = reply.send(shard.project(&dedup));
+                    self.pause(b, &shard);
                     continue;
                 }
-                Err(_) => return,
+                Ok(ShardMsg::Stop) | Err(_) => return Exit::Stop,
             }
-            let now = std::time::Instant::now();
-            let gap = now.duration_since(last_arrival).as_nanos() as f64;
-            last_arrival = now;
-            ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
+            let now = note_arrival(&mut last_arrival, &mut ewma_gap_ns);
             // Wait ~4 expected gaps, and only when at least two of
             // them fit the deadline budget; otherwise flush instantly.
             let delay_ns = if max_delay_ns > 0 && 2.0 * ewma_gap_ns <= max_delay_ns as f64 {
@@ -1123,38 +1195,32 @@ impl ShardWorker {
             delay_gauge.set((delay_ns / 1_000) as i64);
             let deadline = now + std::time::Duration::from_nanos(delay_ns);
             let mut reason = &flush_drain;
-            while batch.len() < max_batch && barrier.is_none() && !closed {
-                match srx.try_recv() {
-                    Ok(ShardMsg::Req(inbound)) => {
-                        let now = std::time::Instant::now();
-                        let gap = now.duration_since(last_arrival).as_nanos() as f64;
-                        last_arrival = now;
-                        ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
-                        batch.push(*inbound);
-                    }
-                    Ok(ShardMsg::Project(reply)) => barrier = Some(reply),
+            while batch.len() < max_batch && barrier.is_none() && !stop {
+                let msg = match srx.try_recv() {
+                    Ok(msg) => msg,
                     Err(channel::TryRecvError::Empty) => {
                         let now = std::time::Instant::now();
                         if now >= deadline {
                             break;
                         }
                         match srx.recv_timeout(deadline - now) {
-                            Ok(ShardMsg::Req(inbound)) => {
-                                let now = std::time::Instant::now();
-                                let gap = now.duration_since(last_arrival).as_nanos() as f64;
-                                last_arrival = now;
-                                ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
-                                batch.push(*inbound);
-                            }
-                            Ok(ShardMsg::Project(reply)) => barrier = Some(reply),
+                            Ok(msg) => msg,
                             Err(channel::RecvTimeoutError::Timeout) => {
                                 reason = &flush_deadline;
                                 break;
                             }
-                            Err(channel::RecvTimeoutError::Disconnected) => closed = true,
+                            Err(channel::RecvTimeoutError::Disconnected) => ShardMsg::Stop,
                         }
                     }
-                    Err(channel::TryRecvError::Disconnected) => closed = true,
+                    Err(channel::TryRecvError::Disconnected) => ShardMsg::Stop,
+                };
+                match msg {
+                    ShardMsg::Req(inbound) => {
+                        note_arrival(&mut last_arrival, &mut ewma_gap_ns);
+                        batch.push(*inbound);
+                    }
+                    ShardMsg::Barrier(b) => barrier = Some(b),
+                    ShardMsg::Stop => stop = true,
                 }
             }
             if batch.len() >= max_batch {
@@ -1183,7 +1249,7 @@ impl ShardWorker {
             let mut combined: Vec<Spend> = Vec::new();
             let mut plan: Vec<(usize, usize)> = Vec::new();
             for (i, inbound) in batch.iter_mut().enumerate() {
-                if inbound.key.is_some_and(|k| dedup.get(&k).is_some()) {
+                if shard.dedup.get(&inbound.key).is_some() {
                     continue; // replays below; never re-verify
                 }
                 if let MaRequest::DepositBatch { spends, .. } = &mut inbound.request {
@@ -1237,13 +1303,11 @@ impl ShardWorker {
                 // gets its original answer back, without touching any
                 // state — including a retransmit that landed in the
                 // same batch as its original.
-                if let Some(k) = key {
-                    if let Some(cached) = dedup.get(&k) {
-                        let _span = Span::child("shard.dedup_replay", span);
-                        self.faults.dedup_replay();
-                        held.push((reply, cached.clone()));
-                        continue;
-                    }
+                if let Some(cached) = shard.dedup.get(&key) {
+                    let _span = Span::child("shard.dedup_replay", span);
+                    self.faults.dedup_replay();
+                    held.push((reply, cached.clone()));
+                    continue;
                 }
                 dedup_misses.inc();
                 // Service latency from here: execute + journal append.
@@ -1258,29 +1322,21 @@ impl ShardWorker {
                 let op_span = TimedOwned::new(op_hist.clone());
 
                 executed += 1;
-                if let Some((at, fired)) = &self.crash {
-                    if executed >= *at && !fired.swap(true, Ordering::SeqCst) {
-                        // Injected crash: die before executing — the
-                        // request is lost in flight and leaves no
-                        // record. Close the queue *before* hanging up
-                        // on the caller: once the caller observes the
-                        // failure, its retry is guaranteed to bounce
-                        // off the dead channel and reach the
-                        // supervisor's respawn path instead of
-                        // vanishing into a dying queue. Held replies
-                        // and undrained batch items hang up the same
-                        // way.
-                        self.dump_crash("injected-crash");
-                        drop(srx);
-                        drop(reply);
-                        return;
-                    }
+                if self.crash.is_some_and(|at| executed >= at) {
+                    // Injected crash: die before executing — the
+                    // request is lost in flight and leaves no record.
+                    // Its reply, the held replies and the undrained
+                    // batch items hang up as the incarnation unwinds;
+                    // the retries queue behind the restart.
+                    self.crash = None;
+                    self.dump_crash("injected-crash");
+                    return Exit::Crash;
                 }
 
                 let verdicts = std::mem::take(&mut preverified[i]);
-                // A panic inside a handler kills only this worker; the
-                // supervisor respawns it and the journal replay
-                // restores everything recorded before the blast.
+                // A panic inside a handler ends only this incarnation;
+                // the next one's journal replay restores everything
+                // recorded before the blast.
                 let (response, effects) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut effects = Vec::new();
                     let response = shard.handle(&request, &mut effects, verdicts);
@@ -1289,10 +1345,7 @@ impl ShardWorker {
                     Ok(pair) => pair,
                     Err(_) => {
                         self.dump_crash("handler-panic");
-                        // Same close-then-hang-up ordering as above.
-                        drop(srx);
-                        drop(reply);
-                        return;
+                        return Exit::Crash;
                     }
                 };
 
@@ -1301,45 +1354,48 @@ impl ShardWorker {
                     // move — no deep clone of payload vectors on the
                     // hot path — and hands the response back after the
                     // append; only the dedup cache still clones it.
-                    let record = {
+                    let record = WalRecord {
+                        key: Some(key),
+                        span,
+                        request,
+                        response,
+                        effects,
+                    };
+                    let appended = {
                         let _span = Timed::new(&wal_append_ns);
                         let wal_span = Span::child("wal.append", handle_span.ctx());
-                        let record = WalRecord {
-                            key,
-                            span,
-                            request,
-                            response,
-                            effects,
-                        };
-                        self.journal(&record, wal_span.ctx());
-                        record
+                        self.log
+                            .append_spanned(self.shard_idx as u32, &record, wal_span.ctx())
                     };
+                    match appended {
+                        Ok(lsn) => self.schedule.appended(lsn),
+                        Err(e) => {
+                            // The storage device failed mid-flight; a
+                            // write-ahead log has no degraded mode.
+                            self.dump_crash(&format!("journal-append-failed: {e}"));
+                            return Exit::Crash;
+                        }
+                    }
                     self.faults.wal_commit();
                     committed += 1;
-                    if let Some(k) = key {
-                        dedup.insert(k, record.response.clone());
-                    }
+                    shard.dedup.insert(key, record.response.clone());
                     record.response
                 } else {
                     response
                 };
                 drop(op_span);
                 drop(handle_span);
-                if let Some((at, fired)) = &self.crash_mid_batch {
-                    if executed >= *at && !fired.swap(true, Ordering::SeqCst) {
-                        // Mid-batch kill point: the record above is
-                        // journaled (not necessarily synced — under a
-                        // deferring policy the group commit below is
-                        // what would have made it durable), and no
-                        // held reply escapes. Every client in the
-                        // batch must converge via retry: recorded
-                        // items replay from the dedup cache, the rest
-                        // re-execute.
-                        self.dump_crash("mid-batch-crash");
-                        drop(srx);
-                        drop(reply);
-                        return;
-                    }
+                if self.crash_mid_batch.is_some_and(|at| executed >= at) {
+                    // Mid-batch kill point: the record above is
+                    // journaled (not necessarily synced — under a
+                    // deferring policy the group commit below is what
+                    // would have made it durable), and no held reply
+                    // escapes. Every client in the batch must converge
+                    // via retry: recorded items replay from the dedup
+                    // cache, the rest re-execute.
+                    self.crash_mid_batch = None;
+                    self.dump_crash("mid-batch-crash");
+                    return Exit::Crash;
                 }
                 held.push((reply, response));
             }
@@ -1355,7 +1411,10 @@ impl ShardWorker {
             // byte-identical fsync behavior to the unbatched pipeline.
             if committed > 1 {
                 let gc_span = Span::child("wal.group_commit", lead_ctx);
-                self.log.flush().expect("journal group commit failed");
+                if let Err(e) = self.log.flush() {
+                    self.dump_crash(&format!("journal-flush-failed: {e}"));
+                    return Exit::Crash;
+                }
                 group_commits.inc();
                 drop(gc_span);
             }
@@ -1363,21 +1422,24 @@ impl ShardWorker {
                 // A vanished client is not an MA failure.
                 let _ = reply.send(response);
             }
-            if let Some(reply) = barrier {
-                let _ = reply.send(shard.project(&dedup));
+            if let Some(b) = barrier {
+                self.pause(b, &shard);
             }
-            if closed {
-                return;
+            if stop {
+                return Exit::Stop;
             }
         }
     }
 }
 
-/// Service-level operations routed around the request inbox, so they
-/// are never subject to request backpressure.
+/// What the checkpointer thread blocks on. The channel is separate
+/// from the shard queues, so control never waits behind requests.
 enum Control {
-    /// Take a checkpoint now; reply with the covered LSN.
-    Checkpoint(Sender<Result<u64, StorageError>>),
+    /// Take a checkpoint now; reply with the covered LSN. `None` is
+    /// the scheduled checkpoint a shard asks for, which nobody awaits.
+    Checkpoint(Option<Sender<Result<u64, StorageError>>>),
+    /// Stop the shards, join them and flush the log.
+    Shutdown,
 }
 
 /// What cold-start recovery found and replayed
@@ -1400,21 +1462,6 @@ pub struct RecoveryReport {
     pub torn_tail_bytes: usize,
     /// Segment files read during replay.
     pub segments_read: usize,
-}
-
-/// Journal and checkpoint state owned by the dispatcher.
-struct DurableCtx {
-    log: Arc<DurableLog>,
-    config: DurabilityConfig,
-    /// First LSN not covered by the last durable snapshot.
-    covered: u64,
-    /// Set by the TCP front door so checkpoints can include the
-    /// admission gate's state.
-    gate_hook: Arc<Mutex<Option<Arc<GateCheckpoint>>>>,
-    snapshots: Arc<ppms_obs::Counter>,
-    snapshot_failures: Arc<ppms_obs::Counter>,
-    last_snapshot_lsn: Arc<ppms_obs::Gauge>,
-    since_snapshot: Arc<ppms_obs::Gauge>,
 }
 
 /// Re-applies the *shared-state* effects of one journal record during
@@ -1501,172 +1548,110 @@ fn apply_shared_effects(
     }
 }
 
-/// The supervisor thread's state: routes requests to shards, respawns
-/// dead workers, and runs the checkpoint protocol.
-struct Dispatcher {
+/// The checkpointer thread's state. It blocks on its control channel
+/// and runs the checkpoint protocol and the shutdown drain; it never
+/// touches a request.
+struct Checkpointer {
     shared: Arc<SharedState>,
-    faults: FaultMetrics,
-    obs: Registry,
-    dumps: Arc<Mutex<Vec<PathBuf>>>,
-    depth: usize,
-    n_shards: usize,
-    /// One checkpointed base per shard, swapped at each checkpoint.
-    bases: Vec<Arc<Mutex<ShardSection>>>,
-    /// One crash latch per shard, shared across incarnations.
-    crashes: Vec<Option<(u64, Arc<AtomicBool>)>>,
-    /// Mid-batch crash latches, ditto.
-    mid_crashes: Vec<Option<(u64, Arc<AtomicBool>)>>,
-    batch: BatchConfig,
-    queue_gauges: Vec<Arc<ppms_obs::Gauge>>,
-    /// Shard inboxes, shared with every [`ShardRouter`] so direct
-    /// routes keep working across worker respawns.
-    shard_txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
-    shard_handles: Vec<Option<JoinHandle<()>>>,
-    /// Shared with every [`ShardRouter`]: set while a checkpoint cuts
-    /// the market, so direct routes fall back to the inbox the
-    /// dispatcher is not draining.
-    routes_paused: Arc<AtomicBool>,
-    rr: usize,
-    /// The journal outlives any worker incarnation, so a respawn
-    /// resumes from it.
-    durable: DurableCtx,
+    /// The shard queues, for barriers and the stop messages.
+    txs: Arc<[Sender<ShardMsg>]>,
+    shards: Vec<JoinHandle<()>>,
+    schedule: Arc<CheckpointSchedule>,
+    log: Arc<DurableLog>,
+    storage: Arc<dyn crate::storage::Storage>,
+    /// Set by the TCP front door so checkpoints can include the
+    /// admission gate's state.
+    gate_hook: Arc<Mutex<Option<Arc<GateCheckpoint>>>>,
+    snapshots: Arc<ppms_obs::Counter>,
+    snapshot_failures: Arc<ppms_obs::Counter>,
+    last_snapshot_lsn: Arc<ppms_obs::Gauge>,
 }
 
-impl Dispatcher {
-    fn spawn_shard(&self, idx: usize) -> (Sender<ShardMsg>, JoinHandle<()>) {
-        let (stx, srx): (Sender<ShardMsg>, Receiver<ShardMsg>) = channel::bounded(self.depth);
-        let worker = ShardWorker {
-            shared: self.shared.clone(),
-            log: self.durable.log.clone(),
-            base: self.bases[idx].clone(),
-            faults: self.faults.clone(),
-            obs: self.obs.clone(),
-            queue_depth: self.queue_gauges[idx].clone(),
-            dumps: self.dumps.clone(),
-            crash: self.crashes[idx].clone(),
-            shard_idx: idx,
-            batch: self.batch,
-            crash_mid_batch: self.mid_crashes[idx].clone(),
-        };
-        let handle = std::thread::spawn(move || worker.run(srx));
-        (stx, handle)
-    }
-
-    /// Joins a dead worker and brings up a fresh incarnation over the
-    /// same journal, base and crash latch.
-    fn respawn(&mut self, idx: usize) {
-        if let Some(old) = self.shard_handles[idx].take() {
-            let _ = old.join();
-        }
-        self.faults.shard_respawn();
-        // Whatever sat in the dead channel is gone; the fresh
-        // incarnation starts with an empty queue.
-        self.queue_gauges[idx].set(0);
-        let (stx, handle) = self.spawn_shard(idx);
-        self.shard_txs.lock()[idx] = stx;
-        self.shard_handles[idx] = Some(handle);
-    }
-
-    /// A clone of shard `idx`'s current inbox. Cloned out of the lock
-    /// so a blocking send never holds it against direct routers.
-    fn shard_tx(&self, idx: usize) -> Sender<ShardMsg> {
-        self.shard_txs.lock()[idx].clone()
-    }
-
-    fn deliver(&mut self, inbound: Inbound) {
-        let idx = route(inbound.key, &inbound.request, self.n_shards, &mut self.rr);
-        match self.shard_tx(idx).send(ShardMsg::Req(Box::new(inbound))) {
-            Ok(()) => self.queue_gauges[idx].add(1),
-            Err(send_err) => {
-                // The worker died (panic or injected crash).
-                // Supervise: join the corpse, respawn over the same
-                // journal — the new incarnation replays it — and
-                // redeliver. Requests queued in the dead channel are
-                // lost; their senders see a hang-up and retry.
-                let ShardMsg::Req(inbound) = send_err.0 else {
-                    unreachable!("deliver only sends requests")
-                };
-                self.respawn(idx);
-                if let Err(send_err) = self.shard_tx(idx).send(ShardMsg::Req(inbound)) {
-                    let ShardMsg::Req(inbound) = send_err.0 else {
-                        unreachable!("deliver only sends requests")
-                    };
-                    let _ = inbound.reply.send(MaResponse::Err(MarketError::Transport(
-                        "shard worker unavailable".into(),
-                    )));
-                    return;
-                }
-                self.queue_gauges[idx].add(1);
+impl Checkpointer {
+    /// Serves checkpoints until shutdown, then sends each shard a stop
+    /// message behind its queued requests, joins the shards, flushes
+    /// what the sync policy deferred and returns how many held
+    /// payments were never delivered.
+    fn run(mut self, ctrl: Receiver<Control>) -> usize {
+        while let Ok(Control::Checkpoint(reply)) = ctrl.recv() {
+            let result = self.checkpoint();
+            if let Some(reply) = reply {
+                let _ = reply.send(result);
             }
         }
-    }
-
-    /// Publishes how far the log has grown past the last snapshot and
-    /// takes the scheduled checkpoint once `checkpoint_every` records
-    /// have accumulated. Reads the log's LSN, so records written by
-    /// direct-routed requests count as much as dispatched ones.
-    fn checkpoint_if_due(&mut self) {
-        let d = &self.durable;
-        let pending = d.log.next_lsn().saturating_sub(d.covered);
-        d.since_snapshot.set(pending as i64);
-        if d.config.checkpoint_every > 0 && pending >= d.config.checkpoint_every {
-            // A failure (e.g. an injected torn snapshot write) is not
-            // fatal: the log still holds everything, only compaction
-            // is deferred.
-            let _ = self.checkpoint();
+        for tx in self.txs.iter() {
+            // A shard that stopped for good has closed its queue.
+            let _ = tx.send(ShardMsg::Stop);
         }
+        for shard in self.shards.drain(..) {
+            let _ = shard.join();
+        }
+        let _ = self.log.flush();
+        self.shared.held.lock().pending.len()
     }
 
     /// The checkpoint protocol: barrier every shard for its
     /// projection, fsync the log, publish one atomic snapshot of the
-    /// whole market, compact the log behind it, and adopt the
-    /// projections as the workers' respawn bases. Returns the covered
-    /// LSN — the point recovery will replay from.
+    /// whole market, compact the log behind it, and hand each shard its
+    /// projection back as its new restart base. Every shard that
+    /// answered waits until the protocol ends, so no request executes
+    /// between the cut and the snapshot; requests that arrive meanwhile
+    /// queue. Returns the covered LSN — the point recovery will replay
+    /// from.
     fn checkpoint(&mut self) -> Result<u64, StorageError> {
-        // Pause direct routes for the whole protocol. Taking the
-        // inbox lock orders the flag after any send a router already
-        // started (routers send under that lock), so no request
-        // reaches a shard behind its barrier until the cut is done.
-        {
-            let _txs = self.shard_txs.lock();
-            self.routes_paused.store(true, Ordering::SeqCst);
+        let mut paused = Vec::with_capacity(self.txs.len());
+        let result = self
+            .cut(&mut paused)
+            .and_then(|sections| self.publish(sections));
+        // A failed checkpoint is retried only once the log has grown
+        // by another `checkpoint_every` records.
+        self.schedule.rearm(self.log.next_lsn());
+        let (result, mut bases) = match result {
+            Ok((covered, sections)) => (Ok(covered), Some(sections.into_iter())),
+            Err(e) => (Err(e), None),
+        };
+        for resume in paused {
+            let _ = resume.send(bases.as_mut().and_then(Iterator::next));
         }
-        let result = self.checkpoint_paused();
-        self.routes_paused.store(false, Ordering::SeqCst);
         result
     }
 
-    fn checkpoint_paused(&mut self) -> Result<u64, StorageError> {
-        // Projection barrier. The dispatcher is not routing while
-        // this runs and channels are FIFO, so each shard's answer
-        // reflects exactly the requests delivered before the barrier
-        // — and between barriers no new work is delivered, making the
-        // union a consistent cut. A dead worker is respawned and
-        // asked again: the fresh incarnation answers from base +
-        // journal tail, which is the same state.
-        let mut sections: Vec<ShardSection> = Vec::with_capacity(self.n_shards);
-        for idx in 0..self.n_shards {
-            loop {
-                let (ptx, prx) = channel::bounded(1);
-                if self.shard_tx(idx).send(ShardMsg::Project(ptx)).is_err() {
-                    self.respawn(idx);
-                    continue;
+    /// Sends each shard a barrier and collects its projection; the
+    /// shards that answered wait on the senders pushed to `paused`. A
+    /// barrier lost to a crash is sent again, since the restarted shard
+    /// reads the same queue; a shard that has stopped for good fails
+    /// the checkpoint.
+    fn cut(
+        &self,
+        paused: &mut Vec<Sender<Option<ShardSection>>>,
+    ) -> Result<Vec<ShardSection>, StorageError> {
+        let mut sections = Vec::with_capacity(self.txs.len());
+        for (idx, tx) in self.txs.iter().enumerate() {
+            let section = loop {
+                let (section, answer) = channel::bounded(1);
+                let (resume_tx, resume) = channel::bounded(1);
+                tx.send(ShardMsg::Barrier(CheckpointBarrier { section, resume }))
+                    .map_err(|_| StorageError::Io(format!("shard {idx} has stopped")))?;
+                if let Ok(section) = answer.recv() {
+                    paused.push(resume_tx);
+                    break section;
                 }
-                match prx.recv() {
-                    Ok(section) => {
-                        sections.push(section);
-                        break;
-                    }
-                    Err(_) => self.respawn(idx),
-                }
-            }
+            };
+            sections.push(section);
         }
-        let log = self.durable.log.clone();
-        let storage = self.durable.config.storage.clone();
+        Ok(sections)
+    }
+
+    /// Publishes the snapshot for the cut `sections` and compacts the
+    /// log behind it; hands the sections back for the shards to adopt.
+    fn publish(
+        &mut self,
+        sections: Vec<ShardSection>,
+    ) -> Result<(u64, Vec<ShardSection>), StorageError> {
         // Everything the snapshot will cover must be durable *before*
         // the snapshot claims to cover it.
-        log.flush()?;
-        let covered = log.next_lsn();
+        self.log.flush()?;
+        let covered = self.log.next_lsn();
         let gate = self.request_gate_blob();
         let state = {
             let mut cl_bindings: Vec<(u64, ClPublicKey)> = self
@@ -1695,27 +1680,22 @@ impl Dispatcher {
                 dec: self.shared.dec_bank.lock().export_state(),
                 pending_payments,
                 received_reports,
-                shards: sections.clone(),
+                shards: sections,
                 gate,
             }
         };
-        if let Err(e) = save_snapshot(&storage, &state) {
+        if let Err(e) = save_snapshot(&self.storage, &state) {
             // The snapshot never became durable: keep the old covered
             // point, skip compaction, leave the old bases in place.
             // The log still holds the full tail, so nothing is lost.
-            self.durable.snapshot_failures.inc();
+            self.snapshot_failures.inc();
             return Err(e);
         }
-        log.compact(covered)?;
-        for (base, section) in self.bases.iter().zip(sections) {
-            *base.lock() = section;
-        }
-        let d = &mut self.durable;
-        d.covered = covered;
-        d.snapshots.inc();
-        d.last_snapshot_lsn.set(covered as i64);
-        d.since_snapshot.set(0);
-        Ok(covered)
+        self.log.compact(covered)?;
+        self.snapshots.inc();
+        self.last_snapshot_lsn.set(covered as i64);
+        self.schedule.since_snapshot.set(0);
+        Ok((covered, state.shards))
     }
 
     /// Asks the front door (if one attached a hook) to export the
@@ -1723,55 +1703,9 @@ impl Dispatcher {
     /// answer. `None` — no front door, or a stopped reactor — just
     /// omits the gate section from the snapshot.
     fn request_gate_blob(&self) -> Option<Vec<u8>> {
-        let hook = self.durable.gate_hook.lock().clone()?;
+        let hook = self.gate_hook.lock().clone()?;
         hook.request();
         hook.take_blob(std::time::Duration::from_millis(500))
-    }
-
-    fn run(mut self, rx: Receiver<Inbound>, ctrl_rx: Receiver<Control>) {
-        // Route until Shutdown (or every client hung up), supervising
-        // the workers along the way and serving checkpoint requests
-        // between deliveries. The control channel is polled (the
-        // vendored channel stand-in has no `select!`), so an idle
-        // dispatcher notices a checkpoint request within the recv
-        // timeout. The checkpoint schedule is evaluated on every pass,
-        // idle ones included: requests the TCP door routes straight
-        // into the shard queues never pass through `deliver`.
-        let idle = std::time::Duration::from_millis(2);
-        let shutdown_reply = loop {
-            if let Ok(Control::Checkpoint(reply)) = ctrl_rx.try_recv() {
-                let _ = reply.send(self.checkpoint());
-                continue;
-            }
-            match rx.recv_timeout(idle) {
-                Ok(inbound) if matches!(inbound.request, MaRequest::Shutdown) => {
-                    break Some(inbound.reply);
-                }
-                Ok(inbound) => self.deliver(inbound),
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => break None,
-            }
-            self.checkpoint_if_due();
-        };
-
-        // Graceful drain: close the shard queues, let every queued
-        // request finish, then report undelivered held payments.
-        drop(std::mem::take(&mut *self.shard_txs.lock()));
-        for h in std::mem::take(&mut self.shard_handles)
-            .into_iter()
-            .flatten()
-        {
-            let _ = h.join();
-        }
-        // Shutdown barrier: whatever the sync policy deferred reaches
-        // media before the process exits.
-        let _ = self.durable.log.flush();
-        let undelivered = self.shared.held.lock().pending.len();
-        if let Some(reply) = shutdown_reply {
-            let _ = reply.send(MaResponse::Drained {
-                undelivered_payments: undelivered,
-            });
-        }
     }
 }
 
@@ -1793,8 +1727,8 @@ impl MaService {
         )
     }
 
-    /// Spawns the MA service: one supervising dispatcher thread plus
-    /// `config.shards` shard workers behind bounded channels, over a
+    /// Spawns the MA service: `config.shards` self-supervising shard
+    /// workers behind bounded queues plus a checkpointer thread, over a
     /// fresh in-process [`SimStorage`] with [`DurabilityConfig::new`]
     /// defaults. State survives *worker* crashes but not the process;
     /// see [`MaService::spawn_durable`] for storage that does.
@@ -1881,9 +1815,7 @@ impl MaService {
         let n_shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
 
-        let bases: Vec<Arc<Mutex<ShardSection>>> = (0..n_shards)
-            .map(|_| Arc::new(Mutex::new(ShardSection::default())))
-            .collect();
+        let mut bases: Vec<ShardSection> = vec![ShardSection::default(); n_shards];
         let mut cl_map: HashMap<AccountId, ClPublicKey> = HashMap::new();
         let mut held = HeldPayments::default();
         let mut report = RecoveryReport::default();
@@ -1924,9 +1856,7 @@ impl MaService {
             dec_bank.restore_state(&state.dec);
             held.pending = state.pending_payments.into_iter().collect();
             held.received = state.received_reports.into_iter().collect();
-            for (base, section) in bases.iter().zip(state.shards) {
-                *base.lock() = section;
-            }
+            bases = state.shards;
             recovered_gate = state.gate;
             report.snapshot = snap.name;
             report.snapshot_lsn = covered;
@@ -1972,79 +1902,71 @@ impl MaService {
             held: Mutex::new(held),
         });
 
-        let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = channel::bounded(depth);
         let (ctrl_tx, ctrl_rx) = channel::unbounded::<Control>();
-
-        // Created here (not inside the dispatcher) so the service
-        // handle can locate a crash dump after the worker is gone.
+        // Created here (not inside a worker) so the service handle can
+        // locate a crash dump after the incarnation is gone.
         let dumps: Arc<Mutex<Vec<PathBuf>>> = Arc::new(Mutex::new(Vec::new()));
-        let crashes: Vec<Option<(u64, Arc<AtomicBool>)>> = (0..n_shards)
-            .map(|i| {
-                config
-                    .crash
-                    .filter(|c| c.shard % n_shards == i)
-                    .map(|c| (c.at_request, Arc::new(AtomicBool::new(false))))
-            })
-            .collect();
-        let mid_crashes: Vec<Option<(u64, Arc<AtomicBool>)>> = (0..n_shards)
-            .map(|i| {
-                config
-                    .crash_mid_batch
-                    .filter(|c| c.shard % n_shards == i)
-                    .map(|c| (c.at_request, Arc::new(AtomicBool::new(false))))
-            })
-            .collect();
-        // Queue-depth gauges: the dispatcher adds one per enqueue,
-        // the worker subtracts one per dequeue.
-        let queue_gauges: Vec<_> = (0..n_shards)
+        let since_snapshot = obs.gauge("wal.records_since_snapshot");
+        since_snapshot.set(log.next_lsn().saturating_sub(covered) as i64);
+        let schedule = Arc::new(CheckpointSchedule {
+            every: durability.checkpoint_every,
+            due: AtomicU64::new(covered.saturating_add(durability.checkpoint_every)),
+            since_snapshot,
+            ctrl: ctrl_tx.clone(),
+        });
+        let last_snapshot_lsn = obs.gauge("wal.last_snapshot_lsn");
+        last_snapshot_lsn.set(covered as i64);
+
+        // Queue-depth gauges: routers add one per enqueue, the worker
+        // subtracts one per dequeue.
+        let gauges: Arc<[Arc<ppms_obs::Gauge>]> = (0..n_shards)
             .map(|i| obs.gauge(&format!("ma.shard{i}.queue_depth")))
             .collect();
-        let durable = DurableCtx {
+        let mut txs = Vec::with_capacity(n_shards);
+        let mut shards = Vec::with_capacity(n_shards);
+        for (idx, base) in bases.into_iter().enumerate() {
+            let (tx, rx) = channel::bounded(depth);
+            let on_shard = |c: u64, shard: usize| (shard % n_shards == idx).then_some(c);
+            let worker = ShardWorker {
+                shared: shared.clone(),
+                log: log.clone(),
+                base,
+                schedule: schedule.clone(),
+                faults: faults.clone(),
+                obs: obs.clone(),
+                queue_depth: gauges[idx].clone(),
+                dumps: dumps.clone(),
+                shard_idx: idx,
+                batch: config.batch,
+                crash: config.crash.and_then(|c| on_shard(c.at_request, c.shard)),
+                crash_mid_batch: config
+                    .crash_mid_batch
+                    .and_then(|c| on_shard(c.at_request, c.shard)),
+            };
+            txs.push(tx);
+            shards.push(std::thread::spawn(move || worker.run(rx)));
+        }
+        let txs: Arc<[Sender<ShardMsg>]> = txs.into();
+        let router = ShardRouter {
+            txs: txs.clone(),
+            gauges,
+            placed: obs.counter("ma.direct_routed"),
+        };
+        let checkpointer = Checkpointer {
+            shared,
+            txs,
+            shards,
+            schedule,
+            log,
+            storage: durability.storage,
+            gate_hook: gate_hook.clone(),
             snapshots: obs.counter("wal.snapshots"),
             snapshot_failures: obs.counter("wal.snapshot_failures"),
-            last_snapshot_lsn: obs.gauge("wal.last_snapshot_lsn"),
-            since_snapshot: obs.gauge("wal.records_since_snapshot"),
-            log,
-            config: durability,
-            covered,
-            gate_hook: gate_hook.clone(),
+            last_snapshot_lsn,
         };
-        durable.last_snapshot_lsn.set(covered as i64);
-        durable
-            .since_snapshot
-            .set(durable.log.next_lsn().saturating_sub(covered) as i64);
-        let routes_paused = Arc::new(AtomicBool::new(false));
-
-        let mut dispatcher = Dispatcher {
-            shared,
-            faults: faults.clone(),
-            obs: obs.clone(),
-            dumps: dumps.clone(),
-            depth,
-            n_shards,
-            bases,
-            crashes,
-            mid_crashes,
-            batch: config.batch,
-            queue_gauges: queue_gauges.clone(),
-            shard_txs: Arc::new(Mutex::new(Vec::with_capacity(n_shards))),
-            shard_handles: Vec::with_capacity(n_shards),
-            routes_paused: routes_paused.clone(),
-            rr: 0,
-            durable,
-        };
-        let shard_txs = dispatcher.shard_txs.clone();
-        let handle = std::thread::spawn(move || {
-            for idx in 0..dispatcher.n_shards {
-                let (stx, handle) = dispatcher.spawn_shard(idx);
-                dispatcher.shard_txs.lock().push(stx);
-                dispatcher.shard_handles.push(Some(handle));
-            }
-            dispatcher.run(rx, ctrl_rx);
-        });
+        let handle = std::thread::spawn(move || checkpointer.run(ctrl_rx));
 
         let svc = MaService {
-            tx,
             ctrl: ctrl_tx,
             handle: Some(handle),
             bank,
@@ -2058,10 +1980,7 @@ impl MaService {
             pairing,
             gate_hook,
             recovered_gate: Mutex::new(recovered_gate),
-            shard_txs,
-            routes_paused,
-            queue_gauges,
-            n_shards,
+            router,
         };
         Ok((svc, report))
     }
@@ -2075,7 +1994,7 @@ impl MaService {
     pub fn checkpoint(&self) -> Result<u64, StorageError> {
         let (reply_tx, reply_rx) = channel::bounded(1);
         self.ctrl
-            .send(Control::Checkpoint(reply_tx))
+            .send(Control::Checkpoint(Some(reply_tx)))
             .map_err(|_| StorageError::Io("service is not running".into()))?;
         reply_rx
             .recv()
@@ -2083,7 +2002,7 @@ impl MaService {
     }
 
     /// Registers the front door's gate-checkpoint hook: during a
-    /// checkpoint the dispatcher asks it for the admission gate's
+    /// checkpoint the checkpointer asks it for the admission gate's
     /// exported state, so paid sessions survive recovery.
     pub fn attach_gate_checkpoint(&self, hook: Arc<GateCheckpoint>) {
         *self.gate_hook.lock() = Some(hook);
@@ -2110,33 +2029,15 @@ impl MaService {
         self.dumps.lock().clone()
     }
 
-    /// The dispatcher's raw inbox. This is how an in-process front
-    /// door (the TCP reactor) injects already-decoded requests:
-    /// `try_send` gives it the non-blocking admission decision a
-    /// load-shedding server needs, which the blocking [`Transport`]
-    /// backends deliberately do not expose.
-    pub fn inbox(&self) -> Sender<Inbound> {
-        self.tx.clone()
-    }
-
-    /// A direct route into the shard queues for the hot path; see
-    /// [`ShardRouter`]. Callers keep [`MaService::inbox`] around as
-    /// the supervised fallback for whatever the router hands back.
+    /// The one way into the shard queues; see [`ShardRouter`].
     pub fn router(&self) -> ShardRouter {
-        ShardRouter {
-            txs: self.shard_txs.clone(),
-            paused: self.routes_paused.clone(),
-            gauges: self.queue_gauges.clone(),
-            n_shards: self.n_shards,
-            rr: 0,
-            direct: self.obs.counter("ma.direct_routed"),
-        }
+        self.router.clone()
     }
 
     /// An in-process client connection (enums over channels; no
     /// serialization, no traffic accounting).
     pub fn client(&self) -> MaClient {
-        MaClient::new(Arc::new(InProcTransport::new(self.tx.clone())), Party::Jo)
+        MaClient::new(Arc::new(InProcTransport::new(self.router())), Party::Jo)
     }
 
     /// A simulated-network client for `party`: every message is
@@ -2153,7 +2054,7 @@ impl MaService {
     pub fn chaos_client(&self, party: Party, plan: FaultPlan) -> MaClient {
         MaClient::new(
             Arc::new(SimNetTransport::with_faults(
-                self.tx.clone(),
+                self.router(),
                 self.traffic.clone(),
                 plan,
             )),
@@ -2166,7 +2067,7 @@ impl MaService {
     /// service's [`FaultMetrics`].
     pub fn retrying_client(&self, party: Party, plan: FaultPlan, policy: RetryPolicy) -> MaClient {
         let inner = Arc::new(SimNetTransport::with_faults(
-            self.tx.clone(),
+            self.router(),
             self.traffic.clone(),
             plan,
         ));
@@ -2176,35 +2077,25 @@ impl MaService {
         )
     }
 
-    /// Stops the service, drains the shards and joins the dispatcher.
-    /// Returns how many held payments were never delivered.
+    /// Stops the service: each shard finishes the requests queued
+    /// ahead of its stop message, then the shards and the checkpointer
+    /// are joined. Returns how many held payments were never delivered.
     pub fn shutdown(mut self) -> usize {
-        let client = self.client();
-        let undelivered = match client.call(MaRequest::Shutdown) {
-            MaResponse::Drained {
-                undelivered_payments,
-            } => undelivered_payments,
-            _ => 0,
+        self.stop()
+    }
+
+    fn stop(&mut self) -> usize {
+        let Some(handle) = self.handle.take() else {
+            return 0;
         };
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        undelivered
+        let _ = self.ctrl.send(Control::Shutdown);
+        handle.join().unwrap_or(0)
     }
 }
 
 impl Drop for MaService {
     fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            let (reply_tx, _reply_rx) = channel::bounded(1);
-            let _ = self.tx.send(Inbound {
-                key: None,
-                span: SpanContext::NONE,
-                request: MaRequest::Shutdown,
-                reply: reply_tx.into(),
-            });
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
@@ -2731,8 +2622,38 @@ mod tests {
         assert!(cache.get(&mk(3)).is_some());
     }
 
+    /// Waits until a checkpoint has asked `hook` for the gate state:
+    /// every shard is then paused at its barrier.
+    fn await_gate_request(hook: &GateCheckpoint) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !hook.pending() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "checkpoint never asked the hook"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// A keyed request with a fresh reply channel.
+    fn inbound(request_id: u64, request: MaRequest) -> (Inbound, Receiver<MaResponse>) {
+        let (reply, answer) = channel::bounded(1);
+        let inbound = Inbound {
+            key: RequestKey {
+                party: Party::Jo,
+                request_id,
+            },
+            span: SpanContext::NONE,
+            request,
+            reply: reply.into(),
+        };
+        (inbound, answer)
+    }
+
     #[test]
-    fn crashed_shard_is_respawned_and_retry_succeeds() {
+    fn crashed_shard_restarts_itself_and_retry_succeeds() {
+        // Batches of one, so the request queued behind the crash is
+        // still in the queue, not in the crashing batch.
         let mut rng = StdRng::seed_from_u64(12);
         let params = DecParams::fixture(2, 8);
         let svc = MaService::spawn_with_config(
@@ -2741,6 +2662,10 @@ mod tests {
             512,
             40,
             ServiceConfig {
+                batch: BatchConfig {
+                    max_batch: 1,
+                    ..BatchConfig::default()
+                },
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 2,
@@ -2756,39 +2681,52 @@ mod tests {
         }) else {
             panic!("publish");
         };
-        // Request #2 hits the crash point: never executed, no record
-        // written, the worker dies, the reply channel hangs up.
+        // Queue request #2, which hits the crash point, and one behind
+        // it while a checkpoint holds the shard at its barrier.
+        let hook = Arc::new(GateCheckpoint::new());
+        svc.attach_gate_checkpoint(hook.clone());
         let id = next_request_id();
-        let first = client.try_call_keyed(
-            id,
-            MaRequest::LaborRegister {
-                job_id: job,
-                sp_pubkey: vec![7],
-            },
-        );
-        assert!(first.is_err(), "crash must surface as a transport error");
-        // The retry (same key) lands on the respawned worker: nothing
-        // was recorded for it, so this re-executes cleanly.
+        let register = |sp: u8| MaRequest::LaborRegister {
+            job_id: job,
+            sp_pubkey: vec![sp],
+        };
+        std::thread::scope(|scope| {
+            let checkpoint = scope.spawn(|| svc.checkpoint());
+            await_gate_request(&hook);
+            let router = svc.router();
+            let (crashing, lost) = inbound(id, register(7));
+            let (queued, survived) = inbound(next_request_id(), register(8));
+            assert!(router.try_route(crashing).is_ok());
+            assert!(router.try_route(queued).is_ok());
+            hook.fulfill(Vec::new());
+            checkpoint
+                .join()
+                .expect("checkpoint thread")
+                .expect("checkpoint");
+            // Never executed, no record written: the crash hangs up.
+            assert!(lost.recv().is_err(), "crash must surface as a hang-up");
+            let resp = survived.recv();
+            assert!(
+                matches!(resp, Ok(MaResponse::Ok)),
+                "the request queued behind the crash is served: {resp:?}"
+            );
+        });
+        // The retry (same key) lands on the restarted incarnation:
+        // nothing was recorded for it, so this re-executes cleanly.
         let retry = client
-            .try_call_keyed(
-                id,
-                MaRequest::LaborRegister {
-                    job_id: job,
-                    sp_pubkey: vec![7],
-                },
-            )
-            .expect("retry after respawn");
+            .try_call_keyed(id, register(7))
+            .expect("retry after restart");
         assert!(matches!(retry, MaResponse::Ok), "{retry:?}");
         assert_eq!(svc.faults.shard_respawns(), 1);
-        // The pre-crash state survived the respawn via journal replay.
+        // The pre-crash state survived the restart via journal replay.
         let MaResponse::Labor(sps) = client.call(MaRequest::FetchLabor { job_id: job }) else {
             panic!("labor");
         };
-        assert_eq!(sps, vec![vec![7u8]]);
+        assert_eq!(sps, vec![vec![8u8], vec![7]]);
         svc.shutdown();
     }
 
-    use crate::storage::SimStorage;
+    use crate::storage::{FaultyStorage, SimStorage, Storage, StorageFaults};
 
     fn durable_service(
         seed: u64,
@@ -3056,12 +2994,14 @@ mod tests {
 
     #[test]
     fn checkpoint_pauses_direct_routes_so_recovery_applies_once() {
-        // A request the door's router places while a checkpoint runs
-        // would execute after the covered LSN was read but before the
-        // shared state was captured, and recovery would apply it a
-        // second time. Here a withdrawal arrives while the checkpoint
-        // waits on the gate hook; the recovered balance must show one
-        // debit.
+        // A request that executed while a checkpoint runs would land
+        // after the covered LSN was read but before the shared state
+        // was captured, and recovery would apply it a second time. Here
+        // two withdrawals arrive while the checkpoint waits on the gate
+        // hook, one through `try_route` and one through an in-process
+        // client. Both queue behind the paused shard and are answered
+        // only after the hook is fulfilled; the recovered ledger must
+        // show one debit each.
         let storage = Arc::new(SimStorage::new());
         let (svc, mut rng) = durable_service(
             45,
@@ -3077,49 +3017,40 @@ mod tests {
         }) else {
             panic!("register");
         };
-        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
-        let (reply, answer) = channel::bounded(1);
-        let inbound = Inbound {
-            key: Some(RequestKey {
-                party: Party::Jo,
-                request_id: next_request_id(),
-            }),
-            span: SpanContext::NONE,
-            request: MaRequest::Withdraw {
-                account: jo,
-                nonce: 1,
-                auth,
-                blinded: BigUint::from(12345u64),
-            },
-            reply: reply.into(),
+        let withdraw = |rng: &mut StdRng, nonce: u64| MaRequest::Withdraw {
+            account: jo,
+            nonce,
+            auth: cl.sign_bytes(rng, &svc.pairing, &nonce.to_be_bytes()),
+            blinded: BigUint::from(12345u64),
         };
+        let (routed, routed_answer) = inbound(next_request_id(), withdraw(&mut rng, 1));
+        let from_client = withdraw(&mut rng, 2);
         std::thread::scope(|scope| {
             let checkpoint = scope.spawn(|| svc.checkpoint());
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while !hook.pending() {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "checkpoint never asked the hook"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let mut answered = None;
-            match svc.router().try_route(inbound) {
-                // Placed: it executes while the checkpoint waits.
-                Ok(()) => answered = answer.recv().ok(),
-                // Refused: it waits in the inbox for the checkpoint.
-                Err(inbound) => svc.inbox().send(inbound).expect("inbox"),
-            }
+            await_gate_request(&hook);
+            assert!(svc.router().try_route(routed).is_ok(), "queued, not shed");
+            let client = scope.spawn(|| svc.client().call(from_client));
+            let wait = std::time::Duration::from_millis(50);
+            assert!(
+                routed_answer.recv_timeout(wait).is_err(),
+                "a routed request executed inside the checkpoint"
+            );
+            assert!(
+                !client.is_finished(),
+                "a client request executed inside the checkpoint"
+            );
             hook.fulfill(Vec::new());
             checkpoint
                 .join()
                 .expect("checkpoint thread")
                 .expect("checkpoint");
-            let resp = answered.or_else(|| answer.recv().ok());
+            let resp = routed_answer.recv();
             assert!(
-                matches!(resp, Some(MaResponse::BlindSignature(_))),
+                matches!(resp, Ok(MaResponse::BlindSignature(_))),
                 "{resp:?}"
             );
+            let resp = client.join().expect("client thread");
+            assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
         });
         let live = svc.bank.snapshot();
         svc.shutdown();
@@ -3133,8 +3064,90 @@ mod tests {
             DurabilityConfig::new(storage),
         )
         .expect("recover");
-        assert_eq!(recovered.bank.snapshot(), live, "one withdrawal, one debit");
+        assert_eq!(recovered.bank.snapshot(), live, "one debit each");
         recovered.shutdown();
+    }
+
+    #[test]
+    fn a_failed_scheduled_checkpoint_waits_for_more_records() {
+        // Every snapshot write tears, so every checkpoint fails. The
+        // retry must wait for another `checkpoint_every` appends, not
+        // spin while the service idles.
+        let storage = FaultyStorage::new(
+            Arc::new(SimStorage::new()),
+            StorageFaults {
+                torn_atomic: 1.0,
+                ..StorageFaults::default()
+            },
+        );
+        let mut durability = DurabilityConfig::new(Arc::new(storage));
+        durability.checkpoint_every = 2;
+        let (svc, _rng) = durable_service(47, ServiceConfig::default(), durability);
+        let client = svc.client();
+        for i in 0..4u8 {
+            client.call(MaRequest::SubmitPayment {
+                sp_pubkey: vec![i; 8],
+                ciphertext: vec![i],
+            });
+        }
+        // Control is FIFO: once this explicit checkpoint returns, every
+        // scheduled one the writes asked for has run.
+        assert!(svc.checkpoint().is_err(), "every snapshot write tears");
+        let failures = || svc.obs.snapshot().counter("wal.snapshot_failures");
+        let before = failures();
+        assert!(before >= 2, "no scheduled checkpoint ran: {before}");
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        assert_eq!(failures(), before, "an idle service retried a checkpoint");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_journal_that_no_longer_replays_stops_its_shard() {
+        let storage = Arc::new(SimStorage::new());
+        let (svc, _rng) = durable_service(
+            48,
+            ServiceConfig {
+                crash: Some(CrashPoint {
+                    shard: 0,
+                    at_request: 3,
+                }),
+                ..ServiceConfig::default()
+            },
+            DurabilityConfig::new(storage.clone()),
+        );
+        let client = svc.client();
+        for i in 0..2u8 {
+            client.call(MaRequest::SubmitPayment {
+                sp_pubkey: vec![i; 8],
+                ciphertext: vec![i],
+            });
+        }
+        // Rot one bit in the first record's body: past the 16-byte
+        // segment header and the frame's length word.
+        let segment = storage
+            .list()
+            .expect("list")
+            .into_iter()
+            .find(|name| name.starts_with("wal-") && name.ends_with(".seg"))
+            .expect("a segment");
+        storage.flip_bit(&segment, 16 + 4 + 8, 0x01);
+        // Request #3 hits the crash point; the restart cannot replay.
+        let crashed = client.try_call(MaRequest::RegisterSpAccount);
+        assert!(crashed.is_err(), "{crashed:?}");
+        for _ in 0..10 {
+            let resp = client.try_call(MaRequest::RegisterSpAccount);
+            assert!(
+                matches!(resp, Err(MarketError::Transport(_))),
+                "a stopped shard must refuse: {resp:?}"
+            );
+        }
+        assert!(svc.faults.shard_respawns() <= 1, "a respawn per request");
+        let dumps = svc.crash_dumps();
+        let replay_dump = dumps.iter().any(|path| {
+            std::fs::read_to_string(path).is_ok_and(|body| body.contains("journal-replay-failed"))
+        });
+        assert!(replay_dump, "no dump names the replay failure: {dumps:?}");
+        svc.shutdown();
     }
 
     #[test]
@@ -3195,8 +3208,8 @@ mod tests {
         assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
         let now = 50 - svc.params.face_value();
 
-        // Crash and respawn: the new worker rebuilds its dedup cache
-        // from the journal alone.
+        // Crash and restart: the new incarnation rebuilds its dedup
+        // cache from the journal alone.
         let id = next_request_id();
         assert!(client
             .try_call_keyed(id, MaRequest::RegisterSpAccount)

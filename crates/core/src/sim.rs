@@ -513,7 +513,7 @@ fn run_market(
     let faults = svc.faults.clone();
     let traffic = svc.traffic.clone();
     // Stop the front door before the service: the reactor must not
-    // observe the dispatcher's inbox closing as client-visible errors
+    // observe the shard queues closing as client-visible errors
     // mid-drain.
     if let Some(mut door) = _front_door.take() {
         door.shutdown();

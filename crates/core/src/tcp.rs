@@ -25,8 +25,8 @@
 //!
 //! * **Connection limit** — sockets beyond `max_connections` are
 //!   refused on accept (`tcp.refused`).
-//! * **Load shedding** — a request that cannot enter the service
-//!   inbox without blocking (or that would exceed the per-connection
+//! * **Load shedding** — a request that cannot enter its shard's
+//!   queue without blocking (or that would exceed the per-connection
 //!   in-flight cap) is answered immediately with
 //!   [`MaResponse::Busy`] / [`GateResponse::Busy`] (`tcp.shed`); the
 //!   reactor never blocks on a full queue, so a saturated service
@@ -40,9 +40,9 @@
 //! Every connection starts unadmitted. The only things an unadmitted
 //! peer can get out of the reactor are a [`GateResponse::Challenge`]
 //! or a denial — `App` frames without a valid session token never
-//! reach `inbox.try_send`, so no shard handler ever runs on behalf of
-//! an unpaid connection. See [`crate::gate`] for the protocol and the
-//! coin economics.
+//! reach [`ShardRouter::try_route`], so no shard handler ever runs on
+//! behalf of an unpaid connection. See [`crate::gate`] for the
+//! protocol and the coin economics.
 
 use crate::error::MarketError;
 use crate::frame::{FrameDecoder, FramedConn, WriteQueue};
@@ -59,7 +59,7 @@ use crate::stream::{ByteStream, FlakyConfig, FlakyStream, TcpByteStream};
 use crate::transport::{next_request_id, next_trace_id, request_label, response_label};
 use crate::transport::{TrafficLog, Transport};
 use crate::wire::Envelope;
-use crossbeam::channel::{Sender, TrySendError};
+use crossbeam::channel::TrySendError;
 use parking_lot::Mutex;
 use ppms_ecash::Spend;
 use ppms_obs::{Span, SpanContext};
@@ -262,7 +262,7 @@ impl TcpFrontDoor {
         };
 
         // Checkpoints want the gate's state in the snapshot; the
-        // reactor owns the gate outright, so hand the dispatcher a
+        // reactor owns the gate outright, so hand the checkpointer a
         // rendezvous that wakes the reactor instead of a lock.
         let waker = Arc::new(Waker::new(svc.obs.counter("tcp.wake_writes"))?);
         let gate_hook = Arc::new(GateCheckpoint::waking(waker.clone()));
@@ -289,7 +289,6 @@ impl TcpFrontDoor {
             adopted: Vec::new(),
             _alive: reactor_alive,
             config,
-            inbox: svc.inbox(),
             router: svc.router(),
             gate,
             gate_hook,
@@ -436,14 +435,12 @@ struct Reactor {
     /// acceptor.
     _alive: UnixStream,
     config: TcpConfig,
-    /// Supervised fallback path for whatever the router hands back.
-    inbox: Sender<Inbound>,
-    /// Direct route into the shard queues — skips the dispatcher
-    /// thread hop on the hot path.
+    /// The service's one way into the shard queues; the reactor uses
+    /// its non-blocking `try_route` and sheds what a full queue refuses.
     router: ShardRouter,
     gate: AdmissionGate,
     /// Checkpoint rendezvous: checked once per tick; when the
-    /// dispatcher requests it, the reactor exports the gate state.
+    /// checkpointer requests it, the reactor exports the gate state.
     gate_hook: Arc<GateCheckpoint>,
     /// Where every shard posts this door's replies.
     replies: Arc<ReplyQueue>,
@@ -699,19 +696,6 @@ impl Reactor {
         progress
     }
 
-    /// Hands a request to the service: direct into its shard's queue
-    /// when possible, through the supervised dispatcher inbox when the
-    /// router declines (full/dead shard queue, service still spawning).
-    // The Err variant carries the moved-back request for the Busy
-    // reply; boxing it would allocate on the zero-alloc hot path.
-    #[allow(clippy::result_large_err)]
-    fn submit(&mut self, inbound: Inbound) -> Result<(), TrySendError<Inbound>> {
-        match self.router.try_route(inbound) {
-            Ok(()) => Ok(()),
-            Err(inbound) => self.inbox.try_send(inbound),
-        }
-    }
-
     fn handle_envelope(&mut self, conn_id: u64, env: Envelope<GateRequest>, frame_len: usize) {
         let party = env.party;
         let key = RequestKey {
@@ -761,12 +745,12 @@ impl Reactor {
                 drop(gate_span);
                 let slot = self.pending.next();
                 let inbound = Inbound {
-                    key: Some(key),
+                    key,
                     span: read_ctx,
                     request,
                     reply: Reply::to_door(slot, self.replies.clone()),
                 };
-                match self.submit(inbound) {
+                match self.router.try_route(inbound) {
                     Ok(()) => {
                         self.pending.insert(
                             slot,
@@ -789,28 +773,13 @@ impl Reactor {
             GateRequest::App { token, request } => {
                 self.traffic
                     .record(party, Party::Ma, request_label(&request), frame_len);
-                if matches!(request, MaRequest::Shutdown) {
-                    // The dispatcher-stopping control message is an
-                    // in-process privilege; from the network it would
-                    // let any paying client kill the market.
-                    self.send_gate(
-                        conn_id,
-                        party,
-                        key.request_id,
-                        ctx,
-                        GateResponse::Denied {
-                            reason: "shutdown is not accepted from the network".into(),
-                        },
-                    );
-                    return;
-                }
                 let admitted = {
                     let _gate_span = Span::child("gate.check", read_ctx);
                     self.gate.consume(token)
                 };
                 if !admitted {
                     // Unknown or exhausted token: the request never
-                    // reaches the inbox — re-challenge.
+                    // reaches a shard — re-challenge.
                     let resp = self.gate.challenge();
                     self.send_gate(conn_id, party, key.request_id, ctx, resp);
                     return;
@@ -834,12 +803,12 @@ impl Reactor {
                 }
                 let slot = self.pending.next();
                 let inbound = Inbound {
-                    key: Some(key),
+                    key,
                     span: read_ctx,
                     request,
                     reply: Reply::to_door(slot, self.replies.clone()),
                 };
-                match self.submit(inbound) {
+                match self.router.try_route(inbound) {
                     Ok(()) => {
                         if let Some(conn) = self.conns.get_mut(&conn_id) {
                             conn.inflight += 1;

@@ -21,8 +21,8 @@
 //! 3. **Typed request/response** — this module's [`Transport`] trait,
 //!    which the rest of the system talks to.
 //!
-//! Three [`Transport`] implementations carry requests to the
-//! service's dispatcher:
+//! Three [`Transport`] implementations carry requests into the
+//! service's shard queues:
 //!
 //! * [`InProcTransport`] moves the enums over channels directly —
 //!   zero copies, no accounting; the fast default for tests. It
@@ -51,9 +51,8 @@
 
 use crate::error::MarketError;
 use crate::metrics::Party;
-use crate::service::{Inbound, MaRequest, MaResponse, RequestKey};
+use crate::service::{MaRequest, MaResponse, RequestKey, ShardRouter};
 use crate::wire::Envelope;
-use crossbeam::channel::{self, Sender};
 use parking_lot::Mutex;
 use ppms_obs::{Counter, Registry, SpanContext};
 use rand::rngs::StdRng;
@@ -354,7 +353,6 @@ pub fn request_label(request: &MaRequest) -> &'static str {
         MaRequest::FetchData { .. } => "data-fetch",
         MaRequest::DepositBatch { .. } => "deposit",
         MaRequest::Balance { .. } => "balance",
-        MaRequest::Shutdown => "shutdown",
     }
 }
 
@@ -371,22 +369,21 @@ pub fn response_label(response: &MaResponse) -> &'static str {
         MaResponse::BatchDeposited { .. } => "deposit-result",
         MaResponse::Balance(_) => "balance",
         MaResponse::Err(_) => "error",
-        MaResponse::Drained { .. } => "drained",
         MaResponse::Busy => "busy",
     }
 }
 
-/// In-process transport: requests travel as enums over bounded
-/// channels — zero serialization overhead, and the idempotency key
+/// In-process transport: requests travel as enums straight into the
+/// shard queues — zero serialization overhead, and the idempotency key
 /// rides alongside the enum.
 pub struct InProcTransport {
-    tx: Sender<Inbound>,
+    router: ShardRouter,
 }
 
 impl InProcTransport {
-    /// Wraps the service's inbox sender.
-    pub fn new(tx: Sender<Inbound>) -> InProcTransport {
-        InProcTransport { tx }
+    /// Wraps the service's router.
+    pub fn new(router: ShardRouter) -> InProcTransport {
+        InProcTransport { router }
     }
 }
 
@@ -398,21 +395,11 @@ impl Transport for InProcTransport {
         ctx: SpanContext,
         request: MaRequest,
     ) -> Result<MaResponse, MarketError> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        self.tx
-            .send(Inbound {
-                key: Some(RequestKey {
-                    party: from,
-                    request_id,
-                }),
-                span: ctx,
-                request,
-                reply: reply_tx.into(),
-            })
-            .map_err(|_| MarketError::Transport("MA service unavailable".into()))?;
-        reply_rx
-            .recv()
-            .map_err(|_| MarketError::Transport("MA service hung up".into()))
+        let key = RequestKey {
+            party: from,
+            request_id,
+        };
+        self.router.call(key, ctx, request)
     }
 }
 
@@ -493,7 +480,7 @@ const REPLAY_HISTORY: usize = 64;
 /// could not carry, and nothing the network ate is billed to a
 /// receiver that never saw it.
 pub struct SimNetTransport {
-    tx: Sender<Inbound>,
+    router: ShardRouter,
     traffic: TrafficLog,
     faults: FaultPlan,
     next_id: AtomicU64,
@@ -504,20 +491,20 @@ pub struct SimNetTransport {
 
 impl SimNetTransport {
     /// Builds a fault-free (beyond `config`'s latency/drop) transport
-    /// feeding the given service inbox and log.
-    pub fn new(tx: Sender<Inbound>, traffic: TrafficLog, config: SimNetConfig) -> SimNetTransport {
-        SimNetTransport::with_faults(tx, traffic, FaultPlan::from(config))
+    /// feeding the given service router and log.
+    pub fn new(router: ShardRouter, traffic: TrafficLog, config: SimNetConfig) -> SimNetTransport {
+        SimNetTransport::with_faults(router, traffic, FaultPlan::from(config))
     }
 
     /// Builds a transport running the full chaos schedule.
     pub fn with_faults(
-        tx: Sender<Inbound>,
+        router: ShardRouter,
         traffic: TrafficLog,
         faults: FaultPlan,
     ) -> SimNetTransport {
         let rng = StdRng::seed_from_u64(faults.net.seed);
         SimNetTransport {
-            tx,
+            router,
             traffic,
             faults,
             next_id: AtomicU64::new(1),
@@ -598,24 +585,14 @@ impl SimNetTransport {
             .next_frame()?
             .ok_or_else(|| MarketError::Transport("frame decoder starved".into()))?;
         let envelope = Envelope::<MaRequest>::from_bytes(reassembled)?;
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        self.tx
-            .send(Inbound {
-                key: Some(RequestKey {
-                    party: envelope.party,
-                    request_id: envelope.msg_id,
-                }),
-                // The decoded frame's span context rides to the shard
-                // untouched — a retransmitted or replayed frame carries
-                // the ids its original client minted.
-                span: envelope.span_ctx(),
-                request: envelope.payload,
-                reply: reply_tx.into(),
-            })
-            .map_err(|_| MarketError::Transport("MA service unavailable".into()))?;
-        reply_rx
-            .recv()
-            .map_err(|_| MarketError::Transport("MA service hung up".into()))
+        let key = RequestKey {
+            party: envelope.party,
+            request_id: envelope.msg_id,
+        };
+        // The decoded frame's span context rides to the shard untouched
+        // — a retransmitted or replayed frame carries the ids its
+        // original client minted.
+        self.router.call(key, envelope.span_ctx(), envelope.payload)
     }
 
     /// Remembers a delivered request frame as stale-replay fodder.

@@ -6,11 +6,11 @@
 //! *after* the handler ran — into the service's one
 //! [`crate::storage::DurableLog`]. Pure reads (`Balance`,
 //! `FetchLabor`) change nothing a replay could rebuild, so they are
-//! neither journaled nor cached for retransmits. The log outlives the
-//! worker thread (the supervisor owns it through an `Arc`), so when a
-//! shard panics or is crash-injected, the respawned incarnation
-//! replays its records to rebuild exactly the state the dead worker
-//! held privately:
+//! neither journaled nor cached for retransmits. The log outlives any
+//! worker incarnation (the service owns it through an `Arc`), so when
+//! a shard panics or is crash-injected, the restarted incarnation
+//! replays its records to rebuild exactly the state the dead one held
+//! privately:
 //!
 //! * withdrawal-nonce high-water marks,
 //! * labor registrations and data reports keyed to this shard,
@@ -50,9 +50,9 @@ use ppms_obs::SpanContext;
 /// One journal entry: a write that executed, appended after it ran.
 #[derive(Debug, Clone)]
 pub struct WalRecord {
-    /// The idempotency key the request arrived under; `None` only for
-    /// requests that arrived without one (a raw `Inbound` constructed
-    /// by hand).
+    /// The idempotency key the request arrived under. The service
+    /// always writes `Some`; the record format keeps a presence flag,
+    /// which decoding still honors.
     pub key: Option<RequestKey>,
     /// The span context the request executed under, persisted so a
     /// respawned worker's replay re-attributes each entry to the trace

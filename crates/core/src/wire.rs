@@ -609,7 +609,6 @@ impl WireEncode for MaRequest {
                 w.u8(11);
                 account.encode(w);
             }
-            MaRequest::Shutdown => w.u8(12),
         }
     }
 }
@@ -658,7 +657,8 @@ impl WireDecode for MaRequest {
             11 => MaRequest::Balance {
                 account: AccountId::decode(r)?,
             },
-            12 => MaRequest::Shutdown,
+            // Tag 12 was the in-process shutdown request; it is
+            // retired, not reused, so every other tag keeps its bytes.
             t => return Err(WireError::BadTag("ma-request", t)),
         })
     }
@@ -716,12 +716,6 @@ impl WireEncode for MaResponse {
                 w.u8(9);
                 e.encode(w);
             }
-            MaResponse::Drained {
-                undelivered_payments,
-            } => {
-                w.u8(10);
-                w.u64(*undelivered_payments as u64);
-            }
             MaResponse::Busy => {
                 w.u8(11);
             }
@@ -750,9 +744,8 @@ impl WireDecode for MaResponse {
             },
             8 => MaResponse::Balance(r.u64()?),
             9 => MaResponse::Err(MarketError::decode(r)?),
-            10 => MaResponse::Drained {
-                undelivered_payments: r.u64()? as usize,
-            },
+            // Tag 10 was the shutdown acknowledgement; retired like
+            // request tag 12.
             11 => MaResponse::Busy,
             t => return Err(WireError::BadTag("ma-response", t)),
         })
@@ -1094,7 +1087,18 @@ mod tests {
         roundtrip_request(&MaRequest::Balance {
             account: AccountId(9),
         });
-        roundtrip_request(&MaRequest::Shutdown);
+    }
+
+    #[test]
+    fn retired_tags_are_refused() {
+        assert!(matches!(
+            MaRequest::from_wire_bytes(&[12]),
+            Err(WireError::BadTag("ma-request", 12))
+        ));
+        assert!(matches!(
+            MaResponse::from_wire_bytes(&[10, 0, 0, 0, 0, 0, 0, 0, 4]),
+            Err(WireError::BadTag("ma-response", 10))
+        ));
     }
 
     #[test]
@@ -1116,9 +1120,6 @@ mod tests {
             MaResponse::Balance(77),
             MaResponse::Err(MarketError::Dec(DecError::DoubleSpend("node".into()))),
             MaResponse::Err(MarketError::Transport("peer gone".into())),
-            MaResponse::Drained {
-                undelivered_payments: 4,
-            },
             MaResponse::Busy,
         ] {
             let bytes = resp.to_wire_bytes();

@@ -87,10 +87,10 @@ fn market_error(k: u64, text: &str) -> MarketError {
     }
 }
 
-/// Deterministically builds each of the 13 request variants from raw
+/// Deterministically builds each of the 12 request variants from raw
 /// generator material (the proptest stub has no `prop_oneof!`).
 fn build_request(variant: u64, a: u64, b: u64, blob: &[u8], text: &str) -> MaRequest {
-    match variant % 13 {
+    match variant % 12 {
         0 => MaRequest::RegisterJoAccount {
             funds: a,
             clpk: clpk(a, b),
@@ -129,16 +129,15 @@ fn build_request(variant: u64, a: u64, b: u64, blob: &[u8], text: &str) -> MaReq
             account: AccountId(a),
             spends: vec![fixture_spend().clone(); (b % 3) as usize],
         },
-        11 => MaRequest::Balance {
+        _ => MaRequest::Balance {
             account: AccountId(a),
         },
-        _ => MaRequest::Shutdown,
     }
 }
 
-/// Deterministically builds each of the 12 response variants.
+/// Deterministically builds each of the 11 response variants.
 fn build_response(variant: u64, a: u64, b: u64, blob: &[u8], text: &str) -> MaResponse {
-    match variant % 12 {
+    match variant % 11 {
         0 => MaResponse::Account(AccountId(a)),
         1 => MaResponse::JobId(a),
         2 => MaResponse::BlindSignature(BigUint::from(a | 1)),
@@ -157,9 +156,6 @@ fn build_response(variant: u64, a: u64, b: u64, blob: &[u8], text: &str) -> MaRe
         },
         8 => MaResponse::Balance(a),
         9 => MaResponse::Err(market_error(b, text)),
-        10 => MaResponse::Drained {
-            undelivered_payments: (a % 1000) as usize,
-        },
         _ => MaResponse::Busy,
     }
 }
@@ -246,7 +242,7 @@ proptest! {
 
     #[test]
     fn requests_roundtrip(
-        variant in 0u64..13,
+        variant in 0u64..12,
         a in any::<u64>(),
         b in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..48),
@@ -261,7 +257,7 @@ proptest! {
 
     #[test]
     fn responses_roundtrip(
-        variant in 0u64..12,
+        variant in 0u64..11,
         a in any::<u64>(),
         b in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..48),
@@ -286,7 +282,7 @@ proptest! {
 
     #[test]
     fn framed_len_is_id_independent(
-        variant in 0u64..13,
+        variant in 0u64..12,
         a in any::<u64>(),
         b in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..32),
@@ -311,7 +307,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_never_decode(
-        variant in 0u64..13,
+        variant in 0u64..12,
         a in any::<u64>(),
         b in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..32),
@@ -334,7 +330,7 @@ proptest! {
     fn foreign_versions_rejected(
         version in (0u16..u16::MAX, 0u16..8, any::<bool>())
             .prop_map(|(wide, low, pick_low)| if pick_low { low } else { wide }),
-        variant in 0u64..12,
+        variant in 0u64..11,
         a in any::<u64>(),
     ) {
         // Only the current version is legitimate; everything else —
@@ -360,7 +356,7 @@ proptest! {
     // contiguous stream, with nothing left in the buffer.
     #[test]
     fn frames_reassemble_across_arbitrary_splits(
-        variants in prop::collection::vec(0u64..13, 1..5),
+        variants in prop::collection::vec(0u64..12, 1..5),
         a in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..32),
         cuts in prop::collection::vec(1usize..64, 1..8),
@@ -429,7 +425,7 @@ proptest! {
     // single interior byte boundary yields the identical frame.
     #[test]
     fn single_frame_survives_every_split_point(
-        variant in 0u64..13,
+        variant in 0u64..12,
         a in any::<u64>(),
         blob in prop::collection::vec(any::<u8>(), 0..24),
     ) {

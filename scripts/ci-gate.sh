@@ -20,7 +20,7 @@ cargo test -p ppms-obs -q
 echo "==> wire protocol property tests (v4 frames, foreign versions refused, split reassembly)"
 cargo test -p ppms-core --test wire_props -q
 
-echo "==> tcp front door (admission gate, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts) + transport equivalence"
+echo "==> tcp front door (admission gate, retired request tag 12 counted as a bad frame, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts) + transport equivalence"
 # transport_equivalence includes the batching-equivalence harness: batched concurrent interleavings
 # (cheater + same-key retransmit in-batch) ≡ sequential ledgers, in-process and through the
 # TCP door, where cross-client batches must actually form.
@@ -33,9 +33,12 @@ cargo test -p ppms-core --test frame_alloc -q
 echo "==> Table II TCP smoke (simnet/tcp ledger equality + gate frames counted)"
 cargo bench -p ppms-bench --bench tcp_front_door -- --test >/dev/null
 
-echo "==> chaos harness (fault injection + shard-crash supervision)"
+echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm)"
 cargo test -p ppms-integration --test chaos -q
-cargo test -p ppms-core --lib -q service::tests::crashed_shard_is_respawned_and_retry_succeeds
+cargo test -p ppms-core --lib -q -- \
+    service::tests::crashed_shard_restarts_itself_and_retry_succeeds \
+    service::tests::a_journal_that_no_longer_replays_stops_its_shard \
+    service::tests::a_failed_scheduled_checkpoint_waits_for_more_records
 
 echo "==> durable storage tier (crash matrix, compaction bound, disk-backed restart)"
 # The disk-backed smoke inside the suite is tempdir-hermetic (it

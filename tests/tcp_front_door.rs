@@ -218,24 +218,20 @@ fn unadmitted_requests_never_reach_a_shard() {
         ),
         GateResponse::Challenge { .. }
     ));
-    // Shutdown is refused outright — network peers cannot stop the
-    // market even if they had a token.
-    assert!(matches!(
-        ask(
-            &mut conn,
-            Party::Sp,
-            &GateRequest::App {
-                token: 0xDEAD_BEEF,
-                request: MaRequest::Shutdown,
-            },
-        ),
-        GateResponse::Denied { .. }
-    ));
+    // Request tag 12 (the retired in-process shutdown) is not a request
+    // any more: the frame fails to decode, counts as a bad frame and
+    // costs its sender the connection.
+    assert_refused_unanswered(door.addr(), &retired_tag_frame(Party::Sp));
 
-    // Not one of those frames reached the dispatcher: the dedup
-    // counters (incremented once per request entering the service)
-    // are untouched.
+    // Not one of those frames reached a shard: the dedup counters
+    // (incremented once per request entering the service) are
+    // untouched.
     let after = svc.obs.snapshot();
+    assert_eq!(
+        after.counter("tcp.bad_frames") - before.counter("tcp.bad_frames"),
+        1,
+        "the tag-12 frame counts as one bad frame"
+    );
     assert_eq!(
         before.counter("ma.dedup.misses"),
         after.counter("ma.dedup.misses"),
@@ -251,6 +247,35 @@ fn unadmitted_requests_never_reach_a_shard() {
     svc.shutdown();
 }
 
+/// A frame with an honest length prefix and FNV trailer around `body`.
+fn reframe(version: u16, body: &[u8]) -> Vec<u8> {
+    let mut frame = version.to_be_bytes().to_vec();
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&ppms_core::wire::fnv1a(body).to_be_bytes());
+    frame
+}
+
+/// The body of a current frame: between the 6-byte version+length
+/// header and the 8-byte trailer.
+fn body_of(frame: &[u8]) -> &[u8] {
+    &frame[6..frame.len() - 8]
+}
+
+/// A current `App` frame whose request tag is patched to 12, the
+/// retired in-process shutdown request.
+fn retired_tag_frame(party: Party) -> Vec<u8> {
+    let app = GateRequest::App {
+        token: 0xDEAD_BEEF,
+        request: MaRequest::RegisterSpAccount,
+    };
+    let mut body = body_of(&gate_frame(party, next_request_id(), &app)).to_vec();
+    let tag = body.last_mut().expect("non-empty body");
+    assert_eq!(*tag, 1, "RegisterSpAccount is the last byte, tag 1");
+    *tag = 12;
+    reframe(ppms_core::wire::WIRE_VERSION, &body)
+}
+
 /// A frame at a retired wire version (v3: trace id but no span ids),
 /// built by hand from a current frame so its length prefix and FNV
 /// trailer are honest — only the version is wrong.
@@ -258,14 +283,25 @@ fn v3_frame(party: Party, msg_id: u64, payload: &GateRequest) -> Vec<u8> {
     let v4 = gate_frame(party, msg_id, payload);
     // v4 body: msg_id, correlation_id, trace_id, span_id, parent_id
     // (8 bytes each), party, payload. v3 omits span_id and parent_id.
-    let v4_body = &v4[6..v4.len() - 8];
-    let mut body = v4_body[..24].to_vec();
-    body.extend_from_slice(&v4_body[40..]);
-    let mut frame = 3u16.to_be_bytes().to_vec();
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&ppms_core::wire::fnv1a(&body).to_be_bytes());
-    frame
+    let mut body = body_of(&v4)[..24].to_vec();
+    body.extend_from_slice(&body_of(&v4)[40..]);
+    reframe(3, &body)
+}
+
+/// Sends `frame` on a fresh connection and asserts the door closes it
+/// without an answer.
+fn assert_refused_unanswered(addr: SocketAddr, frame: &[u8]) {
+    let mut raw = TcpStream::connect(addr).expect("loopback connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(frame).expect("send frame");
+    let mut reply = Vec::new();
+    match raw.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("the door must close the connection, not leave it open: {e}"),
+    }
+    assert!(reply.is_empty(), "a refused frame was answered: {reply:?}");
 }
 
 #[test]
@@ -279,18 +315,8 @@ fn retired_frame_versions_are_refused_at_the_door() {
     let before = door.obs_snapshot();
 
     // The v3 peer gets no reply: the door drops the connection.
-    let mut raw = TcpStream::connect(door.addr()).expect("loopback connect");
-    raw.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    raw.write_all(&v3_frame(Party::Sp, next_request_id(), &GateRequest::Hello))
-        .expect("send v3 frame");
-    let mut reply = Vec::new();
-    match raw.read_to_end(&mut reply) {
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-        Err(e) => panic!("the door must close a v3 connection, not leave it open: {e}"),
-    }
-    assert!(reply.is_empty(), "a v3 frame was answered: {reply:?}");
+    let v3 = v3_frame(Party::Sp, next_request_id(), &GateRequest::Hello);
+    assert_refused_unanswered(door.addr(), &v3);
     let after = door.obs_snapshot();
     assert_eq!(
         after.counter("tcp.bad_frames") - before.counter("tcp.bad_frames"),
@@ -545,7 +571,7 @@ fn overload_is_shed_with_busy_not_queued_unboundedly() {
     // Fire volleys of expensive requests — full-coin deposit batches
     // whose per-spend ZK verification stalls the single shard for
     // milliseconds each — back-to-back without waiting for replies.
-    // The inbox overflow must come back as Busy — immediately, not
+    // The shard-queue overflow must come back as Busy — immediately, not
     // after a queueing delay. On a loaded machine the shard can drain
     // between reactor reads, so escalate with fresh volleys until the
     // pipeline falls behind at least once. A second connection probes
@@ -619,9 +645,9 @@ fn overload_is_shed_with_busy_not_queued_unboundedly() {
 
 #[test]
 fn scheduled_checkpoints_fire_for_traffic_served_through_the_door() {
-    // The door routes requests straight into the shard queues, past
-    // the dispatcher's `deliver`; the checkpoint schedule must still
-    // see the log grow and take its snapshot. The client keeps
+    // The shard whose append reaches the mark starts the scheduled
+    // checkpoint, whatever carried the request; here every request
+    // comes through the door. The client keeps
     // sending while checkpoints run, so the recovered ledger also
     // checks that each checkpoint cut the market consistently.
     const EVERY: u64 = 8;
@@ -740,8 +766,7 @@ fn ops_plane_is_admission_exempt_read_only_and_shardless() {
         "slow log is a JSON array: {slow}"
     );
 
-    // Served entirely in-reactor: not one ops query entered the
-    // service's dispatcher, let alone a shard.
+    // Served entirely in-reactor: not one ops query entered a shard.
     let after = svc.obs.snapshot();
     assert_eq!(
         before.counter("ma.dedup.misses"),
