@@ -5,10 +5,12 @@
 //! CL signature on it, at the reproduction's `r = 40` bits and the
 //! paper's `r = 160` (`-- --test` also checks each verdict). **A20** —
 //! hybrid RSA encryption of the market's 1 533-byte payment bundle at
-//! 512 bits (`-- --test` also checks the roundtrip).
+//! 512 bits (`-- --test` also checks the roundtrip). **A25** — the
+//! binary-GCD modular inverse at 64 to 1024 bits (every result is
+//! checked by `a·x ≡ 1`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppms_bigint::{modpow_plain, random_bits, random_odd_bits, BigUint, ModRing};
+use ppms_bigint::{gcd, modpow_plain, random_bits, random_odd_bits, BigUint, ModRing};
 use ppms_primes::miller_rabin::is_probable_prime_rounds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +34,34 @@ fn bench_modpow(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Mean microseconds per `modinv` over 64 random units, 20 passes
+/// each; every result is checked by `a·x ≡ 1 (mod m)` first.
+fn bench_modinv(_c: &mut Criterion) {
+    const PASSES: u32 = 20;
+    let mut rng = StdRng::seed_from_u64(13);
+    // 71 bits is the width of the fixture Schnorr groups, 512 that of
+    // the bank's RSA modulus.
+    for bits in [64usize, 71, 256, 512, 1024] {
+        let m = random_odd_bits(&mut rng, bits);
+        let xs: Vec<BigUint> = (0..64)
+            .map(|_| random_bits(&mut rng, bits - 1))
+            .filter(|a| gcd(a, &m).is_one())
+            .collect();
+        for a in &xs {
+            let x = a.modinv(&m).expect("a unit");
+            assert!(a.modmul(&x, &m).is_one(), "{bits} bits: a·x ≢ 1");
+        }
+        let t0 = Instant::now();
+        for _ in 0..PASSES {
+            for a in &xs {
+                std::hint::black_box(std::hint::black_box(a).modinv(&m));
+            }
+        }
+        let us = t0.elapsed().as_secs_f64() * 1e6 / (PASSES as usize * xs.len()) as f64;
+        println!("bench modinv/{bits}: {us:.2} us");
+    }
 }
 
 fn bench_sha_hash_to_int(c: &mut Criterion) {
@@ -163,6 +193,7 @@ criterion_group!(
     bench_pairing,
     bench_prime_generation,
     bench_modpow,
+    bench_modinv,
     bench_sha_hash_to_int
 );
 criterion_main!(benches);

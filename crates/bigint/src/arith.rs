@@ -1,8 +1,7 @@
 //! Addition and subtraction for [`BigUint`], plus the operator impls.
 //!
 //! Subtraction panics on underflow (unsigned type); use
-//! [`BigUint::checked_sub`] or [`crate::BigInt`] when the sign is not
-//! statically known.
+//! [`BigUint::checked_sub`] when the sign is not statically known.
 
 use crate::BigUint;
 use std::ops::{Add, AddAssign, Sub, SubAssign};

@@ -54,7 +54,7 @@ pub(crate) const WINDOW_SPAN: usize = 1 << WINDOW_BITS;
 /// `x ← x·(2 − n0·x)` doubles the number of correct bits
 /// (if `n0·x = 1 + ε·2^k` then `n0·x' = 1 − ε²·2^2k`), so the correct
 /// bit count goes 3 → 6 → 12 → 24 → 48 → 96 ≥ 64: **5 lifts suffice**.
-fn neg_inv_u64(n0: u64) -> u64 {
+pub(crate) fn neg_inv_u64(n0: u64) -> u64 {
     debug_assert!(n0 & 1 == 1);
     let mut x = n0;
     for _ in 0..5 {

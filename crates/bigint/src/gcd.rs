@@ -1,6 +1,9 @@
-//! Euclidean machinery: gcd, extended gcd (signed), lcm, Jacobi symbol.
+//! Euclidean machinery: gcd, lcm, the binary-GCD modular inverse and
+//! the Jacobi symbol.
 
-use crate::{BigInt, BigUint};
+use crate::fixed::neg_inv_u64;
+use crate::BigUint;
+use std::cmp::Ordering;
 
 /// Greatest common divisor (binary-free Euclid; division is fast here).
 pub fn gcd(a: &BigUint, b: &BigUint) -> BigUint {
@@ -23,24 +26,104 @@ pub fn lcm(a: &BigUint, b: &BigUint) -> BigUint {
     &(a / &g) * b
 }
 
-/// Extended gcd: returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
-pub fn ext_gcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt, BigInt) {
-    let mut r0 = BigInt::from_biguint(a.clone());
-    let mut r1 = BigInt::from_biguint(b.clone());
-    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
-    let (mut y0, mut y1) = (BigInt::zero(), BigInt::one());
-    while !r1.is_zero() {
-        let (q, r) = r0.divrem_floor(&r1);
-        r0 = r1;
-        r1 = r;
-        let nx = &x0 - &(&q * &x1);
-        x0 = x1;
-        x1 = nx;
-        let ny = &y0 - &(&q * &y1);
-        y0 = y1;
-        y1 = ny;
+/// `a⁻¹ mod m` for an odd modulus `m` and `a < m`, given as limbs;
+/// `None` when `gcd(a, m) ≠ 1`. The inverse behind
+/// [`BigUint::modinv`](crate::BigUint::modinv).
+///
+/// Binary GCD over four buffers of the modulus width, allocated once
+/// per call: `u` and `v` start at `a` and `m`, and the cofactors keep
+/// `a·xu ≡ u` and `a·xv ≡ v (mod m)`. Each step subtracts the smaller
+/// operand from the larger (and the matching cofactor, mod `m`), then
+/// strips every trailing zero of the difference with one shift and
+/// divides its cofactor by the same `2^k` with one multiply-add
+/// ([`div_pow2_mod`]) instead of `k` halvings. When `u = v` it is the
+/// gcd, and `xu` is the inverse iff that gcd is one. The algorithm
+/// family is Pornin, "Optimized Binary GCD for Modular Inversion"
+/// (IACR ePrint 2020/972). Variable-time.
+pub(crate) fn inv_odd(a: &[u64], m: &[u64]) -> Option<BigUint> {
+    let n = m.len();
+    debug_assert!(n > 0 && m[0] & 1 == 1 && a.len() <= n);
+    if a.is_empty() {
+        return None;
     }
-    (r0.abs_biguint(), x0, y0)
+    let m_inv = neg_inv_u64(m[0]);
+    // [xu | xv | u | v]; `xu` leads so the buffer becomes the result.
+    let mut buf = vec![0u64; 4 * n];
+    let (xu, rest) = buf.split_at_mut(n);
+    let (xv, rest) = rest.split_at_mut(n);
+    let (u, v) = rest.split_at_mut(n);
+    u[..a.len()].copy_from_slice(a);
+    v.copy_from_slice(m);
+    xu[0] = 1;
+    let (mut ul, mut vl) = (a.len(), n);
+    strip(u, &mut ul, xu, m, m_inv);
+    loop {
+        match limbs_cmp(&u[..ul], &v[..vl]) {
+            Ordering::Equal => break,
+            Ordering::Greater => {
+                limbs_sub(&mut u[..ul], &v[..vl]);
+                sub_mod(xu, xv, m);
+                strip(u, &mut ul, xu, m, m_inv);
+            }
+            Ordering::Less => {
+                limbs_sub(&mut v[..vl], &u[..ul]);
+                sub_mod(xv, xu, m);
+                strip(v, &mut vl, xv, m, m_inv);
+            }
+        }
+    }
+    if ul != 1 || u[0] != 1 {
+        return None;
+    }
+    buf.truncate(n);
+    Some(BigUint::from_limbs(buf))
+}
+
+/// Makes the nonzero `u[..*ul]` odd: shifts out its `k` trailing
+/// zeros, trims `*ul`, and divides the cofactor `x` by `2^k mod m`.
+fn strip(u: &mut [u64], ul: &mut usize, x: &mut [u64], m: &[u64], m_inv: u64) {
+    let mut k = limbs_tz(&u[..*ul]);
+    limbs_shr(&mut u[..*ul], k);
+    while u[*ul - 1] == 0 {
+        *ul -= 1;
+    }
+    while k > 0 {
+        let step = k.min(64);
+        div_pow2_mod(x, step as u32, m, m_inv);
+        k -= step;
+    }
+}
+
+/// `x ← x / 2^k mod m` for `x < m` and `1 ≤ k ≤ 64`, where
+/// `m_inv = −m⁻¹ mod 2^64`: with `q = x·m_inv mod 2^k`, `x + q·m` is a
+/// multiple of `2^k` below `2^k·m`, so one multiply-add and one shift
+/// give the exact quotient, again below `m`.
+fn div_pow2_mod(x: &mut [u64], k: u32, m: &[u64], m_inv: u64) {
+    let mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+    let q = (x[0].wrapping_mul(m_inv) & mask) as u128;
+    // The low limb of `x + q·m` has k zero bits: shift limb pairs.
+    let join = |lo: u64, hi: u64| ((hi as u128) << 64 | lo as u128) >> k;
+    let t = x[0] as u128 + q * m[0] as u128;
+    let (mut prev, mut carry) = (t as u64, t >> 64);
+    for i in 1..m.len() {
+        let t = x[i] as u128 + q * m[i] as u128 + carry;
+        x[i - 1] = join(prev, t as u64) as u64;
+        (prev, carry) = (t as u64, t >> 64);
+    }
+    x[m.len() - 1] = join(prev, carry as u64) as u64;
+}
+
+/// `x ← x − y mod m` for `x, y < m`.
+fn sub_mod(x: &mut [u64], y: &[u64], m: &[u64]) {
+    if limbs_sub(x, y) {
+        let mut carry = 0u64;
+        for (xi, &mi) in x.iter_mut().zip(m) {
+            let (s1, c1) = xi.overflowing_add(mi);
+            let (s2, c2) = s1.overflowing_add(carry);
+            *xi = s2;
+            carry = (c1 | c2) as u64;
+        }
+    }
 }
 
 /// Jacobi symbol `(a/n)` for odd positive `n`. Returns `0`, `1` or `-1`.
@@ -69,13 +152,14 @@ pub fn jacobi(a: &BigUint, n: &BigUint) -> i32 {
         // Both operands odd now. Reciprocity fires on the swap that
         // restores a ≥ n; the difference of two odd numbers is even,
         // so the next pass shifts again.
-        if limbs_cmp(&a, &n) == std::cmp::Ordering::Less {
+        if limbs_cmp(&a, &n) == Ordering::Less {
             std::mem::swap(&mut a, &mut n);
             if a[0] & 3 == 3 && n[0] & 3 == 3 {
                 t = -t;
             }
         }
-        limbs_sub(&mut a, &n);
+        let borrow = limbs_sub(&mut a, &n);
+        debug_assert!(!borrow);
     }
     if limbs_one(&n) {
         t
@@ -125,7 +209,7 @@ fn limbs_shr(v: &mut [u64], k: usize) {
 }
 
 /// Compare two limb vectors of possibly different lengths.
-fn limbs_cmp(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
     for i in (0..a.len().max(b.len())).rev() {
         let x = a.get(i).copied().unwrap_or(0);
         let y = b.get(i).copied().unwrap_or(0);
@@ -133,20 +217,25 @@ fn limbs_cmp(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
             return x.cmp(&y);
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
-/// `a -= b`, requiring `a >= b`.
-fn limbs_sub(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
+/// `a -= b` for `b.len() <= a.len()`, returning the borrow out (set
+/// iff `a < b`, the result then wrapping mod `2^(64·a.len())`).
+fn limbs_sub(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
     for (i, x) in a.iter_mut().enumerate() {
-        let bi = b.get(i).copied().unwrap_or(0);
-        let (d1, u1) = x.overflowing_sub(bi);
-        let (d2, u2) = d1.overflowing_sub(borrow);
+        let y = match b.get(i) {
+            Some(&y) => y,
+            None if !borrow => break,
+            None => 0,
+        };
+        let (d1, u1) = x.overflowing_sub(y);
+        let (d2, u2) = d1.overflowing_sub(borrow as u64);
         *x = d2;
-        borrow = (u1 | u2) as u64;
+        borrow = u1 | u2;
     }
-    debug_assert_eq!(borrow, 0, "limbs_sub underflow: a < b");
+    borrow
 }
 
 #[cfg(test)]
@@ -181,16 +270,6 @@ mod tests {
         assert_eq!(lcm(&b(4), &b(6)), b(12));
         assert_eq!(lcm(&b(0), &b(9)), b(0));
         assert_eq!(lcm(&b(7), &b(13)), b(91));
-    }
-
-    #[test]
-    fn ext_gcd_bezout() {
-        for (x, y) in [(240u64, 46u64), (17, 31), (100, 75), (1, 1), (999983, 2)] {
-            let (g, s, t) = ext_gcd(&b(x), &b(y));
-            assert_eq!(g, gcd(&b(x), &b(y)), "gcd mismatch for {x},{y}");
-            let lhs = &(&BigInt::from_biguint(b(x)) * &s) + &(&BigInt::from_biguint(b(y)) * &t);
-            assert_eq!(lhs, BigInt::from_biguint(g), "Bezout for {x},{y}");
-        }
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //!   layer every crate above exponentiates through,
 //! * [`modpow_plain`]: square-and-multiply for every other modulus,
 //!   and the reference the equivalence tests compare against,
-//! * extended Euclid / modular inverse, Jacobi symbols,
+//! * [`BigUint::modinv`]: one modular inverse for every modulus, a
+//!   binary GCD that strips all trailing zeros with one shift and
+//!   divides its cofactor by the matching power of two with one
+//!   multiply-add, over four limb buffers allocated once per call,
+//! * gcd, lcm, Jacobi symbols,
 //! * random generation, and decimal/hex/byte conversions.
-//!
-//! [`BigInt`] is a thin signed wrapper used where subtraction may go
-//! negative (extended gcd, ZK responses).
 //!
 //! ## Example
 //!
@@ -44,7 +45,6 @@
 //! ```
 
 mod arith;
-mod bigint;
 mod biguint;
 mod convert;
 mod div;
@@ -56,11 +56,10 @@ mod random;
 mod ring;
 mod shift;
 
-pub use crate::bigint::{BigInt, Sign};
 pub use crate::biguint::BigUint;
 pub use crate::convert::ParseBigUintError;
 pub use crate::fixed::FpMont;
-pub use crate::gcd::{ext_gcd, gcd, jacobi, lcm};
+pub use crate::gcd::{gcd, jacobi, lcm};
 pub use crate::modular::modpow_plain;
 pub use crate::random::{random_below, random_bits, random_odd_bits, random_unit_range};
 pub use crate::ring::{ModRing, RsaCrt};

@@ -3,7 +3,8 @@
 //! otherwise), `modinv`, `modmul`, and small helpers used pervasively
 //! by the crypto crates.
 
-use crate::{ext_gcd, BigUint, ModRing};
+use crate::gcd::inv_odd;
+use crate::{BigUint, ModRing};
 
 /// Plain square-and-multiply with a division per step: the path for
 /// moduli [`ModRing`] does not serve (even, or wider than 2048 bits),
@@ -55,17 +56,34 @@ impl BigUint {
         }
     }
 
-    /// Multiplicative inverse mod `m`, or `None` if `gcd(self, m) != 1`.
+    /// Multiplicative inverse mod `m`: the unique `x < m` with
+    /// `self·x ≡ 1 (mod m)`, or `None` if `gcd(self, m) ≠ 1` or
+    /// `m ≤ 1`. Binary GCD (`gcd::inv_odd`) for an odd `m`; an even `m`
+    /// goes through the same kernel by inverting `m` modulo `self`.
     pub fn modinv(&self, m: &BigUint) -> Option<BigUint> {
         if m.is_zero() || m.is_one() {
             return None;
         }
-        let a = self % m;
-        let (g, x, _) = ext_gcd(&a, m);
-        if !g.is_one() {
+        let reduced;
+        let a = if self < m {
+            self
+        } else {
+            reduced = self % m;
+            &reduced
+        };
+        if m.is_odd() {
+            return inv_odd(a.limbs(), m.limbs());
+        }
+        if a.is_even() {
             return None;
         }
-        Some(x.mod_floor(m))
+        if a.is_one() {
+            return Some(BigUint::one());
+        }
+        // t = m⁻¹ mod a makes m·t − 1 = a·s, so a·(m − s) ≡ 1 (mod m),
+        // and 0 < s < m.
+        let t = inv_odd((m % a).limbs(), a.limbs())?;
+        Some(m - &(&(&(m * &t) - 1u64) / a))
     }
 
     /// `-self mod m`.

@@ -7,7 +7,8 @@
 //! protocol widths, at one limb, and at a padded width (a 3-limb
 //! modulus on the 4-limb kernels). At the `ModRing` boundary a warmed
 //! `pow` is pinned to exactly one allocation: the result `BigUint`
-//! itself. The trial-division remainder `&n % p` allocates nothing.
+//! itself, and a warmed `modinv` to its one working buffer. The
+//! trial-division remainder `&n % p` allocates nothing.
 //!
 //! The counter is a `const`-initialized `thread_local!` `Cell` — no
 //! lazy initialization and no drop registration, so bumping it from
@@ -244,5 +245,30 @@ fn rem_u64_allocation_free() {
             0,
             "&BigUint % u64 must not allocate ({limbs} limbs)"
         );
+    }
+}
+
+/// A warmed 512-bit `modinv` allocates once for every operand: the one
+/// working buffer, which becomes the result. No step of the binary GCD
+/// allocates, however many steps an operand takes.
+#[test]
+fn modinv_allocates_one_buffer_per_call() {
+    let (m, _, _) = fixture(8);
+    let mut state = 0x0123_4567_89ab_cdefu64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    black_box(BigUint::from(3u64).modinv(&m));
+    for _ in 0..32 {
+        let a = &BigUint::from_limbs((0..8).map(|_| next()).collect()) % &m;
+        let mut inv = None;
+        let allocs = allocs_in(|| inv = black_box(black_box(&a).modinv(black_box(&m))));
+        assert_eq!(allocs, 1, "modinv of {a} allocated {allocs} times");
+        if let Some(x) = inv {
+            assert!(a.modmul(&x, &m).is_one());
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for `ppms-bigint`, cross-checked against `u128`
 //! reference arithmetic and against algebraic identities on large values.
 
-use ppms_bigint::{ext_gcd, gcd, jacobi, BigInt, BigUint, ModRing};
+use ppms_bigint::{gcd, jacobi, BigUint, ModRing};
 use proptest::prelude::*;
 
 /// Strategy: a BigUint from 0..4 random limbs (up to 256 bits).
@@ -141,25 +141,6 @@ proptest! {
     }
 
     #[test]
-    fn ext_gcd_bezout(a in big_nonzero(), b in big_nonzero()) {
-        let (g, x, y) = ext_gcd(&a, &b);
-        let lhs = &(&BigInt::from_biguint(a.clone()) * &x) + &(&BigInt::from_biguint(b.clone()) * &y);
-        prop_assert_eq!(lhs, BigInt::from_biguint(g));
-    }
-
-    #[test]
-    fn modinv_is_inverse(a in big_nonzero(), mv in prop::collection::vec(any::<u64>(), 1..3)) {
-        let mut m = BigUint::from_limbs(mv);
-        m.set_bit(0, true);
-        if m.is_one() { m = BigUint::from(7u64); }
-        if let Some(inv) = a.modinv(&m) {
-            prop_assert_eq!(a.modmul(&inv, &m), &BigUint::one() % &m);
-        } else {
-            prop_assert!(!gcd(&a, &m).is_one());
-        }
-    }
-
-    #[test]
     fn jacobi_multiplicative(a in any::<u64>(), b in any::<u64>(), n in any::<u32>()) {
         // (ab/n) = (a/n)(b/n) for odd n
         let n = BigUint::from((n as u64) | 1);
@@ -175,6 +156,50 @@ proptest! {
         match a.cmp(&b) {
             std::cmp::Ordering::Less => prop_assert!(a.checked_sub(&b).is_none()),
             _ => prop_assert!(a.checked_sub(&b).is_some()),
+        }
+    }
+}
+
+proptest! {
+    // Eight kinds of case (see `pick`) over 1–32 limbs: enough cases
+    // that every kind meets odd and even moduli of many widths.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn modinv_is_inverse(
+        mut mv in prop::collection::vec(any::<u64>(), 1..=32),
+        av in prop::collection::vec(any::<u64>(), 0..=34),
+        odd in any::<bool>(),
+        pick in 0u8..8,
+        shared in 1u64..64,
+    ) {
+        // Moduli of 1–32 limbs, odd and even, plus the two smallest;
+        // `a` ranges over zero, values above `m`, and values that
+        // share the factor `shared` with `m` so no inverse exists.
+        if odd { mv[0] |= 1 } else { mv[0] &= !1 }
+        let mut m = BigUint::from_limbs(mv);
+        if pick == 0 || m.is_zero() {
+            m = BigUint::from(1 + odd as u64);
+        }
+        let mut a = BigUint::from_limbs(av);
+        if pick == 1 {
+            a = BigUint::zero();
+        } else if pick == 2 {
+            a = &(&a % &m) * &BigUint::from(shared);
+            m = &m * &BigUint::from(shared);
+        } else if pick == 3 {
+            a = &a + &m;
+        }
+        let inv = a.modinv(&m);
+        if m.is_one() {
+            // Z/1 has no unit to return.
+            prop_assert_eq!(inv, None);
+        } else if gcd(&a, &m).is_one() {
+            let x = inv.expect("a unit has an inverse");
+            prop_assert!(x < m);
+            prop_assert_eq!(a.modmul(&x, &m), BigUint::one());
+        } else {
+            prop_assert_eq!(inv, None);
         }
     }
 }

@@ -835,7 +835,12 @@ impl Shard {
     fn apply_committed(&mut self, record: &WalRecord) {
         use MaRequest::*;
         match (&record.request, &record.response) {
-            (Withdraw { account, nonce, .. }, MaResponse::BlindSignature(_)) => {
+            // The nonce burns once the authorization verifies, even
+            // when the debit is then refused.
+            (
+                Withdraw { account, nonce, .. },
+                MaResponse::BlindSignature(_) | MaResponse::Err(MarketError::InsufficientFunds),
+            ) => {
                 let last = self.used_nonces.entry(*account).or_insert(0);
                 *last = (*last).max(*nonce);
             }
@@ -3066,6 +3071,119 @@ mod tests {
         .expect("recover");
         assert_eq!(recovered.bank.snapshot(), live, "one debit each");
         recovered.shutdown();
+    }
+
+    #[test]
+    fn a_refused_withdrawals_nonce_stays_burned_after_a_restart() {
+        // Request #4 (after the registration and two withdrawals) hits
+        // the crash point.
+        let mut rng = StdRng::seed_from_u64(49);
+        let params = DecParams::fixture(2, 8);
+        let face = params.face_value();
+        let svc = MaService::spawn_with_config(
+            &mut rng,
+            params,
+            512,
+            40,
+            ServiceConfig {
+                crash: Some(CrashPoint {
+                    shard: 0,
+                    at_request: 4,
+                }),
+                ..ServiceConfig::default()
+            },
+        );
+        let client = svc.client();
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: face,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("register");
+        };
+        let withdraw = |rng: &mut StdRng, nonce: u64| MaRequest::Withdraw {
+            account: jo,
+            nonce,
+            auth: cl.sign_bytes(rng, &svc.pairing, &nonce.to_be_bytes()),
+            blinded: BigUint::from(12345u64),
+        };
+        let resp = client.call(withdraw(&mut rng, 1));
+        assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
+        // Nonce 2 verifies, so it burns, but the one coin is spent.
+        let refused = withdraw(&mut rng, 2);
+        let resp = client.call(refused.clone());
+        assert!(
+            matches!(resp, MaResponse::Err(MarketError::InsufficientFunds)),
+            "{resp:?}"
+        );
+        assert!(client.try_call(MaRequest::RegisterSpAccount).is_err());
+        assert_eq!(svc.faults.shard_respawns(), 1);
+        // The same signed (nonce, auth) under a new request id: the
+        // restarted shard must still know nonce 2 as used.
+        let resp = client.try_call_keyed(next_request_id(), refused);
+        assert!(
+            matches!(resp, Ok(MaResponse::Err(MarketError::BadAuthentication))),
+            "a replayed authorization passed the freshness check: {resp:?}"
+        );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn short_reads_never_reexecute_a_write_after_a_restart() {
+        // Half of all reads come back short. Three keyed registrations,
+        // a crash at the fourth request, then the three keys
+        // retransmitted: each must answer the account it opened, or
+        // fail visibly because its shard stopped on a read that stayed
+        // short. It must never open a second account.
+        let mut stopped = 0;
+        for seed in 1..=40u64 {
+            let storage = Arc::new(FaultyStorage::new(
+                Arc::new(SimStorage::new()),
+                StorageFaults {
+                    short_read: 0.5,
+                    seed,
+                    ..StorageFaults::default()
+                },
+            ));
+            let (svc, _rng) = durable_service(
+                seed,
+                ServiceConfig {
+                    crash: Some(CrashPoint {
+                        shard: 0,
+                        at_request: 4,
+                    }),
+                    ..ServiceConfig::default()
+                },
+                DurabilityConfig::new(storage),
+            );
+            let client = svc.client();
+            let keys: Vec<u64> = (0..3).map(|_| next_request_id()).collect();
+            let opened: Vec<_> = keys
+                .iter()
+                .map(|&id| client.try_call_keyed(id, MaRequest::RegisterSpAccount))
+                .collect();
+            let crashed = client.try_call(MaRequest::RegisterSpAccount);
+            assert!(crashed.is_err(), "seed {seed}: {crashed:?}");
+            let mut visible = opened.iter().any(Result::is_err);
+            for (&id, first) in keys.iter().zip(&opened) {
+                match (
+                    first,
+                    client.try_call_keyed(id, MaRequest::RegisterSpAccount),
+                ) {
+                    (_, Err(MarketError::Transport(_))) => visible = true,
+                    (Ok(MaResponse::Account(a)), Ok(MaResponse::Account(b))) => {
+                        assert_eq!(*a, b, "seed {seed}: a retransmit opened a second account");
+                    }
+                    (first, again) => {
+                        assert!(first.is_err(), "seed {seed}: {first:?} then {again:?}");
+                    }
+                }
+            }
+            stopped += visible as usize;
+            svc.shutdown();
+        }
+        eprintln!("short reads: {stopped} of 40 seeds stopped a shard visibly");
+        assert!(stopped < 40, "no seed got past a short read");
     }
 
     #[test]

@@ -48,6 +48,11 @@ const SEGMENT_VERSION: u16 = 3;
 /// Header bytes: magic u32, version u16, reserved u16, start LSN u64.
 const SEGMENT_HEADER_LEN: usize = 16;
 
+/// Extra reads a segment gets when a read comes back shorter than the
+/// segment is known to be (replay) or looks torn (open): a short read
+/// returns a prefix, so it must not be taken for a torn tail.
+const SHORT_READ_RETRIES: usize = 4;
+
 fn segment_name(start_lsn: u64) -> String {
     format!("wal-{start_lsn:016x}.seg")
 }
@@ -143,7 +148,10 @@ impl DurableLog {
                     detail: format!("segment starts at lsn {start}, expected {next_lsn}"),
                 });
             }
-            let data = storage.read(name)?;
+            let mut data = storage.read(name)?;
+            if looks_torn(&data) {
+                data = read_agreed(&*storage, name, data)?;
+            }
             if data.len() < SEGMENT_HEADER_LEN {
                 if is_last {
                     // The rotation died mid-header: the segment holds
@@ -395,7 +403,7 @@ impl DurableLog {
         let mut records = Vec::new();
         let last = inner.segments.len() - 1;
         for (i, seg) in inner.segments.iter().enumerate() {
-            let data = self.storage.read(&seg.name)?;
+            let data = self.read_whole(seg)?;
             if data.len() < SEGMENT_HEADER_LEN {
                 return Err(StorageError::Corrupt {
                     file: seg.name.clone(),
@@ -428,6 +436,67 @@ impl DurableLog {
         }
         Ok(records)
     }
+
+    /// Reads `seg` whole: a read shorter than the bytes this process
+    /// wrote to it is retried, and one that stays short is an error
+    /// naming the file and both lengths, never a torn tail.
+    fn read_whole(&self, seg: &SegmentMeta) -> Result<Vec<u8>, StorageError> {
+        let mut data = self.storage.read(&seg.name)?;
+        for _ in 0..SHORT_READ_RETRIES {
+            if data.len() >= seg.bytes {
+                break;
+            }
+            data = self.storage.read(&seg.name)?;
+        }
+        if data.len() < seg.bytes {
+            return Err(StorageError::Io(format!(
+                "short read of {}: {} of {} bytes",
+                seg.name,
+                data.len(),
+                seg.bytes
+            )));
+        }
+        Ok(data)
+    }
+}
+
+/// Whether `data` ends inside the segment header or inside a frame,
+/// judged by the frame lengths alone (checksums are `scan_frames`'s).
+fn looks_torn(data: &[u8]) -> bool {
+    let Some(mut rest) = data.get(SEGMENT_HEADER_LEN..) else {
+        return true;
+    };
+    while let Some(len) = rest.get(..4) {
+        let end = 4 + u32::from_be_bytes(len.try_into().expect("4 bytes")) as usize + 8;
+        match rest.get(end..) {
+            Some(tail) => rest = tail,
+            None => return true,
+        }
+    }
+    !rest.is_empty()
+}
+
+/// Re-reads `name` until two reads agree on its length, keeping the
+/// longest: a short read returns a prefix, so only a length read twice
+/// is the file's. Reads that never agree are an error.
+fn read_agreed(
+    storage: &dyn Storage,
+    name: &str,
+    mut data: Vec<u8>,
+) -> Result<Vec<u8>, StorageError> {
+    for _ in 0..SHORT_READ_RETRIES {
+        let again = storage.read(name)?;
+        if again.len() == data.len() {
+            return Ok(data);
+        }
+        if again.len() > data.len() {
+            data = again;
+        }
+    }
+    Err(StorageError::Io(format!(
+        "reads of {name} never agreed on its length (longest {} bytes)",
+        data.len()
+    )))
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
@@ -560,6 +629,120 @@ mod tests {
         log.flush().unwrap();
         let (_, r) = open(&sim.crash_image(0), SyncPolicy::Always, 1 << 16);
         assert_eq!(r.records.len(), 5, "flush closes the window");
+    }
+
+    /// A `SimStorage` whose next read of one file, once armed,
+    /// returns all but its last five bytes: a short read.
+    #[derive(Debug)]
+    struct ShortOnce {
+        inner: SimStorage,
+        armed: std::sync::Mutex<Option<String>>,
+    }
+
+    impl ShortOnce {
+        fn arm(&self, name: &str) {
+            *self.armed.lock().unwrap() = Some(name.to_string());
+        }
+    }
+
+    impl Storage for ShortOnce {
+        fn append(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.append(name, bytes)
+        }
+        fn sync(&self, name: &str) -> Result<(), StorageError> {
+            self.inner.sync(name)
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+            let mut bytes = self.inner.read(name)?;
+            let mut armed = self.armed.lock().unwrap();
+            if armed.as_deref() == Some(name) {
+                *armed = None;
+                bytes.truncate(bytes.len() - 5);
+            }
+            Ok(bytes)
+        }
+        fn truncate(&self, name: &str, len: u64) -> Result<(), StorageError> {
+            self.inner.truncate(name, len)
+        }
+        fn list(&self) -> Result<Vec<String>, StorageError> {
+            self.inner.list()
+        }
+        fn remove(&self, name: &str) -> Result<(), StorageError> {
+            self.inner.remove(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.write_atomic(name, bytes)
+        }
+    }
+
+    fn short_once(sim: &SimStorage) -> Arc<ShortOnce> {
+        Arc::new(ShortOnce {
+            inner: sim.clone(),
+            armed: std::sync::Mutex::new(None),
+        })
+    }
+
+    #[test]
+    fn a_short_read_during_replay_is_retried_not_taken_for_a_tear() {
+        let sim = SimStorage::new();
+        let storage = short_once(&sim);
+        let (log, _) = DurableLog::open(
+            storage.clone(),
+            SyncPolicy::Always,
+            1 << 16,
+            &Registry::new(),
+        )
+        .expect("open");
+        for i in 0..3u64 {
+            log.append(0, &rec(i)).unwrap();
+        }
+        storage.arm(&segment_name(0));
+        let replayed = log.replay_shard(0).unwrap();
+        assert_eq!(replayed.len(), 3, "a short read dropped records");
+        assert!(storage.armed.lock().unwrap().is_none(), "never read short");
+    }
+
+    #[test]
+    fn a_read_that_stays_short_fails_replay_naming_both_lengths() {
+        let sim = SimStorage::new();
+        let (log, _) = open(&sim, SyncPolicy::Always, 1 << 16);
+        log.append(0, &rec(1)).unwrap();
+        let name = segment_name(0);
+        let whole = sim.len(&name);
+        // The medium lost bytes this process wrote: every read is short.
+        sim.truncate(&name, (whole - 5) as u64).unwrap();
+        let err = log.replay_shard(0).expect_err("a short segment must fail");
+        let msg = err.to_string();
+        assert!(matches!(err, StorageError::Io(_)), "{msg}");
+        for part in [name, (whole - 5).to_string(), whole.to_string()] {
+            assert!(msg.contains(&part), "{msg:?} lacks {part}");
+        }
+    }
+
+    #[test]
+    fn a_short_read_at_open_truncates_nothing() {
+        let sim = SimStorage::new();
+        {
+            let (log, _) = open(&sim, SyncPolicy::Always, 1 << 16);
+            for i in 0..3u64 {
+                log.append(0, &rec(i)).unwrap();
+            }
+        }
+        let name = segment_name(0);
+        let whole = sim.len(&name);
+        let storage = short_once(&sim);
+        storage.arm(&name);
+        let (_, recovered) = DurableLog::open(
+            storage.clone(),
+            SyncPolicy::Always,
+            1 << 16,
+            &Registry::new(),
+        )
+        .expect("open");
+        assert!(storage.armed.lock().unwrap().is_none(), "never read short");
+        assert_eq!(recovered.records.len(), 3, "a short read lost a record");
+        assert_eq!(recovered.torn_bytes, 0);
+        assert_eq!(sim.len(&name), whole, "a short read truncated the log");
     }
 
     #[test]

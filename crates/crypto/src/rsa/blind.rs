@@ -13,10 +13,12 @@ use super::{RsaPrivateKey, RsaPublicKey};
 use ppms_bigint::{random_unit_range, BigUint};
 use rand::Rng;
 
-/// The requester's secret blinding factor; needed once to unblind.
+/// The requester's secret blinding factor, kept as `r⁻¹ mod n`: the
+/// inverse that proved `r` a unit while blinding is the one unblinding
+/// multiplies by, so a withdrawal inverts once.
 #[derive(Debug, Clone)]
 pub struct BlindingFactor {
-    r: BigUint,
+    r_inv: BigUint,
 }
 
 /// Blinds `msg` for signing. Returns the value to send to the signer
@@ -31,11 +33,11 @@ pub fn blind<R: Rng + ?Sized>(
     loop {
         let r = random_unit_range(rng, &pk.n);
         // r must be invertible mod n (overwhelmingly likely).
-        if r.modinv(&pk.n).is_none() {
+        let Some(r_inv) = r.modinv(&pk.n) else {
             continue;
-        }
+        };
         let blinded = ring.mul(&h, &ring.pow(&r, &pk.e));
-        return (blinded, BlindingFactor { r });
+        return (blinded, BlindingFactor { r_inv });
     }
 }
 
@@ -48,8 +50,7 @@ pub fn sign_blinded(sk: &RsaPrivateKey, blinded: &BigUint) -> BigUint {
 
 /// Removes the blinding, yielding a standard FDH signature on `msg`.
 pub fn unblind(pk: &RsaPublicKey, blinded_sig: &BigUint, factor: &BlindingFactor) -> BigUint {
-    let r_inv = factor.r.modinv(&pk.n).expect("r chosen invertible");
-    blinded_sig.modmul(&r_inv, &pk.n)
+    blinded_sig.modmul(&factor.r_inv, &pk.n)
 }
 
 #[cfg(test)]

@@ -48,10 +48,11 @@ fn full_exponent(pk: &RsaPublicKey, info: &[u8]) -> BigUint {
     &pk.e * &info_exponent(info)
 }
 
-/// Requester-side blinding state.
+/// Requester-side blinding state: `r⁻¹ mod n`, computed once while
+/// blinding checks that `r` is a unit.
 #[derive(Debug, Clone)]
 pub struct PbsBlinding {
-    r: BigUint,
+    r_inv: BigUint,
 }
 
 /// Errors from the signer side.
@@ -85,11 +86,11 @@ pub fn pbs_blind<R: Rng + ?Sized>(
     let ring = pk.ring();
     loop {
         let r = random_unit_range(rng, &pk.n);
-        if r.modinv(&pk.n).is_none() {
+        let Some(r_inv) = r.modinv(&pk.n) else {
             continue;
-        }
+        };
         let alpha = ring.mul(&h, &ring.pow(&r, &e_info));
-        return (alpha, PbsBlinding { r });
+        return (alpha, PbsBlinding { r_inv });
     }
 }
 
@@ -106,8 +107,7 @@ pub fn pbs_sign(sk: &RsaPrivateKey, info: &[u8], alpha: &BigUint) -> Result<BigU
 
 /// Requester-side unblinding: `σ = β · r⁻¹`.
 pub fn pbs_unblind(pk: &RsaPublicKey, beta: &BigUint, blinding: &PbsBlinding) -> BigUint {
-    let r_inv = blinding.r.modinv(&pk.n).expect("r chosen invertible");
-    beta.modmul(&r_inv, &pk.n)
+    beta.modmul(&blinding.r_inv, &pk.n)
 }
 
 /// Public verification: `σ^{e·F(info)} == H(m) mod n`.

@@ -33,12 +33,17 @@ cargo test -p ppms-core --test frame_alloc -q
 echo "==> Table II TCP smoke (simnet/tcp ledger equality + gate frames counted)"
 cargo bench -p ppms-bench --bench tcp_front_door -- --test >/dev/null
 
-echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm)"
+echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm, a short read is retried and never taken for a torn tail, a refused withdrawal's nonce stays burned across a restart)"
 cargo test -p ppms-integration --test chaos -q
 cargo test -p ppms-core --lib -q -- \
     service::tests::crashed_shard_restarts_itself_and_retry_succeeds \
     service::tests::a_journal_that_no_longer_replays_stops_its_shard \
-    service::tests::a_failed_scheduled_checkpoint_waits_for_more_records
+    service::tests::a_failed_scheduled_checkpoint_waits_for_more_records \
+    service::tests::short_reads_never_reexecute_a_write_after_a_restart \
+    service::tests::a_refused_withdrawals_nonce_stays_burned_after_a_restart \
+    storage::log::tests::a_short_read_during_replay_is_retried_not_taken_for_a_tear \
+    storage::log::tests::a_read_that_stays_short_fails_replay_naming_both_lengths \
+    storage::log::tests::a_short_read_at_open_truncates_nothing
 
 echo "==> durable storage tier (crash matrix, compaction bound, disk-backed restart)"
 # The disk-backed smoke inside the suite is tempdir-hermetic (it
@@ -108,7 +113,7 @@ cargo bench -p ppms-bench --bench batch_verify -- --test >/dev/null
 echo "==> fixed-width ablation bench smoke (Straus = Pippenger verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
 
-echo "==> bignum + pairing + hybrid RSA ablation bench smoke (A18: CL verdicts at r = 40 and r = 160; A20: 1 533-byte payment roundtrip)"
+echo "==> bignum + pairing + hybrid RSA ablation bench smoke (A18: CL verdicts at r = 40 and r = 160; A20: 1 533-byte payment roundtrip; A25: modinv group, every inverse checked by a·x ≡ 1)"
 cargo bench -p ppms-bench --bench ablation_bigint -- --test >/dev/null
 
 echo "==> cargo test"
