@@ -34,11 +34,26 @@ impl Bank {
 
     /// Opens an account with an initial balance, returning its AID.
     pub fn open_account(&self, initial: u64) -> AccountId {
-        let mut inner = self.inner.write();
-        let id = AccountId(inner.next_id);
-        inner.next_id += 1;
-        inner.balances.insert(id, initial);
+        let id = self.reserve_id();
+        self.restore_account(id, initial);
         id
+    }
+
+    /// Takes the next account id without opening its account;
+    /// [`Bank::restore_account`] opens it.
+    pub fn reserve_id(&self) -> AccountId {
+        let mut inner = self.inner.write();
+        inner.next_id += 1;
+        AccountId(inner.next_id - 1)
+    }
+
+    /// Hands back a reserved `id` whose account never opened, if no
+    /// later id has been taken since.
+    pub fn release_id(&self, id: AccountId) {
+        let mut inner = self.inner.write();
+        if inner.next_id == id.0 + 1 {
+            inner.next_id = id.0;
+        }
     }
 
     /// Current balance.

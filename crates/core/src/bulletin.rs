@@ -5,6 +5,7 @@
 //! algorithms defeat.
 
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 /// A published job profile (paper eq. (1)/(2)): description, payment
@@ -25,6 +26,8 @@ pub struct JobProfile {
 #[derive(Debug, Clone, Default)]
 pub struct Bulletin {
     jobs: Arc<RwLock<Vec<JobProfile>>>,
+    /// The next job id; ahead of `jobs` while a reserved id is out.
+    next_id: Arc<AtomicU64>,
 }
 
 impl Bulletin {
@@ -35,9 +38,8 @@ impl Bulletin {
 
     /// Publishes a profile, assigning and returning its job id.
     pub fn publish(&self, description: String, payment: u64, pseudonym: Vec<u8>) -> u64 {
-        let mut jobs = self.jobs.write();
-        let job_id = jobs.len() as u64;
-        jobs.push(JobProfile {
+        let job_id = self.reserve_id();
+        self.restore_job(JobProfile {
             job_id,
             description,
             payment,
@@ -46,21 +48,34 @@ impl Bulletin {
         job_id
     }
 
+    /// Takes the next job id without publishing its profile;
+    /// [`Bulletin::restore_job`] publishes it.
+    pub fn reserve_id(&self) -> u64 {
+        self.next_id.fetch_add(1, SeqCst)
+    }
+
+    /// Hands back a reserved `job_id` whose profile never landed, if no
+    /// later id has been taken since.
+    pub fn release_id(&self, job_id: u64) {
+        let _ = (self.next_id).compare_exchange(job_id + 1, job_id, SeqCst, SeqCst);
+    }
+
     /// Restores a profile at its recorded id — the cold-start
     /// recovery path replaying a committed publication. Ids are dense
-    /// (the board assigns `len()`), so replay in commit order lands
-    /// each job at its recorded slot; a same-id restore overwrites
+    /// (handed out in order), so replay in commit order lands each
+    /// job at its recorded slot; a same-id restore overwrites
     /// (idempotent re-application of the same committed record).
     pub fn restore_job(&self, profile: JobProfile) {
         let mut jobs = self.jobs.write();
         let idx = profile.job_id as usize;
+        self.next_id.fetch_max(profile.job_id + 1, SeqCst);
         if idx < jobs.len() {
             jobs[idx] = profile;
             return;
         }
-        // Fill any gap with placeholders (only reachable if a later
-        // publication committed durably while an earlier one was
-        // lost; the lost one's retry re-publishes into the gap).
+        // Fill any gap with placeholders (reachable when a later
+        // publication lands while an earlier reserved one is still in
+        // flight, or was lost; the earlier one overwrites its slot).
         while jobs.len() < idx {
             let job_id = jobs.len() as u64;
             jobs.push(JobProfile {

@@ -31,18 +31,19 @@
 //!   not mistaken for a double-spend — while a genuine double-spend
 //!   (same coin leaf under a *fresh* key) is still caught by the DEC
 //!   bank.
-//! * **Journaling.** A shard appends one [`WalRecord`] — request,
-//!   response and effects — to the service's [`DurableLog`] after each
-//!   write executes and before its reply is released, so its private
-//!   state (nonce high-water marks, labor, data reports, the
-//!   idempotency cache) can be rebuilt after a crash. Pure reads
-//!   (`Balance`, `FetchLabor`) are neither journaled nor cached; a
-//!   retransmitted read re-executes. The log sits on the caller's storage
+//! * **Decide, journal, then apply.** A shard decides a write without
+//!   changing any state, appends one [`WalRecord`] — request, response
+//!   and effects — to the service's [`DurableLog`], and only then
+//!   applies it; one `apply` is the only code that changes market
+//!   state, live, on a shard restart and in cold recovery, so the
+//!   ledger the MA acts on is the ledger its journal rebuilds. Pure
+//!   reads (`Balance`, `FetchLabor`) are neither journaled nor cached;
+//!   a retransmitted read re-executes. The log sits on the caller's storage
 //!   ([`MaService::spawn_durable`]) or on an in-process
 //!   [`SimStorage`] ([`MaService::spawn_with_config`]), whose bytes
 //!   outlive any worker incarnation.
 //! * **Supervision.** Each shard thread supervises itself: after an
-//!   injected crash, a handler panic or a failed journal write it
+//!   injected crash, a panic in decide or a failed journal write it
 //!   writes a crash dump, rebuilds its state from its checkpointed
 //!   base plus the journal tail, and keeps reading the same queue, so
 //!   requests queued behind the crash survive. A journal that no
@@ -448,6 +449,8 @@ pub struct MaService {
     recovered_gate: Mutex<Option<Vec<u8>>>,
     /// The one way into the shards, cloned into every client and door.
     router: ShardRouter,
+    /// The market state the shards share.
+    shared: Arc<SharedState>,
 }
 
 /// The one way into the shard queues. Every caller places its
@@ -588,6 +591,41 @@ struct SharedState {
     held: Mutex<HeldPayments>,
 }
 
+impl SharedState {
+    /// The shared market state in checkpoint form, deterministically
+    /// ordered; `covered`, the shard sections and the gate are unset.
+    fn capture(&self) -> SnapshotState {
+        let mut cl_bindings: Vec<(u64, ClPublicKey)> = self
+            .cl_bindings
+            .read()
+            .iter()
+            .map(|(account, pk)| (account.0, pk.clone()))
+            .collect();
+        cl_bindings.sort_unstable_by_key(|(account, _)| *account);
+        let held = self.held.lock();
+        let mut pending_payments: Vec<(Vec<u8>, Vec<u8>)> = held
+            .pending
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        pending_payments.sort_unstable();
+        let mut received_reports: Vec<Vec<u8>> = held.received.iter().cloned().collect();
+        received_reports.sort_unstable();
+        drop(held);
+        SnapshotState {
+            covered: 0,
+            bank: self.bank.snapshot(),
+            jobs: self.bulletin.list(),
+            cl_bindings,
+            dec: self.dec_bank.lock().export_state(),
+            pending_payments,
+            received_reports,
+            shards: Vec::new(),
+            gate: None,
+        }
+    }
+}
+
 /// Payments the MA holds until the paying SP's data report arrives.
 /// Shared across shards because `SubmitData` routes by `job_id` while
 /// `FetchPayment` routes by SP pseudonym.
@@ -618,10 +656,6 @@ impl DedupCache {
             order: VecDeque::new(),
             capacity,
         }
-    }
-
-    fn get(&self, key: &RequestKey) -> Option<&MaResponse> {
-        self.map.get(key)
     }
 
     fn insert(&mut self, key: RequestKey, response: MaResponse) {
@@ -664,48 +698,33 @@ struct Shard {
 }
 
 impl Shard {
-    /// Executes one request. `effects` records shared-state outcomes
-    /// that cold-start recovery cannot re-derive from the response
-    /// alone: for `DepositBatch` it collects the `(index, value)` of
-    /// every *accepted* spend, so replay re-inserts exactly the spends
-    /// the original execution accepted without re-running the ZK
-    /// verification (whose verdict lives only in the journal).
-    ///
-    /// `verdicts` is this request's slice of the worker's cross-client
-    /// combined verification (one verdict per spend; empty for every
-    /// other request). The `DepositBatch` arm consumes them; the
-    /// stateful double-spend bookkeeping runs here, in arrival order.
-    fn handle(
-        &mut self,
+    /// Decides one request and changes no state: returns the response
+    /// and pushes the `(index, value)` of every spend a `DepositBatch`
+    /// accepts to `effects`; only [`apply`] makes either happen. The one
+    /// write is an id reservation for a new account or job. `verdicts`
+    /// is this request's slice of the worker's cross-client combined
+    /// verification (one per spend); a deposit also gets the DEC bank,
+    /// whose lock the worker holds until the record is applied.
+    fn decide(
+        &self,
         request: &MaRequest,
         effects: &mut Vec<(u32, u64)>,
         verdicts: Vec<Result<u64, DecError>>,
+        dec: Option<&DecBank>,
     ) -> MaResponse {
         use MaRequest::*;
+        let shared = &*self.shared;
         match request {
-            RegisterJoAccount { funds, clpk } => {
+            RegisterJoAccount { clpk, .. } => {
                 // Withdraw verifies under this key; refuse one outside
                 // G before any Miller loop runs on it.
-                if !clpk.is_valid(&self.shared.pairing) {
+                if !clpk.is_valid(&shared.pairing) {
                     return MaResponse::Err(MarketError::BadKey);
                 }
-                let account = self.shared.bank.open_account(*funds);
-                self.shared
-                    .cl_bindings
-                    .write()
-                    .insert(account, clpk.clone());
-                MaResponse::Account(account)
+                MaResponse::Account(shared.bank.reserve_id())
             }
-            RegisterSpAccount => MaResponse::Account(self.shared.bank.open_account(0)),
-            PublishJob {
-                description,
-                payment,
-                pseudonym,
-            } => MaResponse::JobId(self.shared.bulletin.publish(
-                description.clone(),
-                *payment,
-                pseudonym.clone(),
-            )),
+            RegisterSpAccount => MaResponse::Account(shared.bank.reserve_id()),
+            PublishJob { .. } => MaResponse::JobId(shared.bulletin.reserve_id()),
             Withdraw {
                 account,
                 nonce,
@@ -713,155 +732,84 @@ impl Shard {
                 blinded,
             } => {
                 {
-                    let bindings = self.shared.cl_bindings.read();
+                    let bindings = shared.cl_bindings.read();
                     let Some(bound) = bindings.get(account) else {
                         return MaResponse::Err(MarketError::NoSuchAccount);
                     };
                     // Nonce freshness prevents replaying an old
                     // withdrawal authorization. Withdrawals route by
                     // account, so this shard sees every nonce for it.
-                    let last = self.used_nonces.entry(*account).or_insert(0);
-                    if *nonce <= *last {
+                    let last = self.used_nonces.get(account).copied().unwrap_or(0);
+                    if *nonce <= last
+                        || !auth.verify_bytes(&shared.pairing, bound, &nonce.to_be_bytes())
+                    {
                         return MaResponse::Err(MarketError::BadAuthentication);
                     }
-                    if !auth.verify_bytes(&self.shared.pairing, bound, &nonce.to_be_bytes()) {
-                        return MaResponse::Err(MarketError::BadAuthentication);
+                }
+                // Debits and credits to an account all run on its
+                // shard, so the balance cannot move before the apply.
+                match shared.bank.balance(*account) {
+                    Ok(balance) if balance >= shared.params.face_value() => {
+                        MaResponse::BlindSignature(shared.dec_bank.lock().sign_blinded(blinded))
                     }
-                    *last = *nonce;
+                    Ok(_) => MaResponse::Err(MarketError::InsufficientFunds),
+                    Err(e) => MaResponse::Err(e),
                 }
-                if let Err(e) = self
-                    .shared
-                    .bank
-                    .debit(*account, self.shared.params.face_value())
-                {
-                    return MaResponse::Err(e);
-                }
-                let sig = self.shared.dec_bank.lock().sign_blinded(blinded);
-                MaResponse::BlindSignature(sig)
             }
-            LaborRegister { job_id, sp_pubkey } => {
-                if self.shared.bulletin.get(*job_id).is_none() {
-                    return MaResponse::Err(MarketError::NoSuchJob);
-                }
-                self.labor
-                    .entry(*job_id)
-                    .or_default()
-                    .push(sp_pubkey.clone());
-                MaResponse::Ok
-            }
+            LaborRegister { job_id, .. } => match shared.bulletin.get(*job_id) {
+                Some(_) => MaResponse::Ok,
+                None => MaResponse::Err(MarketError::NoSuchJob),
+            },
             FetchLabor { job_id } => {
                 MaResponse::Labor(self.labor.get(job_id).cloned().unwrap_or_default())
             }
-            SubmitPayment {
-                sp_pubkey,
-                ciphertext,
-            } => {
-                self.shared
-                    .held
-                    .lock()
-                    .pending
-                    .insert(sp_pubkey.clone(), ciphertext.clone());
-                MaResponse::Ok
-            }
-            SubmitData {
-                job_id,
-                sp_pubkey,
-                data,
-            } => {
-                self.data_reports
-                    .entry(*job_id)
-                    .or_default()
-                    .push(data.clone());
-                self.shared.held.lock().received.insert(sp_pubkey.clone());
-                MaResponse::Ok
-            }
+            SubmitPayment { .. } | SubmitData { .. } => MaResponse::Ok,
             FetchPayment { sp_pubkey } => {
                 // Paper phase 7: deliver only once the SP's data is in.
-                let mut held = self.shared.held.lock();
-                if !held.received.contains(sp_pubkey) {
-                    return MaResponse::Payment(None);
-                }
-                MaResponse::Payment(held.pending.remove(sp_pubkey))
+                let held = shared.held.lock();
+                MaResponse::Payment(
+                    held.received
+                        .contains(sp_pubkey)
+                        .then(|| held.pending.get(sp_pubkey).cloned())
+                        .flatten(),
+                )
             }
             FetchData { job_id } => {
-                MaResponse::Data(self.data_reports.remove(job_id).unwrap_or_default())
+                MaResponse::Data(self.data_reports.get(job_id).cloned().unwrap_or_default())
             }
             DepositBatch { account, spends } => {
                 // The expensive ZK verification already ran in the
                 // worker's preverify pass, outside the DEC-bank lock;
-                // only the cheap double-spend bookkeeping serializes
-                // on the bank. A spend without a verdict is rejected,
-                // never credited unverified.
+                // only the double-spend checks run here, in order, so
+                // conflicts inside the request resolve first wins. A
+                // spend without a verdict is rejected, never credited
+                // unverified.
                 self.obs
                     .histogram("deposit.batch_size")
                     .record(spends.len() as u64);
-                let mut total = 0u64;
-                let mut accepted = 0usize;
-                {
-                    let mut dec_bank = self.shared.dec_bank.lock();
-                    for (idx, (spend, v)) in spends.iter().zip(verdicts).enumerate() {
-                        let recorded =
-                            v.and_then(|value| dec_bank.deposit_preverified(spend, value));
-                        if let Ok(value) = recorded {
-                            total += value;
-                            accepted += 1;
-                            effects.push((idx as u32, value));
-                        }
-                    }
+                // Without an account to credit, no spend is accepted.
+                if let Err(e) = shared.bank.balance(*account) {
+                    return MaResponse::Err(e);
                 }
-                if total > 0 {
-                    if let Err(e) = self.shared.bank.credit(*account, total) {
-                        return MaResponse::Err(e);
+                let dec = dec.expect("a deposit decides under the DEC lock");
+                let mut marks = Vec::new();
+                for (idx, (spend, verdict)) in spends.iter().zip(verdicts).enumerate() {
+                    let Ok(value) = verdict else { continue };
+                    if let Ok(mark) = dec.check_deposit(spend, value, &marks) {
+                        marks.push(mark);
+                        effects.push((idx as u32, value));
                     }
                 }
                 MaResponse::BatchDeposited {
-                    total,
-                    accepted,
-                    rejected: spends.len() - accepted,
+                    total: effects.iter().map(|&(_, value)| value).sum(),
+                    accepted: effects.len(),
+                    rejected: spends.len() - effects.len(),
                 }
             }
-            Balance { account } => match self.shared.bank.balance(*account) {
+            Balance { account } => match shared.bank.balance(*account) {
                 Ok(v) => MaResponse::Balance(v),
                 Err(e) => MaResponse::Err(e),
             },
-        }
-    }
-
-    /// Re-applies one journal record to this shard's private state.
-    /// Shared state (ledger, bulletin, DEC bank, held payments) lives
-    /// behind `Arc`s and survived the crash on its own, so only the
-    /// per-shard projection is replayed — replaying the full request
-    /// would double-apply the shared effects.
-    fn apply_committed(&mut self, record: &WalRecord) {
-        use MaRequest::*;
-        match (&record.request, &record.response) {
-            // The nonce burns once the authorization verifies, even
-            // when the debit is then refused.
-            (
-                Withdraw { account, nonce, .. },
-                MaResponse::BlindSignature(_) | MaResponse::Err(MarketError::InsufficientFunds),
-            ) => {
-                let last = self.used_nonces.entry(*account).or_insert(0);
-                *last = (*last).max(*nonce);
-            }
-            (LaborRegister { job_id, sp_pubkey }, MaResponse::Ok) => {
-                self.labor
-                    .entry(*job_id)
-                    .or_default()
-                    .push(sp_pubkey.clone());
-            }
-            (SubmitData { job_id, data, .. }, MaResponse::Ok) => {
-                self.data_reports
-                    .entry(*job_id)
-                    .or_default()
-                    .push(data.clone());
-            }
-            (FetchData { job_id }, MaResponse::Data(_)) => {
-                // The fetch handed the reports out; they must not
-                // reappear after a restart.
-                self.data_reports.remove(job_id);
-            }
-            _ => {}
         }
     }
 
@@ -953,12 +901,11 @@ fn route(inbound: &Inbound, shards: usize) -> usize {
     }
 }
 
-/// Whether executing `request` changes state a replay must rebuild.
-/// The pure reads — the kinds both [`Shard::apply_committed`] and
-/// [`apply_shared_effects`] ignore — are neither journaled nor cached
-/// for retransmits: a retransmitted read re-executes against current
-/// state, so a shard's live dedup cache is exactly what its base plus
-/// its journal rebuild.
+/// Whether executing `request` can change market state, i.e. whether
+/// it is journaled and [`apply`]'d. The pure reads, which `apply`
+/// would ignore, are neither journaled nor cached for retransmits: a
+/// retransmitted read re-executes against current state, so a shard's
+/// live dedup cache is exactly what its base plus its journal rebuild.
 fn is_write(request: &MaRequest) -> bool {
     !matches!(
         request,
@@ -1016,11 +963,12 @@ fn note_arrival(last: &mut std::time::Instant, ewma_gap_ns: &mut f64) -> std::ti
 }
 
 /// Why an incarnation of a shard worker ended: `Crash` is what a
-/// restart cures; `Stop` is shutdown, or a journal that no longer
-/// replays.
+/// restart cures; `Stop` is shutdown; `Failed` is a journal that no
+/// longer replays, which stops the shard for good.
 enum Exit {
     Stop,
     Crash,
+    Failed,
 }
 
 /// A shard worker thread. It lives as long as its queue and
@@ -1076,8 +1024,13 @@ impl ShardWorker {
     fn run(mut self, srx: Receiver<ShardMsg>) {
         // One incarnation per pass. Returning drops `srx`, which closes
         // the queue: later sends fail instead of waiting on a dead shard.
-        while let Exit::Crash = self.incarnation(&srx) {
-            self.faults.shard_respawn();
+        loop {
+            match self.incarnation(&srx) {
+                Exit::Crash => self.faults.shard_respawn(),
+                Exit::Stop => return,
+                // Health reports the service degraded from here on.
+                Exit::Failed => return self.obs.gauge("ma.shards_stopped").add(1),
+            }
         }
     }
 
@@ -1106,7 +1059,7 @@ impl ShardWorker {
             Err(e) => {
                 // Not a fault a restart can cure: stop the shard.
                 self.dump_crash(&format!("journal-replay-failed: {e}"));
-                return Exit::Stop;
+                return Exit::Failed;
             }
         };
         let mut shard = Shard {
@@ -1123,10 +1076,7 @@ impl ShardWorker {
             // work stays attributed to the client operation that
             // originally caused it, not an anonymous wall of trace 0.
             let _span = Span::child("wal.replay", record.span);
-            shard.apply_committed(record);
-            if let Some(k) = record.key {
-                shard.dedup.insert(k, record.response.clone());
-            }
+            apply(record, None, None, Some(&mut shard));
         }
         let mut executed = replayed.len() as u64;
 
@@ -1248,13 +1198,13 @@ impl ShardWorker {
             // per-item verification regardless of the seed, so
             // scattering them back per item keeps execution
             // sequential-equivalent. The *stateful* double-spend
-            // bookkeeping is not here: it stays in the handler, per
-            // item, in arrival order.
+            // checks are not here: they run in `decide`, per item, in
+            // arrival order.
             preverified.resize_with(batch.len(), Vec::new);
             let mut combined: Vec<Spend> = Vec::new();
             let mut plan: Vec<(usize, usize)> = Vec::new();
             for (i, inbound) in batch.iter_mut().enumerate() {
-                if shard.dedup.get(&inbound.key).is_some() {
+                if shard.dedup.map.contains_key(&inbound.key) {
                     continue; // replays below; never re-verify
                 }
                 if let MaRequest::DepositBatch { spends, .. } = &mut inbound.request {
@@ -1308,7 +1258,7 @@ impl ShardWorker {
                 // gets its original answer back, without touching any
                 // state — including a retransmit that landed in the
                 // same batch as its original.
-                if let Some(cached) = shard.dedup.get(&key) {
+                if let Some(cached) = shard.dedup.map.get(&key) {
                     let _span = Span::child("shard.dedup_replay", span);
                     self.faults.dedup_replay();
                     held.push((reply, cached.clone()));
@@ -1339,19 +1289,21 @@ impl ShardWorker {
                 }
 
                 let verdicts = std::mem::take(&mut preverified[i]);
-                // A panic inside a handler ends only this incarnation;
-                // the next one's journal replay restores everything
-                // recorded before the blast.
-                let (response, effects) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut effects = Vec::new();
-                    let response = shard.handle(&request, &mut effects, verdicts);
-                    (response, effects)
-                })) {
-                    Ok(pair) => pair,
-                    Err(_) => {
-                        self.dump_crash("handler-panic");
-                        return Exit::Crash;
-                    }
+                // A deposit holds the DEC lock from its decide through
+                // its append and apply, so no deposit on another shard
+                // accepts the same serial in between.
+                let mut dec = matches!(request, MaRequest::DepositBatch { .. })
+                    .then(|| self.shared.dec_bank.lock());
+                // Decide, journal, then apply: a panic in decide or a
+                // failed append leaves no effect behind, and ends only
+                // this incarnation; the retransmit re-executes.
+                let mut effects = Vec::new();
+                let decided = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    shard.decide(&request, &mut effects, verdicts, dec.as_deref())
+                }));
+                let Ok(response) = decided else {
+                    self.dump_crash("handler-panic");
+                    return Exit::Crash;
                 };
 
                 let response = if is_write(&request) {
@@ -1376,14 +1328,27 @@ impl ShardWorker {
                         Ok(lsn) => self.schedule.appended(lsn),
                         Err(e) => {
                             // The storage device failed mid-flight; a
-                            // write-ahead log has no degraded mode.
+                            // write-ahead log has no degraded mode. An
+                            // id the decide reserved goes back, so the
+                            // retransmit takes the same one.
+                            match record.response {
+                                MaResponse::Account(id) => self.shared.bank.release_id(id),
+                                MaResponse::JobId(id) => self.shared.bulletin.release_id(id),
+                                _ => {}
+                            }
                             self.dump_crash(&format!("journal-append-failed: {e}"));
                             return Exit::Crash;
                         }
                     }
+                    apply(
+                        &record,
+                        Some(&self.shared),
+                        dec.as_deref_mut(),
+                        Some(&mut shard),
+                    );
+                    drop(dec);
                     self.faults.wal_commit();
                     committed += 1;
-                    shard.dedup.insert(key, record.response.clone());
                     record.response
                 } else {
                     response
@@ -1469,31 +1434,34 @@ pub struct RecoveryReport {
     pub segments_read: usize,
 }
 
-/// Re-applies the *shared-state* effects of one journal record during
-/// cold-start recovery — the shared twin of
-/// [`Shard::apply_committed`] (which replays per-shard private
-/// state). Each arm applies exactly what the original execution wrote
-/// into the shared structures, keyed off the recorded response; it
-/// never re-runs verification, whose verdict already rides in the
-/// record (`effects` for batch deposits).
-fn apply_shared_effects(
+/// The one code path that changes market state: makes what `record`
+/// says happened, keyed off its recorded response and `effects`, and
+/// never re-runs a check or a verification. Each arm writes the
+/// record's shared half (bank, bulletin, CL bindings, DEC double-spend
+/// state, held payments) when `shared` is given, and its private half
+/// (nonces, labor, data reports, the dedup entry) when `shard` is.
+/// Live execution applies both after the append; a restarted shard
+/// applies only the private half, since shared state holds exactly the
+/// appended records; cold recovery applies only the shared half, in
+/// log order. A deposit needs `dec`, the DEC bank its caller locked.
+fn apply(
     record: &WalRecord,
-    bank: &Bank,
-    bulletin: &Bulletin,
-    dec_bank: &mut DecBank,
-    cl_bindings: &mut HashMap<AccountId, ClPublicKey>,
-    held: &mut HeldPayments,
-    face_value: u64,
+    shared: Option<&SharedState>,
+    dec: Option<&mut DecBank>,
+    mut shard: Option<&mut Shard>,
 ) {
     use MaRequest::*;
-    let response = &record.response;
-    match (&record.request, response) {
+    match (&record.request, &record.response) {
         (RegisterJoAccount { funds, clpk }, MaResponse::Account(id)) => {
-            bank.restore_account(*id, *funds);
-            cl_bindings.insert(*id, clpk.clone());
+            if let Some(shared) = shared {
+                shared.bank.restore_account(*id, *funds);
+                shared.cl_bindings.write().insert(*id, clpk.clone());
+            }
         }
         (RegisterSpAccount, MaResponse::Account(id)) => {
-            bank.restore_account(*id, 0);
+            if let Some(shared) = shared {
+                shared.bank.restore_account(*id, 0);
+            }
         }
         (
             PublishJob {
@@ -1503,17 +1471,35 @@ fn apply_shared_effects(
             },
             MaResponse::JobId(job_id),
         ) => {
-            bulletin.restore_job(JobProfile {
-                job_id: *job_id,
-                description: description.clone(),
-                payment: *payment,
-                pseudonym: pseudonym.clone(),
-            });
+            if let Some(shared) = shared {
+                shared.bulletin.restore_job(JobProfile {
+                    job_id: *job_id,
+                    description: description.clone(),
+                    payment: *payment,
+                    pseudonym: pseudonym.clone(),
+                });
+            }
         }
-        (Withdraw { account, .. }, MaResponse::BlindSignature(_)) => {
-            // The debit succeeded when the record was written; under
-            // faithful in-order replay it succeeds again.
-            let _ = bank.debit(*account, face_value);
+        // The nonce burns once the authorization verifies, even when
+        // the debit is then refused.
+        (
+            Withdraw { account, nonce, .. },
+            response @ (MaResponse::BlindSignature(_)
+            | MaResponse::Err(MarketError::InsufficientFunds)),
+        ) => {
+            if let Some(shard) = shard.as_deref_mut() {
+                let last = shard.used_nonces.entry(*account).or_insert(0);
+                *last = (*last).max(*nonce);
+            }
+            if let (Some(shared), MaResponse::BlindSignature(_)) = (shared, response) {
+                let _ = shared.bank.debit(*account, shared.params.face_value());
+            }
+        }
+        (LaborRegister { job_id, sp_pubkey }, MaResponse::Ok) => {
+            if let Some(shard) = shard.as_deref_mut() {
+                let keys = shard.labor.entry(*job_id).or_default();
+                keys.push(sp_pubkey.clone());
+            }
         }
         (
             SubmitPayment {
@@ -1522,34 +1508,61 @@ fn apply_shared_effects(
             },
             MaResponse::Ok,
         ) => {
-            held.pending.insert(sp_pubkey.clone(), ciphertext.clone());
+            if let Some(shared) = shared {
+                let mut held = shared.held.lock();
+                held.pending.insert(sp_pubkey.clone(), ciphertext.clone());
+            }
         }
-        (SubmitData { sp_pubkey, .. }, MaResponse::Ok) => {
-            held.received.insert(sp_pubkey.clone());
+        (
+            SubmitData {
+                job_id,
+                sp_pubkey,
+                data,
+            },
+            MaResponse::Ok,
+        ) => {
+            if let Some(shard) = shard.as_deref_mut() {
+                let reports = shard.data_reports.entry(*job_id).or_default();
+                reports.push(data.clone());
+            }
+            if let Some(shared) = shared {
+                shared.held.lock().received.insert(sp_pubkey.clone());
+            }
         }
         (FetchPayment { sp_pubkey }, MaResponse::Payment(Some(_))) => {
-            held.pending.remove(sp_pubkey);
-        }
-        (DepositBatch { account, spends }, _) => {
-            // Re-insert exactly the spends the original execution
-            // accepted (double-spend state) and re-credit the
-            // recorded total — the response alone carries only
-            // counts, which is why `effects` rides in the record.
-            // The DEC state mutates even when the response was an
-            // error (a failed ledger credit happens *after* the
-            // deposits), matching the original execution.
-            let mut total = 0u64;
-            for &(idx, value) in &record.effects {
-                if let Some(spend) = spends.get(idx as usize) {
-                    let _ = dec_bank.deposit_preverified(spend, value);
-                    total += value;
-                }
+            if let Some(shared) = shared {
+                shared.held.lock().pending.remove(sp_pubkey);
             }
-            if total > 0 && matches!(response, MaResponse::BatchDeposited { .. }) {
-                let _ = bank.credit(*account, total);
+        }
+        // The fetch handed the reports out; they must not reappear.
+        (FetchData { job_id }, MaResponse::Data(_)) => {
+            if let Some(shard) = shard.as_deref_mut() {
+                shard.data_reports.remove(job_id);
+            }
+        }
+        // The accepted spends ride in `effects`: the response carries
+        // only counts. A record written before deposits were decided
+        // first may pair effects with an `Err` (its credit failed after
+        // the spends were recorded); the spends stay spent, as then.
+        (DepositBatch { account, spends }, response) => {
+            if let Some(shared) = shared {
+                let dec = dec.expect("a deposit applies under the DEC lock");
+                let mut total = 0u64;
+                for &(idx, value) in &record.effects {
+                    if let Some(spend) = spends.get(idx as usize) {
+                        let _ = dec.deposit_preverified(spend, value);
+                        total += value;
+                    }
+                }
+                if total > 0 && matches!(response, MaResponse::BatchDeposited { .. }) {
+                    let _ = shared.bank.credit(*account, total);
+                }
             }
         }
         _ => {}
+    }
+    if let (Some(shard), Some(key)) = (shard, record.key) {
+        shard.dedup.insert(key, record.response.clone());
     }
 }
 
@@ -1658,36 +1671,11 @@ impl Checkpointer {
         self.log.flush()?;
         let covered = self.log.next_lsn();
         let gate = self.request_gate_blob();
-        let state = {
-            let mut cl_bindings: Vec<(u64, ClPublicKey)> = self
-                .shared
-                .cl_bindings
-                .read()
-                .iter()
-                .map(|(account, pk)| (account.0, pk.clone()))
-                .collect();
-            cl_bindings.sort_unstable_by_key(|(account, _)| *account);
-            let held = self.shared.held.lock();
-            let mut pending_payments: Vec<(Vec<u8>, Vec<u8>)> = held
-                .pending
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            pending_payments.sort_unstable();
-            let mut received_reports: Vec<Vec<u8>> = held.received.iter().cloned().collect();
-            received_reports.sort_unstable();
-            drop(held);
-            SnapshotState {
-                covered,
-                bank: self.shared.bank.snapshot(),
-                jobs: self.shared.bulletin.list(),
-                cl_bindings,
-                dec: self.shared.dec_bank.lock().export_state(),
-                pending_payments,
-                received_reports,
-                shards: sections,
-                gate,
-            }
+        let state = SnapshotState {
+            covered,
+            shards: sections,
+            gate,
+            ..self.shared.capture()
         };
         if let Err(e) = save_snapshot(&self.storage, &state) {
             // The snapshot never became durable: keep the old covered
@@ -1770,7 +1758,7 @@ impl MaService {
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<MaService, StorageError> {
-        Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, durability)
+        Self::recover(rng, params, rsa_bits, pairing_bits, config, durability)
             .map(|(svc, _report)| svc)
     }
 
@@ -1788,17 +1776,6 @@ impl MaService {
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<(MaService, RecoveryReport), StorageError> {
-        Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, durability)
-    }
-
-    fn spawn_inner<R: rand::Rng + ?Sized>(
-        rng: &mut R,
-        params: DecParams,
-        rsa_bits: usize,
-        pairing_bits: usize,
-        config: ServiceConfig,
-        durability: DurabilityConfig,
-    ) -> Result<(MaService, RecoveryReport), StorageError> {
         // Build the fixed-base window tables once, up front: every
         // shard and every client clone of `params` share the per-ring
         // caches, so nobody pays the lazy first-use build.
@@ -1806,8 +1783,6 @@ impl MaService {
         let mut dec_bank = DecBank::new(rng, params.clone(), rsa_bits);
         let bank_pk = dec_bank.public_key().clone();
         let pairing = TypeAPairing::generate(rng, pairing_bits);
-        let bank = Bank::new();
-        let bulletin = Bulletin::new();
         // One registry for the whole service: traffic bytes, fault
         // counters, per-op latency, queue depths and WAL timings all
         // merge into a single snapshot. Private (not the process-wide
@@ -1819,18 +1794,13 @@ impl MaService {
 
         let n_shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
-
-        let mut bases: Vec<ShardSection> = vec![ShardSection::default(); n_shards];
-        let mut cl_map: HashMap<AccountId, ClPublicKey> = HashMap::new();
-        let mut held = HeldPayments::default();
         let mut report = RecoveryReport::default();
         let gate_hook: Arc<Mutex<Option<Arc<GateCheckpoint>>>> = Arc::new(Mutex::new(None));
-        let mut recovered_gate = None;
 
-        // Open the log, restore the newest readable snapshot into the
-        // shared structures, then replay the log tail's shared
-        // effects. (Workers replay the same tail for their private
-        // state when they start.)
+        // Open the log, build the shared state from the newest readable
+        // snapshot (an empty market without one), then apply the shared
+        // half of the log tail. (Workers apply the same tail's private
+        // half when they start.)
         let (log, log_rec) = DurableLog::open(
             durability.storage.clone(),
             durability.sync,
@@ -1840,32 +1810,41 @@ impl MaService {
         let log = Arc::new(log);
         let snap = load_latest(&durability.storage)?;
         report.snapshots_skipped = snap.skipped.len();
-        let mut covered = 0u64;
-        if let Some(state) = snap.state {
-            if state.shards.len() != n_shards {
-                return Err(StorageError::ShardMismatch {
-                    snapshot: state.shards.len(),
-                    config: n_shards,
-                });
-            }
-            covered = state.covered;
-            for &(id, balance) in &state.bank.accounts {
-                bank.restore_account(AccountId(id), balance);
-            }
-            for job in state.jobs {
-                bulletin.restore_job(job);
-            }
-            for (account, pk) in state.cl_bindings {
-                cl_map.insert(AccountId(account), pk);
-            }
-            dec_bank.restore_state(&state.dec);
-            held.pending = state.pending_payments.into_iter().collect();
-            held.received = state.received_reports.into_iter().collect();
-            bases = state.shards;
-            recovered_gate = state.gate;
-            report.snapshot = snap.name;
-            report.snapshot_lsn = covered;
+        report.snapshot = snap.name;
+        let state = snap.state.unwrap_or_else(|| SnapshotState {
+            shards: vec![ShardSection::default(); n_shards],
+            ..SnapshotState::default()
+        });
+        if state.shards.len() != n_shards {
+            return Err(StorageError::ShardMismatch {
+                snapshot: state.shards.len(),
+                config: n_shards,
+            });
         }
+        let covered = state.covered;
+        report.snapshot_lsn = covered;
+        dec_bank.restore_state(&state.dec);
+        let bulletin = Bulletin::new();
+        for job in state.jobs {
+            bulletin.restore_job(job);
+        }
+        let shared = Arc::new(SharedState {
+            bank: Bank::restore(&state.bank),
+            bulletin,
+            dec_bank: Mutex::new(dec_bank),
+            params: params.clone(),
+            bank_pk: bank_pk.clone(),
+            pairing: pairing.clone(),
+            cl_bindings: RwLock::new(
+                (state.cl_bindings.into_iter())
+                    .map(|(account, pk)| (AccountId(account), pk))
+                    .collect(),
+            ),
+            held: Mutex::new(HeldPayments {
+                pending: state.pending_payments.into_iter().collect(),
+                received: state.received_reports.into_iter().collect(),
+            }),
+        });
         if log_rec.start_lsn > covered {
             // Records between the snapshot's coverage and the log's
             // first segment are gone — compaction ran against a
@@ -1880,32 +1859,14 @@ impl MaService {
                 ),
             });
         }
-        // Shared-effects replay, in global journal order.
+        let mut dec = shared.dec_bank.lock();
         for (_, _, record) in log_rec.records.iter().filter(|(lsn, ..)| *lsn >= covered) {
-            apply_shared_effects(
-                record,
-                &bank,
-                &bulletin,
-                &mut dec_bank,
-                &mut cl_map,
-                &mut held,
-                params.face_value(),
-            );
+            apply(record, Some(&shared), Some(&mut dec), None);
             report.replayed_records += 1;
         }
+        drop(dec);
         report.torn_tail_bytes = log_rec.torn_bytes;
         report.segments_read = log_rec.segments_read;
-
-        let shared = Arc::new(SharedState {
-            bank: bank.clone(),
-            bulletin: bulletin.clone(),
-            dec_bank: Mutex::new(dec_bank),
-            params: params.clone(),
-            bank_pk: bank_pk.clone(),
-            pairing: pairing.clone(),
-            cl_bindings: RwLock::new(cl_map),
-            held: Mutex::new(held),
-        });
 
         let (ctrl_tx, ctrl_rx) = channel::unbounded::<Control>();
         // Created here (not inside a worker) so the service handle can
@@ -1929,7 +1890,7 @@ impl MaService {
             .collect();
         let mut txs = Vec::with_capacity(n_shards);
         let mut shards = Vec::with_capacity(n_shards);
-        for (idx, base) in bases.into_iter().enumerate() {
+        for (idx, base) in state.shards.into_iter().enumerate() {
             let (tx, rx) = channel::bounded(depth);
             let on_shard = |c: u64, shard: usize| (shard % n_shards == idx).then_some(c);
             let worker = ShardWorker {
@@ -1958,7 +1919,7 @@ impl MaService {
             placed: obs.counter("ma.direct_routed"),
         };
         let checkpointer = Checkpointer {
-            shared,
+            shared: shared.clone(),
             txs,
             shards,
             schedule,
@@ -1974,8 +1935,9 @@ impl MaService {
         let svc = MaService {
             ctrl: ctrl_tx,
             handle: Some(handle),
-            bank,
-            bulletin,
+            bank: shared.bank.clone(),
+            bulletin: shared.bulletin.clone(),
+            shared,
             traffic,
             faults,
             obs,
@@ -1984,7 +1946,7 @@ impl MaService {
             bank_pk,
             pairing,
             gate_hook,
-            recovered_gate: Mutex::new(recovered_gate),
+            recovered_gate: Mutex::new(state.gate),
             router,
         };
         Ok((svc, report))
@@ -2032,6 +1994,13 @@ impl MaService {
     /// order of death.
     pub fn crash_dumps(&self) -> Vec<PathBuf> {
         self.dumps.lock().clone()
+    }
+
+    /// The shared market state (ledger, bulletin, CL bindings, DEC
+    /// double-spend state, held payments) as a checkpoint writes it,
+    /// without the shard sections and the gate.
+    pub fn ledger(&self) -> SnapshotState {
+        self.shared.capture()
     }
 
     /// The one way into the shard queues; see [`ShardRouter`].
@@ -2502,6 +2471,63 @@ mod tests {
     }
 
     #[test]
+    fn a_deposit_to_an_unknown_account_burns_no_spend() {
+        let (svc, mut rng) = service(9);
+        let client = svc.client();
+        let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
+            panic!("sp account")
+        };
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("jo account")
+        };
+        let mut coin = ppms_ecash::Coin::mint(&mut rng, &svc.params);
+        let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
+        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+        let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
+            account: jo,
+            nonce: 1,
+            auth,
+            blinded,
+        }) else {
+            panic!("withdraw")
+        };
+        assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+        let path = ppms_ecash::NodePath::from_index(1, 0);
+        let spend = coin.spend(&mut rng, &svc.params, &path, b"");
+        let deposit = |account| MaRequest::DepositBatch {
+            account,
+            spends: vec![spend.clone()],
+        };
+        let resp = client.call(deposit(AccountId(u64::MAX)));
+        assert!(
+            matches!(resp, MaResponse::Err(MarketError::NoSuchAccount)),
+            "{resp:?}"
+        );
+        // The refused deposit recorded nothing: the spend is still good.
+        let resp = client.call(deposit(sp));
+        assert!(
+            matches!(
+                resp,
+                MaResponse::BatchDeposited {
+                    total: 2,
+                    accepted: 1,
+                    rejected: 0
+                }
+            ),
+            "{resp:?}"
+        );
+        assert!(matches!(
+            client.call(MaRequest::Balance { account: sp }),
+            MaResponse::Balance(2)
+        ));
+        svc.shutdown();
+    }
+
+    #[test]
     fn labor_registration_requires_job() {
         let (svc, _rng) = service(5);
         let client = svc.client();
@@ -2622,9 +2648,9 @@ mod tests {
         cache.insert(mk(2), MaResponse::Ok);
         cache.insert(mk(3), MaResponse::Ok);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&mk(1)).is_none(), "oldest evicted");
-        assert!(cache.get(&mk(2)).is_some());
-        assert!(cache.get(&mk(3)).is_some());
+        assert!(!cache.map.contains_key(&mk(1)), "oldest evicted");
+        assert!(cache.map.contains_key(&mk(2)));
+        assert!(cache.map.contains_key(&mk(3)));
     }
 
     /// Waits until a checkpoint has asked `hook` for the gate state:
@@ -2743,6 +2769,91 @@ mod tests {
         let svc = MaService::spawn_durable(&mut rng, params, 512, 40, config, durability)
             .expect("durable spawn over fresh storage");
         (svc, rng)
+    }
+
+    #[test]
+    fn an_older_builds_refused_deposit_record_keeps_its_spends_spent() {
+        // Before deposits were decided first, a deposit to an unknown
+        // account recorded its spends, then failed to credit, and was
+        // journaled with those effects beside `Err(NoSuchAccount)`.
+        // Recovery replays such a record as it executed.
+        let storage = Arc::new(SimStorage::new());
+        let (svc, mut rng) = durable_service(
+            41,
+            ServiceConfig::default(),
+            DurabilityConfig::new(storage.clone()),
+        );
+        let client = svc.client();
+        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("jo account")
+        };
+        let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
+            panic!("sp account")
+        };
+        let mut coin = ppms_ecash::Coin::mint(&mut rng, &svc.params);
+        let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
+        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+        let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
+            account: jo,
+            nonce: 1,
+            auth,
+            blinded,
+        }) else {
+            panic!("withdraw")
+        };
+        assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+        let path = ppms_ecash::NodePath::from_index(2, 0);
+        let spend = coin.spend(&mut rng, &svc.params, &path, b"");
+        svc.shutdown();
+        let (log, _) = DurableLog::open(
+            storage.clone(),
+            crate::storage::SyncPolicy::Always,
+            64 * 1024,
+            &Registry::new(),
+        )
+        .expect("reopen the log");
+        let record = WalRecord {
+            key: Some(RequestKey {
+                party: Party::Sp,
+                request_id: next_request_id(),
+            }),
+            span: SpanContext::NONE,
+            request: MaRequest::DepositBatch {
+                account: AccountId(u64::MAX),
+                spends: vec![spend.clone()],
+            },
+            response: MaResponse::Err(MarketError::NoSuchAccount),
+            effects: vec![(0, 1)],
+        };
+        log.append(0, &record).expect("append the older record");
+        drop(log);
+
+        let (svc, _rng) =
+            durable_service(41, ServiceConfig::default(), DurabilityConfig::new(storage));
+        let resp = svc.client().call(MaRequest::DepositBatch {
+            account: sp,
+            spends: vec![spend],
+        });
+        assert!(
+            matches!(
+                resp,
+                MaResponse::BatchDeposited {
+                    accepted: 0,
+                    rejected: 1,
+                    ..
+                }
+            ),
+            "the replayed record's spend stays spent: {resp:?}"
+        );
+        assert!(matches!(
+            svc.client().call(MaRequest::Balance { account: sp }),
+            MaResponse::Balance(0)
+        ));
+        svc.shutdown();
     }
 
     #[test]

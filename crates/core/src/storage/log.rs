@@ -316,21 +316,28 @@ impl DurableLog {
             self.sync_live(&mut inner)?;
             self.start_segment(&mut inner)?;
         }
-        let name = inner.segments.last().expect("live segment").name.clone();
+        let live = inner.segments.last().expect("live segment");
+        let (name, live_bytes) = (live.name.clone(), live.bytes);
         self.storage.append(&name, &frame)?;
-        inner.segments.last_mut().expect("live segment").bytes += frame.len();
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
         inner.unsynced += 1;
-        inner.total_bytes += frame.len();
         let will_sync = match self.policy {
             SyncPolicy::Always => true,
             SyncPolicy::Batch { every } => inner.unsynced >= every.max(1),
         };
         if will_sync {
             let _fsync_span = (!ctx.is_none()).then(|| ppms_obs::Span::child("storage.fsync", ctx));
-            self.sync_live(&mut inner)?;
+            if let Err(e) = self.sync_live(&mut inner) {
+                // A failed append leaves no record behind: the service
+                // applies a record only once it is in the log.
+                inner.unsynced -= 1;
+                let _ = self.storage.truncate(&name, live_bytes as u64);
+                return Err(e);
+            }
         }
+        inner.segments.last_mut().expect("live segment").bytes += frame.len();
+        let lsn = inner.next_lsn;
+        inner.next_lsn += 1;
+        inner.total_bytes += frame.len();
         self.publish_gauges(&inner);
         Ok(lsn)
     }
@@ -632,11 +639,13 @@ mod tests {
     }
 
     /// A `SimStorage` whose next read of one file, once armed,
-    /// returns all but its last five bytes: a short read.
+    /// returns all but its last five bytes: a short read. With
+    /// `fail_sync` set, its next sync fails instead.
     #[derive(Debug)]
     struct ShortOnce {
         inner: SimStorage,
         armed: std::sync::Mutex<Option<String>>,
+        fail_sync: std::sync::atomic::AtomicBool,
     }
 
     impl ShortOnce {
@@ -650,6 +659,12 @@ mod tests {
             self.inner.append(name, bytes)
         }
         fn sync(&self, name: &str) -> Result<(), StorageError> {
+            if self
+                .fail_sync
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                return Err(StorageError::Io("injected: fsync failed".into()));
+            }
             self.inner.sync(name)
         }
         fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
@@ -679,7 +694,40 @@ mod tests {
         Arc::new(ShortOnce {
             inner: sim.clone(),
             armed: std::sync::Mutex::new(None),
+            fail_sync: Default::default(),
         })
+    }
+
+    #[test]
+    fn an_append_whose_fsync_failed_leaves_no_record() {
+        // The service applies a record only once its append returned
+        // Ok, so an Err must mean the record is not in the log.
+        let sim = SimStorage::new();
+        let storage = short_once(&sim);
+        let (log, _) = DurableLog::open(
+            storage.clone(),
+            SyncPolicy::Always,
+            1 << 16,
+            &Registry::new(),
+        )
+        .expect("open");
+        log.append(0, &rec(0)).unwrap();
+        storage
+            .fail_sync
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(log.append(0, &rec(1)).is_err());
+        assert_eq!(
+            log.append(0, &rec(2)).unwrap(),
+            1,
+            "the failed append took no lsn"
+        );
+        let keys = |records: Vec<WalRecord>| -> Vec<u64> {
+            records.iter().map(|r| r.key.unwrap().request_id).collect()
+        };
+        assert_eq!(keys(log.replay_shard(0).unwrap()), [0, 2]);
+        let (_, reopened) = open(&sim, SyncPolicy::Always, 1 << 16);
+        let records = reopened.records.into_iter().map(|(_, _, r)| r).collect();
+        assert_eq!(keys(records), [0, 2]);
     }
 
     #[test]

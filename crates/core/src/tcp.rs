@@ -898,17 +898,21 @@ impl Reactor {
 
     /// The health/readiness body: liveness is implied by answering at
     /// all; readiness is `status == "ok"` (a stopping reactor reports
-    /// `"stopping"` so a scraper can drain it from rotation).
+    /// `"stopping"` so a scraper can drain it from rotation, and a
+    /// service with a shard stopped for good, which refuses every
+    /// request routed to it, reports `"degraded"`).
     fn health_json(&self) -> String {
-        let status = if self.stop.load(Ordering::SeqCst) {
-            "stopping"
-        } else {
-            "ok"
+        let stopped = self.obs.gauge("ma.shards_stopped").get();
+        let status = match (self.stop.load(Ordering::SeqCst), stopped) {
+            (true, _) => "stopping",
+            (false, 0) => "ok",
+            _ => "degraded",
         };
         format!(
-            "{{\"status\":\"{}\",\"uptime_ms\":{},\"connections\":{},\"inflight\":{},\
-             \"slow_log_entries\":{}}}",
+            "{{\"status\":\"{}\",\"shards_stopped\":{},\"uptime_ms\":{},\"connections\":{},\
+             \"inflight\":{},\"slow_log_entries\":{}}}",
             status,
+            stopped,
             self.started.elapsed().as_millis(),
             self.conns.len(),
             self.pending.len,

@@ -1,41 +1,32 @@
 //! The write-ahead journal's record format and replay rules: the
 //! crash-recovery half of the MA's fault-tolerance story.
 //!
-//! Every shard worker appends one framed [`WalRecord`] per executed
-//! write — the request, its response and its recorded effects, written
-//! *after* the handler ran — into the service's one
-//! [`crate::storage::DurableLog`]. Pure reads (`Balance`,
-//! `FetchLabor`) change nothing a replay could rebuild, so they are
-//! neither journaled nor cached for retransmits. The log outlives any
-//! worker incarnation (the service owns it through an `Arc`), so when
-//! a shard panics or is crash-injected, the restarted incarnation
-//! replays its records to rebuild exactly the state the dead one held
-//! privately:
+//! A shard worker runs every write as *decide, journal, then apply*:
+//! it decides the response (and, for a deposit, which spends are
+//! accepted) without changing any state, appends one framed
+//! [`WalRecord`] carrying both into the service's one
+//! [`crate::storage::DurableLog`], and only then applies the record.
+//! The service's `apply` is the only code that changes market state,
+//! and it reads nothing but the record. So a failed append or a crash
+//! before it leaves no effect behind (the client's retry re-executes
+//! from scratch), and the state the MA holds is exactly what its
+//! journal rebuilds: a write counts once its record is in the log. Pure reads (`Balance`, `FetchLabor`) change
+//! nothing, so they are neither journaled nor cached for retransmits.
 //!
-//! * withdrawal-nonce high-water marks,
-//! * labor registrations and data reports keyed to this shard,
-//! * the idempotency (dedup) cache of `(party, request_id) →
-//!   response`, so retransmits of already-executed writes still
-//!   replay their original answer after a crash.
+//! Each record has a shared half (ledger, bulletin, CL bindings, DEC
+//! double-spend set, held payments) and a private half (withdrawal
+//! nonces, labor registrations, data reports and the idempotency
+//! entry of `(party, request_id) → response`). Shared state outlives a
+//! worker, so a restarted shard replays only the private half of its
+//! records; cold-start recovery, which lost the process, applies the
+//! shared half of every record in log order before the workers start.
 //!
-//! A request the shard died on before its record was appended was
-//! never answered (replies wait for the record), so replay has
-//! nothing to discard: the client's retry re-executes it from
-//! scratch. The same rule extends one level down, to the *bytes*: a
-//! partial final frame (a torn tail, the signature of a crash
-//! mid-append) is tolerated and its length reported, while a checksum
-//! mismatch on any *complete* frame is a hard error — corruption
-//! before the tail means the medium lied, and replaying past it would
-//! rebuild a ledger nobody agreed to.
-//!
-//! Shared state (ledger, bulletin, DEC double-spend set, held
-//! payments) lives outside the shards behind `Arc`s and survives a
-//! worker crash on its own, so a respawn replays only the per-shard
-//! projection. A process restart *does* lose the shared state — there,
-//! cold-start recovery applies the full recorded effects (which is why
-//! a record carries the deposit effects explicitly: re-running ZK
-//! verification on recovery is neither possible — the verdicts depend
-//! on bank-private state order — nor meaningful).
+//! The rule extends one level down, to the *bytes*: a partial
+//! final frame (a torn tail, the signature of a crash mid-append) is
+//! tolerated and its length reported, while a checksum mismatch on
+//! any *complete* frame is a hard error — corruption before the tail
+//! means the medium lied, and replaying past it would rebuild a
+//! ledger nobody agreed to.
 //!
 //! Records are framed as real bytes — the same length-prefixed wire
 //! codec the transport speaks (the repo's `serde` is a marker-only
@@ -47,7 +38,7 @@ use crate::service::{MaRequest, MaResponse, RequestKey};
 use crate::wire::{fnv1a, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use ppms_obs::SpanContext;
 
-/// One journal entry: a write that executed, appended after it ran.
+/// One journal entry: a decided write, appended before it is applied.
 #[derive(Debug, Clone)]
 pub struct WalRecord {
     /// The idempotency key the request arrived under. The service
@@ -64,11 +55,10 @@ pub struct WalRecord {
     /// The response that was sent (and cached for retransmits).
     pub response: MaResponse,
     /// For a `DepositBatch`: the `(index, value)` pairs of the spends
-    /// that passed verification and were recorded in the double-spend
-    /// set. Cold-start recovery re-inserts exactly these — the
-    /// response alone carries only counts, and re-verifying on replay
-    /// would wrongly admit spends whose ZK proofs never passed. Empty
-    /// for every other request.
+    /// the decision accepted, which `apply` inserts into the
+    /// double-spend set and credits — the response alone carries only
+    /// counts, and re-verifying on replay would wrongly admit spends
+    /// whose ZK proofs never passed. Empty for every other request.
     pub effects: Vec<(u32, u64)>,
 }
 

@@ -126,38 +126,70 @@ impl DecBank {
     }
 
     /// The bookkeeping half of [`DecBank::deposit`] (verification
-    /// already done).
+    /// already done): [`DecBank::check_deposit`], then
+    /// [`DecBank::insert_deposit`].
     fn record_deposit(&mut self, spend: &Spend, value: u64) -> Result<u64, DecError> {
+        let mark = self.check_deposit(spend, value, &[])?;
+        self.insert_deposit(mark);
+        Ok(value)
+    }
+
+    /// The double-spend rules, read-only: whether `spend`, worth
+    /// `value`, may be deposited on top of this bank's state plus the
+    /// not yet inserted `pending` marks (the spends accepted earlier in
+    /// the same request, so conflicts inside one request resolve first
+    /// wins). Returns what [`DecBank::insert_deposit`] records.
+    pub fn check_deposit(
+        &self,
+        spend: &Spend,
+        value: u64,
+        pending: &[DepositMark],
+    ) -> Result<DepositMark, DecError> {
         let serial = key_hash(spend.serial());
-        let anc_hashes: Vec<[u8; 32]> = spend.keys[..spend.keys.len() - 1]
+        let ancestors: Vec<[u8; 32]> = spend.keys[..spend.keys.len() - 1]
             .iter()
             .map(key_hash)
             .collect();
+        let spent = |h: &[u8; 32]| self.spent.contains(h) || pending.iter().any(|m| m.serial == *h);
 
-        if self.spent.contains(&serial) {
+        if spent(&serial) {
             return Err(DecError::DoubleSpend("node already spent".into()));
         }
-        if self.ancestors.contains(&serial) {
+        if self.ancestors.contains(&serial) || pending.iter().any(|m| m.ancestors.contains(&serial))
+        {
             return Err(DecError::DoubleSpend(
                 "a descendant was already spent".into(),
             ));
         }
-        if anc_hashes.iter().any(|h| self.spent.contains(h)) {
+        if ancestors.iter().any(spent) {
             return Err(DecError::DoubleSpend(
                 "an ancestor was already spent".into(),
             ));
         }
 
-        let root_hash = hash_tagged("dec-root-hash", &spend.root_tag.to_bytes_be());
-        let total = self.coin_totals.entry(root_hash).or_insert(0);
-        if *total + value > self.params.face_value() {
+        let root = hash_tagged("dec-root-hash", &spend.root_tag.to_bytes_be());
+        let total = self.coin_totals.get(&root).copied().unwrap_or(0)
+            + pending
+                .iter()
+                .filter(|m| m.root == root)
+                .map(|m| m.value)
+                .sum::<u64>();
+        if total + value > self.params.face_value() {
             return Err(DecError::Overspend);
         }
+        Ok(DepositMark {
+            serial,
+            ancestors,
+            root,
+            value,
+        })
+    }
 
-        *total += value;
-        self.spent.insert(serial);
-        self.ancestors.extend(anc_hashes);
-        Ok(value)
+    /// Records a deposit [`DecBank::check_deposit`] accepted.
+    pub fn insert_deposit(&mut self, mark: DepositMark) {
+        *self.coin_totals.entry(mark.root).or_insert(0) += mark.value;
+        self.spent.insert(mark.serial);
+        self.ancestors.extend(mark.ancestors);
     }
 
     /// Number of distinct serials deposited so far.
@@ -194,6 +226,17 @@ impl DecBank {
         self.ancestors = state.ancestors.iter().copied().collect();
         self.coin_totals = state.coin_totals.iter().copied().collect();
     }
+}
+
+/// What one accepted deposit adds to a [`DecBank`]'s double-spend
+/// state: its serial's hash, its revealed ancestors' hashes, its
+/// coin's root hash and its value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DepositMark {
+    serial: [u8; 32],
+    ancestors: Vec<[u8; 32]>,
+    root: [u8; 32],
+    value: u64,
 }
 
 /// A point-in-time export of a [`DecBank`]'s double-spend state, in
@@ -333,6 +376,38 @@ mod tests {
             ))
         );
         assert_eq!(bank.deposited_count(), 2);
+    }
+
+    #[test]
+    fn checks_change_nothing_and_pending_marks_resolve_first_wins() {
+        let (params, mut bank, coin, mut rng) = setup(3);
+        let leaf = coin.spend(&mut rng, &params, &NodePath::from_index(3, 0), b"x");
+        let anc = coin.spend(&mut rng, &params, &NodePath::from_index(1, 0), b"x");
+        let mark = bank.check_deposit(&leaf, 1, &[]).expect("fresh leaf");
+        assert_eq!(
+            bank.export_state(),
+            DecBankState::default(),
+            "a check records nothing"
+        );
+        // Against the pending leaf, its ancestor is refused and the
+        // leaf itself is a double spend, before either is inserted.
+        let pending = [mark.clone()];
+        assert_eq!(
+            bank.check_deposit(&anc, 4, &pending),
+            Err(DecError::DoubleSpend(
+                "a descendant was already spent".into()
+            ))
+        );
+        assert_eq!(
+            bank.check_deposit(&leaf, 1, &pending),
+            Err(DecError::DoubleSpend("node already spent".into()))
+        );
+        bank.insert_deposit(mark);
+        assert_eq!(bank.deposited_count(), 1);
+        assert_eq!(
+            bank.deposit_preverified(&leaf, 1),
+            Err(DecError::DoubleSpend("node already spent".into()))
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod trace;
 pub mod wallet;
 pub mod wire;
 
-pub use bank::{DecBank, DecBankState};
+pub use bank::{DecBank, DecBankState, DepositMark};
 pub use batch::{batch_seed, verify_batch, verify_batch_chunked, DEPOSIT_CHUNK};
 pub use brk::{
     allocate_nodes, break_epcba, break_pcba, break_unitary, build_payment, cover_range, plan_break,

@@ -20,7 +20,7 @@ cargo test -p ppms-obs -q
 echo "==> wire protocol property tests (v4 frames, foreign versions refused, split reassembly)"
 cargo test -p ppms-core --test wire_props -q
 
-echo "==> tcp front door (admission gate, retired request tag 12 counted as a bad frame, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts) + transport equivalence"
+echo "==> tcp front door (admission gate, retired request tag 12 counted as a bad frame, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts; health reports a stopped shard as degraded) + transport equivalence"
 # transport_equivalence includes the batching-equivalence harness: batched concurrent interleavings
 # (cheater + same-key retransmit in-batch) ≡ sequential ledgers, in-process and through the
 # TCP door, where cross-client batches must actually form.
@@ -33,7 +33,7 @@ cargo test -p ppms-core --test frame_alloc -q
 echo "==> Table II TCP smoke (simnet/tcp ledger equality + gate frames counted)"
 cargo bench -p ppms-bench --bench tcp_front_door -- --test >/dev/null
 
-echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm, a short read is retried and never taken for a torn tail, a refused withdrawal's nonce stays burned across a restart)"
+echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm, a short read is retried and never taken for a torn tail, a refused withdrawal's nonce stays burned across a restart, a deposit to an unknown account burns no spend, an append whose fsync failed leaves no record)"
 cargo test -p ppms-integration --test chaos -q
 cargo test -p ppms-core --lib -q -- \
     service::tests::crashed_shard_restarts_itself_and_retry_succeeds \
@@ -41,14 +41,31 @@ cargo test -p ppms-core --lib -q -- \
     service::tests::a_failed_scheduled_checkpoint_waits_for_more_records \
     service::tests::short_reads_never_reexecute_a_write_after_a_restart \
     service::tests::a_refused_withdrawals_nonce_stays_burned_after_a_restart \
+    service::tests::a_deposit_to_an_unknown_account_burns_no_spend \
     storage::log::tests::a_short_read_during_replay_is_retried_not_taken_for_a_tear \
     storage::log::tests::a_read_that_stays_short_fails_replay_naming_both_lengths \
-    storage::log::tests::a_short_read_at_open_truncates_nothing
+    storage::log::tests::a_short_read_at_open_truncates_nothing \
+    storage::log::tests::an_append_whose_fsync_failed_leaves_no_record
 
-echo "==> durable storage tier (crash matrix, compaction bound, disk-backed restart)"
+echo "==> durable storage tier (crash matrix, failed-append matrix, a withdrawal and a deposit whose append failed re-execute once on retransmit, one serial raced on two shards is accepted once, live ledger = recovered ledger, compaction bound, disk-backed restart)"
 # The disk-backed smoke inside the suite is tempdir-hermetic (it
 # creates and removes its own directory under the system tempdir).
 cargo test -p ppms-integration --test recovery -q
+# The named tests must exist and pass (a rename would drop them silently).
+named_out=$(cargo test -p ppms-integration --test recovery -q -- --exact \
+    a_withdrawal_whose_append_failed_debits_once_on_retransmit \
+    a_deposit_whose_append_failed_is_accepted_and_credited_once_on_retransmit \
+    failed_append_matrix_fsync_always_converges \
+    failed_append_matrix_group_commit_converges \
+    one_serial_deposited_on_two_shards_at_once_is_accepted_once 2>&1) || {
+    echo "$named_out"
+    exit 1
+}
+echo "$named_out" | grep -q "test result: ok. 5 passed" || {
+    echo "the failed-append and serial-race tests did not all run:"
+    echo "$named_out"
+    exit 1
+}
 
 echo "==> recovery bench smoke (replay-length + fsync-discipline gates)"
 cargo bench -p ppms-bench --bench recovery -- --test >/dev/null

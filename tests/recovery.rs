@@ -6,7 +6,10 @@
 //! the matrix: byte-identical quiescent recovery, the compaction
 //! bound on replay length, refusal of mid-log corruption, fallback
 //! past a torn checkpoint publication, fsync lies, and a disk-backed
-//! restart through the TCP front door.
+//! restart through the TCP front door. A second matrix refuses one
+//! journal append at every point of the schedule: the retried drive
+//! must converge too, and the ledger the live service holds must be
+//! the one a cold recovery rebuilds from its storage.
 
 use ppms_core::service::{MaClient, MaRequest, MaResponse};
 use ppms_core::sim::{
@@ -640,4 +643,355 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
         "exactly one credit across crash, tear, retry and replay"
     );
     svc.shutdown();
+}
+
+/// A storage that fails one chosen `wal-` append with
+/// [`StorageError::Io`] — a device refusing a journal write — and
+/// passes everything else through.
+#[derive(Debug)]
+struct FailOneAppend {
+    inner: SimStorage,
+    /// `wal-` appends left until the failing one; 0 = disarmed.
+    countdown: std::sync::atomic::AtomicU64,
+}
+
+impl FailOneAppend {
+    fn new(inner: SimStorage) -> Arc<FailOneAppend> {
+        Arc::new(FailOneAppend {
+            inner,
+            countdown: Default::default(),
+        })
+    }
+
+    /// Fails the `k`-th `wal-` append from now (1 = the next one).
+    fn arm(&self, k: u64) {
+        self.countdown.store(k, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl Storage for FailOneAppend {
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+        use std::sync::atomic::Ordering::SeqCst;
+        let left = name.starts_with("wal-").then(|| {
+            self.countdown
+                .fetch_update(SeqCst, SeqCst, |k| k.checked_sub(1))
+        });
+        if let Some(Ok(1)) = left {
+            return Err(StorageError::Io("injected: journal append refused".into()));
+        }
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<(), StorageError> {
+        self.inner.sync(name)
+    }
+    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+        self.inner.read(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> Result<(), StorageError> {
+        self.inner.truncate(name, len)
+    }
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.inner.list()
+    }
+    fn remove(&self, name: &str) -> Result<(), StorageError> {
+        self.inner.remove(name)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+        self.inner.write_atomic(name, bytes)
+    }
+}
+
+/// Asserts that `live` holds the ledger `recovered` rebuilt: the bank,
+/// the bulletin, the CL bindings, the DEC double-spend state and the
+/// held payments.
+fn assert_same_ledger(live: &ppms_core::SnapshotState, recovered: &ppms_core::MaService, at: &str) {
+    let recovered = recovered.ledger();
+    assert_eq!(live.bank, recovered.bank, "{at}: bank");
+    assert_eq!(live.jobs, recovered.jobs, "{at}: bulletin");
+    assert_eq!(live.cl_bindings, recovered.cl_bindings, "{at}: CL bindings");
+    assert_eq!(live.dec, recovered.dec, "{at}: DEC double-spend state");
+    assert_eq!(
+        live.pending_payments, recovered.pending_payments,
+        "{at}: held payments"
+    );
+    assert_eq!(
+        live.received_reports, recovered.received_reports,
+        "{at}: data receipts"
+    );
+}
+
+/// The probes' market: a small DEC fixture (face value 4) over
+/// `storage`, spawned or recovered from the same seed.
+fn probe_service(
+    storage: Arc<dyn Storage>,
+    shards: usize,
+) -> (ppms_core::MaService, rand::rngs::StdRng) {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA11);
+    let (svc, _report) = ppms_core::MaService::recover(
+        &mut rng,
+        ppms_ecash::DecParams::fixture(2, 6),
+        512,
+        40,
+        ppms_core::ServiceConfig {
+            shards,
+            ..Default::default()
+        },
+        DurabilityConfig::new(storage),
+    )
+    .expect("spawn over the probe storage");
+    (svc, rng)
+}
+
+/// Stops `live` and recovers a second service from the same storage;
+/// its ledger must equal the one `live` held.
+fn assert_recovers_to_live(live: ppms_core::MaService, storage: Arc<dyn Storage>, shards: usize) {
+    let ledger = live.ledger();
+    live.shutdown();
+    let (recovered, _rng) = probe_service(storage, shards);
+    assert_same_ledger(&ledger, &recovered, "recovered from the same storage");
+    recovered.shutdown();
+}
+
+/// A JO account with `funds` and the CL key that authenticates it.
+fn probe_jo(
+    svc: &ppms_core::MaService,
+    rng: &mut rand::rngs::StdRng,
+    funds: u64,
+) -> (ppms_core::AccountId, ppms_crypto::cl::ClKeyPair) {
+    let cl = ppms_crypto::cl::ClKeyPair::generate(rng, &svc.pairing);
+    let MaResponse::Account(jo) = svc.client().call(MaRequest::RegisterJoAccount {
+        funds,
+        clpk: cl.public.clone(),
+    }) else {
+        panic!("jo account");
+    };
+    (jo, cl)
+}
+
+/// Withdraws one coin for `jo` under `nonce`.
+fn probe_coin(
+    svc: &ppms_core::MaService,
+    rng: &mut rand::rngs::StdRng,
+    (jo, cl): &(ppms_core::AccountId, ppms_crypto::cl::ClKeyPair),
+    nonce: u64,
+) -> ppms_ecash::Coin {
+    let mut coin = ppms_ecash::Coin::mint(rng, &svc.params);
+    let (blinded, factor) = coin.blind_token(rng, &svc.bank_pk);
+    let MaResponse::BlindSignature(sig) = svc.client().call(MaRequest::Withdraw {
+        account: *jo,
+        nonce,
+        auth: cl.sign_bytes(rng, &svc.pairing, &nonce.to_be_bytes()),
+        blinded,
+    }) else {
+        panic!("withdraw");
+    };
+    assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+    coin
+}
+
+#[test]
+fn a_withdrawal_whose_append_failed_debits_once_on_retransmit() {
+    let storage = FailOneAppend::new(SimStorage::new());
+    let (svc, mut rng) = probe_service(storage.clone(), 1);
+    let (jo, cl) = probe_jo(&svc, &mut rng, 50);
+    let withdraw = MaRequest::Withdraw {
+        account: jo,
+        nonce: 1,
+        auth: cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes()),
+        blinded: ppms_bigint::BigUint::from(12345u64),
+    };
+    let client = svc.client();
+    let id = ppms_core::next_request_id();
+    storage.arm(1);
+    assert!(
+        client.try_call_keyed(id, withdraw.clone()).is_err(),
+        "the refused append hangs up the first attempt"
+    );
+    let resp = client.try_call_keyed(id, withdraw).expect("retransmit");
+    assert!(matches!(resp, MaResponse::BlindSignature(_)), "{resp:?}");
+    let resp = client.call(MaRequest::Balance { account: jo });
+    assert!(
+        matches!(resp, MaResponse::Balance(46)),
+        "one withdrawal of 4 from 50: {resp:?}"
+    );
+    assert_recovers_to_live(svc, storage, 1);
+}
+
+#[test]
+fn a_deposit_whose_append_failed_is_accepted_and_credited_once_on_retransmit() {
+    let storage = FailOneAppend::new(SimStorage::new());
+    let (svc, mut rng) = probe_service(storage.clone(), 1);
+    let client = svc.client();
+    let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
+        panic!("sp account");
+    };
+    let jo = probe_jo(&svc, &mut rng, 50);
+    let coin = probe_coin(&svc, &mut rng, &jo, 1);
+    let spend = coin.spend(
+        &mut rng,
+        &svc.params,
+        &ppms_ecash::NodePath::from_index(2, 0),
+        b"",
+    );
+    let deposit = MaRequest::DepositBatch {
+        account: sp,
+        spends: vec![spend],
+    };
+    let id = ppms_core::next_request_id();
+    storage.arm(1);
+    assert!(client.try_call_keyed(id, deposit.clone()).is_err());
+    let resp = client.try_call_keyed(id, deposit).expect("retransmit");
+    assert!(
+        matches!(
+            resp,
+            MaResponse::BatchDeposited {
+                total: 1,
+                accepted: 1,
+                rejected: 0
+            }
+        ),
+        "an honest spend the log never recorded: {resp:?}"
+    );
+    let resp = client.call(MaRequest::Balance { account: sp });
+    assert!(
+        matches!(resp, MaResponse::Balance(1)),
+        "credited once: {resp:?}"
+    );
+    assert_recovers_to_live(svc, storage, 1);
+}
+
+/// One failed-append matrix half (split by fsync policy so the two run
+/// as parallel tests): for every shard count and every `k` up to the
+/// schedule's journaled writes, the keyed drive runs with its `k`-th
+/// `wal-` append refused, is re-driven to completion, and must reach
+/// the fault-free outcome; a cold recovery from the same storage must
+/// rebuild the ledger the live service held.
+fn run_failed_append_matrix(sync: SyncPolicy) {
+    let expected = h::durable_baseline();
+    let mut hung_up = 0;
+    for &shards in &h::MATRIX_SHARDS {
+        for k in 1..=h::SCHEDULE_JOURNALED {
+            let cell = format!("shards={shards} sync={sync} failed append={k}");
+            let storage = FailOneAppend::new(SimStorage::new());
+            let dur = matrix_durability(storage.clone(), sync);
+            let svc = spawn_durable_market(h::SEED, shards, dur.clone())
+                .unwrap_or_else(|e| panic!("{cell}: spawn: {e}"));
+            storage.arm(k);
+            // The refused append hangs up its request and ends the
+            // drive there; the schedule is then driven again in full.
+            let first = drive_market_keyed(&svc, h::SEED, h::N_SPS, h::W, u64::MAX);
+            hung_up += first.is_err() as u64;
+            let drive = drive_market_keyed(&svc, h::SEED, h::N_SPS, h::W, u64::MAX)
+                .unwrap_or_else(|e| panic!("{cell}: retried drive: {e}"));
+            let KeyedDrive::Complete(mut outcome) = drive else {
+                panic!("unlimited budget cannot pause");
+            };
+            let ledger = svc.ledger();
+            outcome.undelivered_payments = svc.shutdown();
+            assert_eq!(*outcome, expected, "{cell} diverged");
+            let (recovered, _report) = recover_durable_market(h::SEED, shards, dur)
+                .unwrap_or_else(|e| panic!("{cell}: recovery: {e}"));
+            assert_same_ledger(&ledger, &recovered, &cell);
+            recovered.shutdown();
+        }
+    }
+    // A refused append that a checkpoint's rotation took, not a
+    // request's, hangs up nobody; most cells must hit a request.
+    let cells = h::MATRIX_SHARDS.len() as u64 * h::SCHEDULE_JOURNALED;
+    assert!(
+        2 * hung_up > cells,
+        "only {hung_up} of {cells} cells hit a request"
+    );
+}
+
+#[test]
+fn failed_append_matrix_fsync_always_converges() {
+    run_failed_append_matrix(SyncPolicy::Always);
+}
+
+#[test]
+fn failed_append_matrix_group_commit_converges() {
+    run_failed_append_matrix(SyncPolicy::Batch { every: 4 });
+}
+
+#[test]
+fn one_serial_deposited_on_two_shards_at_once_is_accepted_once() {
+    // Two SP accounts that route to different shards race the same
+    // spend; the DEC lock a deposit holds from its decision through
+    // its append and apply lets exactly one of them through.
+    const ROUNDS: u64 = 50;
+    let storage: Arc<dyn Storage> = Arc::new(SimStorage::new());
+    let (svc, mut rng) = probe_service(storage.clone(), 2);
+    let client = svc.client();
+    let mut sps = Vec::new();
+    while sps.len() < 2 {
+        let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
+            panic!("sp account");
+        };
+        if sps
+            .iter()
+            .all(|other: &ppms_core::AccountId| other.0 % 2 != sp.0 % 2)
+        {
+            sps.push(sp);
+        }
+    }
+    let leaves = svc.params.face_value();
+    let jo = probe_jo(&svc, &mut rng, ROUNDS.div_ceil(leaves) * leaves);
+    let mut accepted_value = 0;
+    let mut coin = None;
+    for round in 0..ROUNDS {
+        let leaf = round % leaves;
+        if leaf == 0 {
+            coin = Some(probe_coin(&svc, &mut rng, &jo, round / leaves + 1));
+        }
+        let path = ppms_ecash::NodePath::from_index(svc.params.levels, leaf);
+        let spend =
+            coin.as_ref()
+                .expect("a coin per four rounds")
+                .spend(&mut rng, &svc.params, &path, b"");
+        let barrier = std::sync::Barrier::new(2);
+        let answers: Vec<MaResponse> = std::thread::scope(|scope| {
+            let racers: Vec<_> = sps
+                .iter()
+                .map(|&account| {
+                    let (spend, barrier, client) = (spend.clone(), &barrier, svc.client());
+                    scope.spawn(move || {
+                        barrier.wait();
+                        client.call(MaRequest::DepositBatch {
+                            account,
+                            spends: vec![spend],
+                        })
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer"))
+                .collect()
+        });
+        let accepted: Vec<u64> = answers
+            .iter()
+            .filter_map(|resp| match resp {
+                MaResponse::BatchDeposited {
+                    total, accepted: 1, ..
+                } => Some(*total),
+                MaResponse::BatchDeposited { accepted: 0, .. } => None,
+                other => panic!("round {round}: {other:?}"),
+            })
+            .collect();
+        assert_eq!(accepted.len(), 1, "round {round}: {answers:?}");
+        accepted_value += accepted[0];
+    }
+    let credited: u64 = sps
+        .iter()
+        .map(
+            |&account| match client.call(MaRequest::Balance { account }) {
+                MaResponse::Balance(b) => b,
+                other => panic!("balance: {other:?}"),
+            },
+        )
+        .sum();
+    assert_eq!(credited, accepted_value, "credits equal the accepted value");
+    assert_recovers_to_live(svc, storage, 2);
 }

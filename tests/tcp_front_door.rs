@@ -22,7 +22,7 @@ use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
     next_request_id, next_trace_id, AccountId, CrashPoint, DurabilityConfig, Envelope, FramedConn,
     GateRequest, GateResponse, MarketError, Party, RetryPolicy, RetryingTransport, SimStorage,
-    TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
+    Storage, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
 };
 use ppms_crypto::cl::ClKeyPair;
 use ppms_ecash::DecParams;
@@ -1181,6 +1181,72 @@ fn a_saturated_door_still_accepts() {
         );
     });
     assert_eq!(door.obs_snapshot().counter("tcp.accepted"), 2);
+    drop(door);
+    svc.shutdown();
+}
+
+#[test]
+fn health_reports_a_shard_stopped_by_a_journal_that_no_longer_replays() {
+    // One shard; its fourth executed request (after the door's revenue
+    // account and two payments) hits the crash point, and the restart
+    // finds the journal rotten.
+    let storage = SimStorage::new();
+    let mut rng = StdRng::seed_from_u64(0xD00D);
+    let svc = MaService::spawn_durable(
+        &mut rng,
+        DecParams::fixture(2, 6),
+        512,
+        40,
+        ServiceConfig {
+            crash: Some(CrashPoint {
+                shard: 0,
+                at_request: 4,
+            }),
+            ..ServiceConfig::default()
+        },
+        DurabilityConfig::new(Arc::new(storage.clone())),
+    )
+    .expect("durable spawn");
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", TcpConfig::default()).expect("front door");
+    let ops = TcpTransport::new(TcpClientConfig::new(door.addr()));
+    let health = ops.ops(OpsRequest::Health).expect("health");
+    assert!(
+        health.contains("\"status\":\"ok\"") && health.contains("\"shards_stopped\":0"),
+        "{health}"
+    );
+    let client = svc.client();
+    for i in 0..2u8 {
+        let resp = client.call(MaRequest::SubmitPayment {
+            sp_pubkey: vec![i; 8],
+            ciphertext: vec![i],
+        });
+        assert!(matches!(resp, MaResponse::Ok), "{resp:?}");
+    }
+    let segment = storage
+        .list()
+        .expect("list")
+        .into_iter()
+        .find(|name| name.starts_with("wal-") && name.ends_with(".seg"))
+        .expect("a segment");
+    // Past the 16-byte segment header and the first frame's length word.
+    storage.flip_bit(&segment, 16 + 4 + 8, 0x01);
+    assert!(client.try_call(MaRequest::RegisterSpAccount).is_err());
+
+    // The shard stops after the crash dump; health must say so.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let health = loop {
+        let health = ops.ops(OpsRequest::Health).expect("health");
+        if !health.contains("\"status\":\"ok\"") || Instant::now() > deadline {
+            break health;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        health.contains("\"status\":\"degraded\"") && health.contains("\"shards_stopped\":1"),
+        "a stopped shard refuses every request, yet health reads: {health}"
+    );
+    let resp = client.try_call(MaRequest::RegisterSpAccount);
+    assert!(matches!(resp, Err(MarketError::Transport(_))), "{resp:?}");
     drop(door);
     svc.shutdown();
 }
