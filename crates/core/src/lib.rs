@@ -79,8 +79,8 @@ pub use ppmsdec::{DecMarket, DecRoundOutcome};
 pub use ppmspbs::{PbsMarket, PbsRoundOutcome};
 pub use retry::{RetryPolicy, RetryingTransport};
 pub use service::{
-    CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport, Reply,
-    RequestKey, ServiceConfig,
+    CrashPhase, CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport,
+    Reply, RequestKey, ServiceConfig,
 };
 pub use storage::{
     DiskStorage, DurabilityConfig, DurableLog, FaultyStorage, SimStorage, SnapshotState, Storage,

@@ -332,56 +332,34 @@ impl ReplyQueue {
     }
 }
 
-/// Crash-injection point for the supervision tests: the chosen
-/// shard's incarnation restarts (as if panicked) just before its
-/// `at_request`-th executed request runs — the canonical "lost in
-/// flight" window, which leaves no journal record. Executed requests
-/// are those that missed the dedup cache, reads included. Fires at
-/// most once per service.
+/// Crash-injection point for the supervision and batching tests: the
+/// chosen shard's incarnation restarts (as if panicked) at its
+/// `at_request`-th executed request, at `phase`. Executed requests are
+/// those that missed the dedup cache, reads and replayed records
+/// included. Fires at most once per service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// Which shard dies (taken modulo the shard count).
     pub shard: usize,
     /// 1-based count of executed requests that triggers the crash.
     pub at_request: u64,
+    /// Where in that request's execution the crash fires.
+    pub phase: CrashPhase,
 }
 
-/// Crash-injection point for the batching pipeline: the chosen shard's
-/// incarnation restarts after its `at_request`-th executed request ran
-/// and its record (if it is a write) was appended — *between* the batch's
-/// verification/execution and its group-commit flush, before any held
-/// reply is released. Items executed earlier in the same cross-client
-/// batch have journal records but unanswered clients; the retries
-/// must replay, not re-execute (pinned by `tests/chaos.rs` /
-/// `tests/recovery.rs`). Fires at most once per service.
+/// Where a [`CrashPoint`] fires inside the request it triggers on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MidBatchCrash {
-    /// Which shard dies (taken modulo the shard count).
-    pub shard: usize,
-    /// 1-based count of executed requests that triggers the crash.
-    pub at_request: u64,
-}
-
-/// Flush triggers for shard-level dynamic batching (DESIGN.md §16): a
-/// worker drains its queue into a batch until the size cap, then
-/// Nagle-waits for companions only while the observed arrival rate
-/// says one is likely inside the deadline window.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Batch-size cap N: the most items one drain may collect.
-    pub max_batch: usize,
-    /// Upper bound D on the adaptive flush deadline, in microseconds.
-    /// `0` disables the Nagle wait entirely (pure greedy drain).
-    pub max_delay_micros: u64,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 32,
-            max_delay_micros: 150,
-        }
-    }
+pub enum CrashPhase {
+    /// Before the request executes: the canonical "lost in flight"
+    /// window, which leaves no journal record.
+    BeforeExecute,
+    /// After the request executed and its record (if it is a write)
+    /// was appended, before the batch's group commit and before any
+    /// held reply is released. Items executed earlier in the same
+    /// cross-client batch have records but unanswered clients; the
+    /// retries must replay, not re-execute (pinned by
+    /// `tests/chaos.rs` and `tests/recovery.rs`).
+    AfterAppend,
 }
 
 /// Sizing knobs for the sharded service.
@@ -393,13 +371,13 @@ pub struct ServiceConfig {
     /// simulated-network senders block when their shard's queue is
     /// full, and the TCP door sheds).
     pub queue_depth: usize,
-    /// Cross-client batching flush triggers.
-    pub batch: BatchConfig,
+    /// The most items one drain of a shard queue collects into a
+    /// cross-client batch (DESIGN.md §16). A batch holds only what is
+    /// already queued: the worker never waits for more. `1` runs every
+    /// request on its own (the batch-of-one reference).
+    pub max_batch: usize,
     /// Optional crash injection for the supervision tests.
     pub crash: Option<CrashPoint>,
-    /// Optional mid-batch crash injection (between batch verify and
-    /// group commit) for the batching chaos tests.
-    pub crash_mid_batch: Option<MidBatchCrash>,
 }
 
 impl Default for ServiceConfig {
@@ -407,9 +385,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 1,
             queue_depth: 128,
-            batch: BatchConfig::default(),
+            max_batch: 32,
             crash: None,
-            crash_mid_batch: None,
         }
     }
 }
@@ -953,15 +930,6 @@ impl CheckpointSchedule {
     }
 }
 
-/// Folds an arrival at now into the batching collector's Nagle state,
-/// an EWMA of inter-arrival gaps (DESIGN.md §16), and returns now.
-fn note_arrival(last: &mut std::time::Instant, ewma_gap_ns: &mut f64) -> std::time::Instant {
-    let now = std::time::Instant::now();
-    *ewma_gap_ns = 0.75 * *ewma_gap_ns + 0.25 * now.duration_since(*last).as_nanos() as f64;
-    *last = now;
-    now
-}
-
 /// Why an incarnation of a shard worker ended: `Crash` is what a
 /// restart cures; `Stop` is shutdown; `Failed` is a journal that no
 /// longer replays, which stops the shard for good.
@@ -997,15 +965,11 @@ struct ShardWorker {
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     /// This worker's shard index (names its per-shard gauges).
     shard_idx: usize,
-    /// Cross-client batching flush triggers.
-    batch: BatchConfig,
-    /// Crash before executing this executed-request count (replayed
-    /// records included); cleared when it fires, so it fires once.
-    crash: Option<u64>,
-    /// Crash after the matching request executed and its record was
-    /// appended, before the group commit and before any held reply is
-    /// sent; cleared when it fires.
-    crash_mid_batch: Option<u64>,
+    /// The most items one drain collects.
+    max_batch: usize,
+    /// The crash point, if it names this shard; cleared when it
+    /// fires, so it fires once.
+    crash: Option<CrashPoint>,
 }
 
 impl ShardWorker {
@@ -1021,12 +985,21 @@ impl ShardWorker {
         }
     }
 
+    /// Ends the incarnation with a crash: dumps, and counts the
+    /// respawn before the incarnation's replies hang up, so a client
+    /// that sees the hang-up also sees the respawn counted.
+    fn crash_exit(&self, reason: &str) -> Exit {
+        self.dump_crash(reason);
+        self.faults.shard_respawn();
+        Exit::Crash
+    }
+
     fn run(mut self, srx: Receiver<ShardMsg>) {
         // One incarnation per pass. Returning drops `srx`, which closes
         // the queue: later sends fail instead of waiting on a dead shard.
         loop {
             match self.incarnation(&srx) {
-                Exit::Crash => self.faults.shard_respawn(),
+                Exit::Crash => {}
                 Exit::Stop => return,
                 // Health reports the service degraded from here on.
                 Exit::Failed => return self.obs.gauge("ma.shards_stopped").add(1),
@@ -1092,22 +1065,13 @@ impl ShardWorker {
         // many group commits amortized an fsync.
         let drain_size = self.obs.histogram("batch.drain_size");
         let flush_full = self.obs.counter("batch.flush_full");
-        let flush_deadline = self.obs.counter("batch.flush_deadline");
         let flush_drain = self.obs.counter("batch.flush_drain");
         let batch_items = self.obs.counter("batch.items");
         let batch_drains = self.obs.counter("batch.drains");
         let group_commits = self.obs.counter("batch.group_commits");
         let preverify_spends = self.obs.histogram("batch.preverify_spends");
         let amortized_ns = self.obs.histogram("deposit.item_amortized_ns");
-        let delay_gauge = self
-            .obs
-            .gauge(&format!("ma.shard{}.batch_delay_us", self.shard_idx));
-        let max_batch = self.batch.max_batch.max(1);
-        let max_delay_ns = self.batch.max_delay_micros.saturating_mul(1_000);
-        // The Nagle state starts pessimistic (gaps far wider than any
-        // deadline budget — no wait); only fast arrivals pull it down.
-        let mut ewma_gap_ns: f64 = 1e9;
-        let mut last_arrival = std::time::Instant::now();
+        let max_batch = self.max_batch;
         // Reusable batch scratch, reclaimed across iterations.
         let mut batch: Vec<Inbound> = Vec::with_capacity(max_batch);
         let mut held: Vec<(Reply, MaResponse)> = Vec::with_capacity(max_batch);
@@ -1120,11 +1084,10 @@ impl ShardWorker {
             let mut barrier: Option<CheckpointBarrier> = None;
             let mut stop = false;
 
-            // Phase 1 — collect: block for the first item, then drain
-            // greedily up to the cap N, Nagle-waiting out the adaptive
-            // deadline D only while the observed arrival rate makes a
-            // companion likely inside it. D collapses to zero at low
-            // load, so a lone request is never delayed. A checkpoint
+            // Phase 1 — collect: block for the first item, then take
+            // what is already queued, up to the cap. The worker never
+            // waits for companions: a batch forms from backlog, which
+            // is exactly when there is work to share. A checkpoint
             // barrier or a stop seals the batch: it is honored after
             // the batch executes, preserving the FIFO consistent-prefix
             // argument.
@@ -1139,49 +1102,19 @@ impl ShardWorker {
                 }
                 Ok(ShardMsg::Stop) | Err(_) => return Exit::Stop,
             }
-            let now = note_arrival(&mut last_arrival, &mut ewma_gap_ns);
-            // Wait ~4 expected gaps, and only when at least two of
-            // them fit the deadline budget; otherwise flush instantly.
-            let delay_ns = if max_delay_ns > 0 && 2.0 * ewma_gap_ns <= max_delay_ns as f64 {
-                ((4.0 * ewma_gap_ns) as u64).min(max_delay_ns)
-            } else {
-                0
-            };
-            delay_gauge.set((delay_ns / 1_000) as i64);
-            let deadline = now + std::time::Duration::from_nanos(delay_ns);
-            let mut reason = &flush_drain;
             while batch.len() < max_batch && barrier.is_none() && !stop {
-                let msg = match srx.try_recv() {
-                    Ok(msg) => msg,
-                    Err(channel::TryRecvError::Empty) => {
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match srx.recv_timeout(deadline - now) {
-                            Ok(msg) => msg,
-                            Err(channel::RecvTimeoutError::Timeout) => {
-                                reason = &flush_deadline;
-                                break;
-                            }
-                            Err(channel::RecvTimeoutError::Disconnected) => ShardMsg::Stop,
-                        }
-                    }
-                    Err(channel::TryRecvError::Disconnected) => ShardMsg::Stop,
-                };
-                match msg {
-                    ShardMsg::Req(inbound) => {
-                        note_arrival(&mut last_arrival, &mut ewma_gap_ns);
-                        batch.push(*inbound);
-                    }
-                    ShardMsg::Barrier(b) => barrier = Some(b),
-                    ShardMsg::Stop => stop = true,
+                match srx.try_recv() {
+                    Ok(ShardMsg::Req(inbound)) => batch.push(*inbound),
+                    Ok(ShardMsg::Barrier(b)) => barrier = Some(b),
+                    Ok(ShardMsg::Stop) | Err(channel::TryRecvError::Disconnected) => stop = true,
+                    Err(channel::TryRecvError::Empty) => break,
                 }
             }
             if batch.len() >= max_batch {
-                reason = &flush_full;
+                flush_full.inc();
+            } else {
+                flush_drain.inc();
             }
-            reason.inc();
             batch_drains.inc();
             batch_items.add(batch.len() as u64);
             drain_size.record(batch.len() as u64);
@@ -1277,15 +1210,18 @@ impl ShardWorker {
                 let op_span = TimedOwned::new(op_hist.clone());
 
                 executed += 1;
-                if self.crash.is_some_and(|at| executed >= at) {
+                let crash = self
+                    .crash
+                    .filter(|c| executed >= c.at_request)
+                    .map(|c| c.phase);
+                if crash == Some(CrashPhase::BeforeExecute) {
                     // Injected crash: die before executing — the
                     // request is lost in flight and leaves no record.
                     // Its reply, the held replies and the undrained
                     // batch items hang up as the incarnation unwinds;
                     // the retries queue behind the restart.
                     self.crash = None;
-                    self.dump_crash("injected-crash");
-                    return Exit::Crash;
+                    return self.crash_exit("injected-crash");
                 }
 
                 let verdicts = std::mem::take(&mut preverified[i]);
@@ -1302,8 +1238,7 @@ impl ShardWorker {
                     shard.decide(&request, &mut effects, verdicts, dec.as_deref())
                 }));
                 let Ok(response) = decided else {
-                    self.dump_crash("handler-panic");
-                    return Exit::Crash;
+                    return self.crash_exit("handler-panic");
                 };
 
                 let response = if is_write(&request) {
@@ -1336,8 +1271,7 @@ impl ShardWorker {
                                 MaResponse::JobId(id) => self.shared.bulletin.release_id(id),
                                 _ => {}
                             }
-                            self.dump_crash(&format!("journal-append-failed: {e}"));
-                            return Exit::Crash;
+                            return self.crash_exit(&format!("journal-append-failed: {e}"));
                         }
                     }
                     apply(
@@ -1355,7 +1289,7 @@ impl ShardWorker {
                 };
                 drop(op_span);
                 drop(handle_span);
-                if self.crash_mid_batch.is_some_and(|at| executed >= at) {
+                if crash == Some(CrashPhase::AfterAppend) {
                     // Mid-batch kill point: the record above is
                     // journaled (not necessarily synced — under a
                     // deferring policy the group commit below is what
@@ -1363,29 +1297,31 @@ impl ShardWorker {
                     // escapes. Every client in the batch must converge
                     // via retry: recorded items replay from the dedup
                     // cache, the rest re-execute.
-                    self.crash_mid_batch = None;
-                    self.dump_crash("mid-batch-crash");
-                    return Exit::Crash;
+                    self.crash = None;
+                    return self.crash_exit("mid-batch-crash");
                 }
                 held.push((reply, response));
             }
 
             // Phase 4 — group commit, then release the held replies.
-            // One fsync forces everything the sync policy deferred to
-            // media (DESIGN.md §16), so one verification batch costs
-            // one fsync, and replies held until it returns make
-            // batched acknowledgements durable-before-ack even under a
-            // deferring policy (under `SyncPolicy::Always` it is
-            // free). A batch of one keeps the per-append policy
-            // untouched (no forced fsync), so sequential drivers see
-            // byte-identical fsync behavior to the unbatched pipeline.
+            // Under a deferring policy one fsync forces the batch's
+            // records to media (DESIGN.md §16), so one verification
+            // batch costs one fsync, and replies held until it returns
+            // make batched acknowledgements durable-before-ack. Under
+            // `SyncPolicy::Always` every append already fsynced, the
+            // flush returns at once and no group commit is counted. A
+            // batch of one keeps the per-append policy untouched (no
+            // forced fsync), so sequential drivers see byte-identical
+            // fsync behavior to the unbatched pipeline.
             if committed > 1 {
                 let gc_span = Span::child("wal.group_commit", lead_ctx);
-                if let Err(e) = self.log.flush() {
-                    self.dump_crash(&format!("journal-flush-failed: {e}"));
-                    return Exit::Crash;
+                match self.log.flush() {
+                    Ok(true) => group_commits.inc(),
+                    Ok(false) => {}
+                    Err(e) => {
+                        return self.crash_exit(&format!("journal-flush-failed: {e}"));
+                    }
                 }
-                group_commits.inc();
                 drop(gc_span);
             }
             for (reply, response) in held.drain(..) {
@@ -1892,7 +1828,6 @@ impl MaService {
         let mut shards = Vec::with_capacity(n_shards);
         for (idx, base) in state.shards.into_iter().enumerate() {
             let (tx, rx) = channel::bounded(depth);
-            let on_shard = |c: u64, shard: usize| (shard % n_shards == idx).then_some(c);
             let worker = ShardWorker {
                 shared: shared.clone(),
                 log: log.clone(),
@@ -1903,11 +1838,8 @@ impl MaService {
                 queue_depth: gauges[idx].clone(),
                 dumps: dumps.clone(),
                 shard_idx: idx,
-                batch: config.batch,
-                crash: config.crash.and_then(|c| on_shard(c.at_request, c.shard)),
-                crash_mid_batch: config
-                    .crash_mid_batch
-                    .and_then(|c| on_shard(c.at_request, c.shard)),
+                max_batch: config.max_batch.max(1),
+                crash: config.crash.filter(|c| c.shard % n_shards == idx),
             };
             txs.push(tx);
             shards.push(std::thread::spawn(move || worker.run(rx)));
@@ -2693,13 +2625,11 @@ mod tests {
             512,
             40,
             ServiceConfig {
-                batch: BatchConfig {
-                    max_batch: 1,
-                    ..BatchConfig::default()
-                },
+                max_batch: 1,
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 2,
+                    phase: CrashPhase::BeforeExecute,
                 }),
                 ..ServiceConfig::default()
             },
@@ -3066,6 +2996,7 @@ mod tests {
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 4,
+                    phase: CrashPhase::BeforeExecute,
                 }),
                 ..ServiceConfig::default()
             },
@@ -3106,6 +3037,90 @@ mod tests {
         };
         assert_eq!(sps, vec![vec![1u8], vec![2], vec![3]]);
         svc.shutdown();
+    }
+
+    #[test]
+    fn group_commits_count_only_flushes_that_fsynced() {
+        // Three deposits queue behind a shard held at a checkpoint
+        // barrier, so one drain executes all three. Under `Always`
+        // each append fsynced already and the batch flush has nothing
+        // to do; only a deferring policy makes it a group commit.
+        use crate::storage::SyncPolicy;
+        for (policy, expected) in [
+            (SyncPolicy::Always, 0),
+            (SyncPolicy::Batch { every: 1000 }, 1),
+        ] {
+            let mut durability = DurabilityConfig::new(Arc::new(SimStorage::new()));
+            durability.sync = policy;
+            let (svc, mut rng) = durable_service(46, ServiceConfig::default(), durability);
+            let client = svc.client();
+            let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
+                panic!("sp account");
+            };
+            let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
+            let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+                funds: 50,
+                clpk: cl.public.clone(),
+            }) else {
+                panic!("jo account");
+            };
+            let mut coin = ppms_ecash::Coin::mint(&mut rng, &svc.params);
+            let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
+            let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
+            let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
+                account: jo,
+                nonce: 1,
+                auth,
+                blinded,
+            }) else {
+                panic!("withdraw");
+            };
+            assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+            let deposits: Vec<_> = (0..3)
+                .map(|leaf| {
+                    let path = ppms_ecash::NodePath::from_index(2, leaf);
+                    inbound(
+                        next_request_id(),
+                        MaRequest::DepositBatch {
+                            account: sp,
+                            spends: vec![coin.spend(&mut rng, &svc.params, &path, b"")],
+                        },
+                    )
+                })
+                .collect();
+            let hook = Arc::new(GateCheckpoint::new());
+            svc.attach_gate_checkpoint(hook.clone());
+            let drains = svc.obs.counter("batch.drains");
+            let group_commits = svc.obs.counter("batch.group_commits");
+            std::thread::scope(|scope| {
+                let checkpoint = scope.spawn(|| svc.checkpoint());
+                await_gate_request(&hook);
+                let drains_before = drains.get();
+                let router = svc.router();
+                let answers: Vec<_> = deposits
+                    .into_iter()
+                    .map(|(deposit, answer)| {
+                        assert!(router.try_route(deposit).is_ok(), "queued, not shed");
+                        answer
+                    })
+                    .collect();
+                hook.fulfill(Vec::new());
+                checkpoint
+                    .join()
+                    .expect("checkpoint thread")
+                    .expect("checkpoint");
+                for answer in answers {
+                    let resp = answer.recv();
+                    assert!(
+                        matches!(resp, Ok(MaResponse::BatchDeposited { accepted: 1, .. })),
+                        "{policy:?}: {resp:?}"
+                    );
+                }
+                assert_eq!(drains.get() - drains_before, 1, "{policy:?}: one drain");
+            });
+            assert_eq!(group_commits.get(), expected, "{policy:?}");
+            svc.shutdown();
+        }
     }
 
     #[test]
@@ -3200,6 +3215,7 @@ mod tests {
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 4,
+                    phase: CrashPhase::BeforeExecute,
                 }),
                 ..ServiceConfig::default()
             },
@@ -3262,6 +3278,7 @@ mod tests {
                     crash: Some(CrashPoint {
                         shard: 0,
                         at_request: 4,
+                        phase: CrashPhase::BeforeExecute,
                     }),
                     ..ServiceConfig::default()
                 },
@@ -3339,6 +3356,7 @@ mod tests {
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 3,
+                    phase: CrashPhase::BeforeExecute,
                 }),
                 ..ServiceConfig::default()
             },
@@ -3393,6 +3411,7 @@ mod tests {
                 crash: Some(CrashPoint {
                     shard: 0,
                     at_request: 12,
+                    phase: CrashPhase::BeforeExecute,
                 }),
                 ..ServiceConfig::default()
             },

@@ -259,9 +259,11 @@ impl DurableLog {
         self.records_gauge.set(inner.next_lsn as i64);
     }
 
-    fn sync_live(&self, inner: &mut LogInner) -> Result<(), StorageError> {
+    /// Fsyncs the live segment if it holds unsynced appends; returns
+    /// whether it ran an fsync.
+    fn sync_live(&self, inner: &mut LogInner) -> Result<bool, StorageError> {
         if inner.unsynced == 0 {
-            return Ok(());
+            return Ok(false);
         }
         let name = inner.segments.last().expect("live segment").name.clone();
         let t0 = Instant::now();
@@ -269,7 +271,7 @@ impl DurableLog {
         self.fsync_ns.record(t0.elapsed().as_nanos() as u64);
         self.fsyncs.inc();
         inner.unsynced = 0;
-        Ok(())
+        Ok(true)
     }
 
     fn start_segment(&self, inner: &mut LogInner) -> Result<(), StorageError> {
@@ -342,9 +344,15 @@ impl DurableLog {
         Ok(lsn)
     }
 
-    /// Forces any group-committed tail to durable media (checkpoint
-    /// and shutdown call this; `Always` policy makes it a no-op).
-    pub fn flush(&self) -> Result<(), StorageError> {
+    /// Forces any group-committed tail to durable media (group
+    /// commit, checkpoint and shutdown call this) and returns whether
+    /// it ran an fsync. Under [`SyncPolicy::Always`] every append has
+    /// fsynced before it returned, so this returns `false` without
+    /// taking the log lock.
+    pub fn flush(&self) -> Result<bool, StorageError> {
+        if self.policy == SyncPolicy::Always {
+            return Ok(false);
+        }
         let mut inner = self.inner.lock();
         self.sync_live(&mut inner)
     }
@@ -636,6 +644,47 @@ mod tests {
         log.flush().unwrap();
         let (_, r) = open(&sim.crash_image(0), SyncPolicy::Always, 1 << 16);
         assert_eq!(r.records.len(), 5, "flush closes the window");
+    }
+
+    #[test]
+    fn flush_reports_whether_it_fsynced_under_each_policy() {
+        let obs = Registry::new();
+        let open_with = |policy| {
+            let storage = Arc::new(SimStorage::new()) as Arc<dyn Storage>;
+            DurableLog::open(storage, policy, 1 << 16, &obs)
+                .expect("open")
+                .0
+        };
+        let fsyncs = obs.counter("wal.fsyncs");
+
+        // `Always`: every append fsynced already, so a flush has
+        // nothing to do and does not wait on the log lock for it.
+        let log = Arc::new(open_with(SyncPolicy::Always));
+        for i in 0..3u64 {
+            log.append(0, &rec(i)).unwrap();
+        }
+        assert_eq!(fsyncs.get(), 3);
+        let held = log.inner.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flusher = log.clone();
+        std::thread::spawn(move || tx.send(flusher.flush().unwrap()));
+        let flushed = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        assert_eq!(flushed, Ok(false), "no fsync, and no wait on the lock");
+        assert_eq!(fsyncs.get(), 3);
+
+        // `Batch`: a flush fsyncs the deferred tail once, then has
+        // nothing left to do.
+        let log = open_with(SyncPolicy::Batch { every: 100 });
+        assert!(!log.flush().unwrap(), "an empty tail needs no fsync");
+        for i in 0..3u64 {
+            log.append(0, &rec(i)).unwrap();
+        }
+        assert_eq!(fsyncs.get(), 3);
+        assert!(log.flush().unwrap());
+        assert_eq!(fsyncs.get(), 4);
+        assert!(!log.flush().unwrap());
+        assert_eq!(fsyncs.get(), 4);
     }
 
     /// A `SimStorage` whose next read of one file, once armed,

@@ -4,9 +4,12 @@
 //! paths).
 
 use ppms_core::ppmsdec::DecMarket;
+use ppms_core::{GateCheckpoint, MaService};
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// RSA modulus size used across tests — small enough to keep the
 /// suite fast, structurally identical to production sizes.
@@ -30,6 +33,41 @@ pub fn dec_market(seed: u64, levels: usize) -> (DecMarket, StdRng) {
     let params = DecParams::fixture(levels, TEST_ZKP_ROUNDS);
     let market = DecMarket::new(&mut r, params, TEST_RSA_BITS, TEST_PAIRING_BITS);
     (market, r)
+}
+
+/// Holds shard 0 of `svc` at a checkpoint barrier while `enqueue`
+/// starts its client threads on the scope, releases the shard once
+/// `queued` requests wait in its queue, and returns when the threads
+/// have finished. The shard's first drain then takes all of them, so
+/// a test can rely on a cross-client batch without relying on thread
+/// scheduling.
+pub fn hold_shard0_until_queued<'env, F>(svc: &'env MaService, queued: i64, enqueue: F)
+where
+    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>),
+{
+    let hook = Arc::new(GateCheckpoint::new());
+    svc.attach_gate_checkpoint(hook.clone());
+    let queue_depth = svc.obs.gauge("ma.shard0.queue_depth");
+    std::thread::scope(|scope| {
+        // The checkpoint keeps every shard paused at its barrier
+        // until the hook is fulfilled.
+        let checkpoint = scope.spawn(|| svc.checkpoint());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !hook.pending() {
+            assert!(Instant::now() < deadline, "checkpoint never asked the hook");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        enqueue(scope);
+        while queue_depth.get() < queued {
+            assert!(Instant::now() < deadline, "the held requests never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        hook.fulfill(Vec::new());
+        checkpoint
+            .join()
+            .expect("checkpoint thread")
+            .expect("checkpoint");
+    });
 }
 
 /// The seeded fault/crash harness shared by `tests/chaos.rs` and

@@ -23,7 +23,9 @@ cargo test -p ppms-core --test wire_props -q
 echo "==> tcp front door (admission gate, retired request tag 12 counted as a bad frame, eviction, shedding, ops under load, one wake-source test each: idle request, shutdown, dropped reply, gate export; no lost wake across parks, a saturated door still accepts; health reports a stopped shard as degraded) + transport equivalence"
 # transport_equivalence includes the batching-equivalence harness: batched concurrent interleavings
 # (cheater + same-key retransmit in-batch) ≡ sequential ledgers, in-process and through the
-# TCP door, where cross-client batches must actually form.
+# TCP door. Its held-burst anchor (concurrent_batched_run_matches_sequential_and_actually_batches)
+# holds the shard at a checkpoint barrier until every client's first deposit and its duplicate
+# are queued, so the greedy drain must form a cross-client batch.
 cargo test -p ppms-integration --test tcp_front_door --test transport_equivalence -q
 
 echo "==> zero-copy hot path: warmed frame decode+dispatch+reply allocates nothing"
@@ -33,7 +35,7 @@ cargo test -p ppms-core --test frame_alloc -q
 echo "==> Table II TCP smoke (simnet/tcp ledger equality + gate frames counted)"
 cargo bench -p ppms-bench --bench tcp_front_door -- --test >/dev/null
 
-echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm, a short read is retried and never taken for a torn tail, a refused withdrawal's nonce stays burned across a restart, a deposit to an unknown account burns no spend, an append whose fsync failed leaves no record)"
+echo "==> chaos harness (fault injection + shard self-restart, a journal that no longer replays stops its shard, no checkpoint retry storm, a short read is retried and never taken for a torn tail, a refused withdrawal's nonce stays burned across a restart, a deposit to an unknown account burns no spend, an append whose fsync failed leaves no record; one CrashPoint hook, before execute or after append, lands in a drain two depositors share; group commits count only flushes that fsynced, in the service and in the log)"
 cargo test -p ppms-integration --test chaos -q
 cargo test -p ppms-core --lib -q -- \
     service::tests::crashed_shard_restarts_itself_and_retry_succeeds \
@@ -46,6 +48,18 @@ cargo test -p ppms-core --lib -q -- \
     storage::log::tests::a_read_that_stays_short_fails_replay_naming_both_lengths \
     storage::log::tests::a_short_read_at_open_truncates_nothing \
     storage::log::tests::an_append_whose_fsync_failed_leaves_no_record
+# The group-commit tests must exist and pass (a rename would drop them silently).
+group_out=$(cargo test -p ppms-core --lib -q -- --exact \
+    service::tests::group_commits_count_only_flushes_that_fsynced \
+    storage::log::tests::flush_reports_whether_it_fsynced_under_each_policy 2>&1) || {
+    echo "$group_out"
+    exit 1
+}
+echo "$group_out" | grep -q "test result: ok. 2 passed" || {
+    echo "the group-commit tests did not both run:"
+    echo "$group_out"
+    exit 1
+}
 
 echo "==> durable storage tier (crash matrix, failed-append matrix, a withdrawal and a deposit whose append failed re-execute once on retransmit, one serial raced on two shards is accepted once, live ledger = recovered ledger, compaction bound, disk-backed restart)"
 # The disk-backed smoke inside the suite is tempdir-hermetic (it

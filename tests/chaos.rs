@@ -5,14 +5,13 @@
 //! conservation invariant is equality with the in-process baseline,
 //! not merely "no error".
 
-use ppms_core::service::{
-    BatchConfig, MaRequest, MaResponse, MaService, MidBatchCrash, ServiceConfig,
-};
+use ppms_core::service::{MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::run_service_market_chaos;
-use ppms_core::{next_request_id, CrashPoint};
+use ppms_core::{next_request_id, CrashPhase, CrashPoint};
 use ppms_crypto::cl::ClKeyPair;
 use ppms_ecash::{Coin, DecParams, NodePath};
 use ppms_integration::harness::{baseline, plan, N_SPS, SEED, W};
+use ppms_integration::hold_shard0_until_queued;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,6 +55,7 @@ fn crashed_shard_recovers_and_market_converges() {
     let crash = CrashPoint {
         shard: 0,
         at_request: 3,
+        phase: CrashPhase::BeforeExecute,
     };
     let (outcome, faults) = run_service_market_chaos(
         SEED,
@@ -83,6 +83,7 @@ fn crash_under_loss_still_converges() {
     let crash = CrashPoint {
         shard: 1,
         at_request: 2,
+        phase: CrashPhase::BeforeExecute,
     };
     let (outcome, faults) = run_service_market_chaos(
         SEED,
@@ -215,6 +216,7 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
             crash: Some(CrashPoint {
                 shard: 0,
                 at_request: 4,
+                phase: CrashPhase::BeforeExecute,
             }),
             ..ServiceConfig::default()
         },
@@ -302,10 +304,11 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
     // rode the doomed batch sees a hung-up connection; their retries
     // under the same keys must converge without losing or
     // double-applying a single item — committed items replay from the
-    // rebuilt dedup cache, uncommitted ones re-execute.
+    // rebuilt dedup cache, uncommitted ones re-execute. A checkpoint
+    // holds the shard until both first deposits are queued, so they
+    // always share the drain the crash lands in.
     use ppms_core::service::MaClient;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
     fn call_retry(client: &MaClient, id: u64, req: MaRequest, errors: &AtomicU64) -> MaResponse {
@@ -329,17 +332,14 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
         40,
         ServiceConfig {
             shards: 1,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay_micros: 2000,
-            },
+            max_batch: 8,
             // Setup executes 6 requests (2 clients x SP + JO +
             // Withdraw); the crash fires after the record of the
-            // *second* deposit — mid-batch whenever the concurrent
-            // depositors share a drain.
-            crash_mid_batch: Some(MidBatchCrash {
+            // *second* deposit, which shares its drain with the first.
+            crash: Some(CrashPoint {
                 shard: 0,
                 at_request: 8,
+                phase: CrashPhase::AfterAppend,
             }),
             ..ServiceConfig::default()
         },
@@ -379,15 +379,13 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
 
     let errors = AtomicU64::new(0);
     let accounts: Vec<_> = wallets.iter().map(|(sp, _)| *sp).collect();
-    let start = Arc::new(Barrier::new(wallets.len()));
-    std::thread::scope(|scope| {
+    let depositors = wallets.len() as i64;
+    hold_shard0_until_queued(&svc, depositors, |scope| {
         for (sp, spends) in wallets {
             let svc = &svc;
             let errors = &errors;
-            let start = start.clone();
             scope.spawn(move || {
                 let client = svc.client();
-                start.wait();
                 for spend in spends {
                     let resp = call_retry(
                         &client,
@@ -415,14 +413,14 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
     // worker exactly once.
     assert_eq!(svc.faults.shard_respawns(), 1, "exactly one respawn");
     assert!(
-        errors.load(Ordering::Relaxed) >= 1,
-        "the doomed batch must have hung up at least one client"
+        errors.load(Ordering::Relaxed) >= 2,
+        "the doomed batch must have hung up both clients"
     );
-    // The crashed item's record predates the kill, so its retry is a
-    // replay, never a re-execution.
+    // Both items' records predate the kill, so their retries are
+    // replays, never re-executions.
     assert!(
-        svc.faults.dedup_replays() >= 1,
-        "the recorded-but-unanswered item must replay from the rebuilt cache"
+        svc.faults.dedup_replays() >= 2,
+        "the recorded-but-unanswered items must replay from the rebuilt cache"
     );
     // Exactly-once: every unique leaf credited exactly one unit,
     // through crash, respawn, retries and replays.

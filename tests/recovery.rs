@@ -491,7 +491,7 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
     // retry under the same key must *re-execute* (not replay), and
     // the item must land exactly once.
     use ppms_core::next_request_id;
-    use ppms_core::service::{MaService, MidBatchCrash, ServiceConfig};
+    use ppms_core::service::{CrashPhase, CrashPoint, MaService, ServiceConfig};
     use ppms_crypto::cl::ClKeyPair;
     use ppms_ecash::{Coin, DecParams, NodePath};
     use rand::rngs::StdRng;
@@ -506,9 +506,10 @@ fn mid_batch_crash_in_group_commit_window_loses_no_item_and_doubles_none() {
         // then the deposit (4) — the crash fires after the deposit's
         // record append, before the group-commit fsync and before the
         // held reply is released.
-        crash_mid_batch: Some(MidBatchCrash {
+        crash: Some(CrashPoint {
             shard: 0,
             at_request: 4,
+            phase: CrashPhase::AfterAppend,
         }),
         ..ServiceConfig::default()
     };

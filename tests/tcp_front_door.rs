@@ -20,9 +20,9 @@ use ppms_core::gate::{AdmissionConfig, OpsRequest};
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
-    next_request_id, next_trace_id, AccountId, CrashPoint, DurabilityConfig, Envelope, FramedConn,
-    GateRequest, GateResponse, MarketError, Party, RetryPolicy, RetryingTransport, SimStorage,
-    Storage, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
+    next_request_id, next_trace_id, AccountId, CrashPhase, CrashPoint, DurabilityConfig, Envelope,
+    FramedConn, GateRequest, GateResponse, MarketError, Party, RetryPolicy, RetryingTransport,
+    SimStorage, Storage, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
 };
 use ppms_crypto::cl::ClKeyPair;
 use ppms_ecash::DecParams;
@@ -1055,6 +1055,7 @@ fn a_reply_dropped_by_a_crashed_shard_wakes_the_door() {
     let (ledger, respawns) = deposit_through_the_door(Some(CrashPoint {
         shard: 0,
         at_request: 5,
+        phase: CrashPhase::BeforeExecute,
     }));
     assert_eq!(respawns, 1, "the crash must fire on the door's deposit");
     assert_eq!(ledger, expected, "the crash changed the ledger");
@@ -1201,6 +1202,7 @@ fn health_reports_a_shard_stopped_by_a_journal_that_no_longer_replays() {
             crash: Some(CrashPoint {
                 shard: 0,
                 at_request: 4,
+                phase: CrashPhase::BeforeExecute,
             }),
             ..ServiceConfig::default()
         },

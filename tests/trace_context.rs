@@ -9,7 +9,7 @@ use ppms_core::gate::AdmissionConfig;
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::mint_deposit_batches;
 use ppms_core::{
-    next_request_id, CrashPoint, DurabilityConfig, FaultPlan, Party, RetryPolicy,
+    next_request_id, CrashPhase, CrashPoint, DurabilityConfig, FaultPlan, Party, RetryPolicy,
     RetryingTransport, SimNetConfig, SimStorage, TcpClientConfig, TcpConfig, TcpFrontDoor,
     TcpTransport, Transport,
 };
@@ -32,6 +32,7 @@ fn crash_dump_carries_the_crashing_requests_trace_id() {
             crash: Some(CrashPoint {
                 shard: 0,
                 at_request: 2,
+                phase: CrashPhase::BeforeExecute,
             }),
             ..ServiceConfig::default()
         },

@@ -156,22 +156,24 @@ fn simnet_drop_surfaces_as_transport_error() {
 // bisection fallback must isolate it) and a client that retransmits
 // the same keyed request so both copies can land in one drain — the
 // final ledger must equal what a strictly sequential, batching-free
-// service produces for the same logical operations.
+// service produces for the same logical operations. The concurrent
+// run holds the shard at a checkpoint barrier until every client's
+// first deposit and its duplicate are queued, so the shard's greedy
+// drain, not thread scheduling, is what forms the cross-client batch.
 
 mod batching_equivalence {
-    use ppms_core::service::{
-        BatchConfig, MaClient, MaRequest, MaResponse, MaService, ServiceConfig,
-    };
+    use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
     use ppms_core::{
         next_request_id, AdmissionConfig, Party, TcpClientConfig, TcpConfig, TcpFrontDoor,
         TcpTransport,
     };
     use ppms_crypto::cl::ClKeyPair;
     use ppms_ecash::{Coin, DecParams, NodePath, Spend};
+    use ppms_integration::hold_shard0_until_queued;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::{Arc, Barrier};
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// One depositor's pre-built workload.
@@ -270,17 +272,9 @@ mod batching_equivalence {
     /// The first deposit is also retransmitted under the *same* key
     /// from a second client on its own thread, so the duplicate can
     /// share a drain with the original.
-    fn play(
-        connect: &(dyn Fn() -> MaClient + Sync),
-        plan: ClientPlan,
-        stagger_micros: u64,
-        start: Option<Arc<Barrier>>,
-    ) {
+    fn play(connect: &(dyn Fn() -> MaClient + Sync), plan: ClientPlan, stagger_micros: u64) {
         let client = connect();
         let mut retrans: Option<std::thread::JoinHandle<()>> = None;
-        if let Some(b) = &start {
-            b.wait();
-        }
         for (j, spend) in plan.spends.into_iter().enumerate() {
             if stagger_micros > 0 {
                 std::thread::sleep(Duration::from_micros(stagger_micros));
@@ -347,29 +341,6 @@ mod batching_equivalence {
         }
     }
 
-    /// Pulls the shard's inter-arrival gap EWMA down with a real burst:
-    /// eight concurrent clients each read a balance eight times. The
-    /// EWMA starts at 1 s, and the schedule's own ~20 arrivals leave
-    /// it above the 1 ms a 2 ms budget needs, so without this the
-    /// Nagle wait never arms and a batch forms only if thread
-    /// scheduling happens to queue deposits behind a verify.
-    fn warm_arrival_gap(svc: &MaService, accounts: &[ppms_core::AccountId]) {
-        std::thread::scope(|scope| {
-            for i in 0..8 {
-                let account = accounts[i % accounts.len()];
-                scope.spawn(move || {
-                    let client = svc.client();
-                    for _ in 0..8 {
-                        let MaResponse::Balance(_) = client.call(MaRequest::Balance { account })
-                        else {
-                            panic!("balance");
-                        };
-                    }
-                });
-            }
-        });
-    }
-
     /// Runs the logical schedule, its deposit phase through `door`, and
     /// returns the final per-client balances plus the
     /// `(batch.items, batch.drains)` deltas of the deposit phase.
@@ -377,7 +348,7 @@ mod batching_equivalence {
         seed: u64,
         leaves: &[usize],
         cheater: usize,
-        batch: BatchConfig,
+        max_batch: usize,
         concurrent: bool,
         staggers: &[u64],
         door: Door,
@@ -390,7 +361,7 @@ mod batching_equivalence {
             40,
             ServiceConfig {
                 shards: 1,
-                batch,
+                max_batch,
                 ..ServiceConfig::default()
             },
         );
@@ -418,25 +389,25 @@ mod batching_equivalence {
         };
         let plans = build_plans(&svc, seed ^ 0x5EED, leaves, cheater);
         let accounts: Vec<_> = plans.iter().map(|p| p.account).collect();
-        warm_arrival_gap(&svc, &accounts);
-        // Counted after the warm-up, so the deltas speak of the
-        // deposit phase alone.
+        // Counted after the setup, so the deltas speak of the deposit
+        // phase alone.
         let items0 = svc.obs.counter("batch.items").get();
         let drains0 = svc.obs.counter("batch.drains").get();
 
         if concurrent {
-            let start = Arc::new(Barrier::new(plans.len()));
-            std::thread::scope(|scope| {
+            // Released once every client's first deposit and its
+            // same-key duplicate are queued.
+            let first_wave = 2 * plans.len() as i64;
+            hold_shard0_until_queued(&svc, first_wave, |scope| {
                 for (i, plan) in plans.into_iter().enumerate() {
                     let connect = &connect;
                     let stagger = staggers[i % staggers.len()];
-                    let start = start.clone();
-                    scope.spawn(move || play(connect, plan, stagger, Some(start)));
+                    scope.spawn(move || play(connect, plan, stagger));
                 }
             });
         } else {
             for (i, plan) in plans.into_iter().enumerate() {
-                play(&connect, plan, staggers[i % staggers.len()], None);
+                play(&connect, plan, staggers[i % staggers.len()]);
             }
         }
 
@@ -457,40 +428,20 @@ mod batching_equivalence {
         (balances, items, drains)
     }
 
-    /// Deterministic anchor: a concurrent run against the batching
-    /// service must form at least one genuine cross-client batch
-    /// (items > drains) and still land on the sequential ledger, both
-    /// in-process and through the TCP front door.
+    /// Deterministic anchor: a concurrent run whose first wave of
+    /// deposits queues behind a held shard must form a genuine
+    /// cross-client batch (items > drains), which only the shard's
+    /// greedy drain can do, and still land on the sequential ledger,
+    /// both in-process and through the TCP front door.
     #[test]
     fn concurrent_batched_run_matches_sequential_and_actually_batches() {
         let leaves = [2usize, 2, 2];
         let cheater = 1;
         let staggers = [0u64, 40, 80];
         for door in [Door::InProc, Door::Tcp] {
-            let (seq, _, _) = run_schedule(
-                0xBA7C,
-                &leaves,
-                cheater,
-                BatchConfig {
-                    max_batch: 1,
-                    max_delay_micros: 0,
-                },
-                false,
-                &staggers,
-                door,
-            );
-            let (bat, items, drains) = run_schedule(
-                0xBA7C,
-                &leaves,
-                cheater,
-                BatchConfig {
-                    max_batch: 8,
-                    max_delay_micros: 2000,
-                },
-                true,
-                &staggers,
-                door,
-            );
+            let (seq, _, _) = run_schedule(0xBA7C, &leaves, cheater, 1, false, &staggers, door);
+            let (bat, items, drains) =
+                run_schedule(0xBA7C, &leaves, cheater, 8, true, &staggers, door);
             assert_eq!(
                 seq, bat,
                 "{door:?}: batched ledger diverged from sequential"
@@ -526,7 +477,7 @@ mod batching_equivalence {
                 seed,
                 &leaves,
                 cheater,
-                BatchConfig { max_batch: 1, max_delay_micros: 0 },
+                1,
                 false,
                 &staggers,
                 Door::InProc,
@@ -535,7 +486,7 @@ mod batching_equivalence {
                 seed,
                 &leaves,
                 cheater,
-                BatchConfig { max_batch: 8, max_delay_micros: 2000 },
+                8,
                 true,
                 &staggers,
                 Door::InProc,
